@@ -312,7 +312,7 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
         Sz[:n, :n] = problem.S
         grid = _backward_riccati(A, BRB, Qz, Sz, problem.horizon, n_steps)
         times = np.linspace(0.0, problem.horizon, n_steps + 1)
-        gains = np.einsum("ij,kj,tkl->til", Rinv, B, grid)
+        gains = (Rinv @ B.T) @ grid
         P0 = grid[0]
         return FeedbackLaw(gain=gains[0], riccati=P0,
                            residual=_care_residual(P0, A, BRB, Qz),

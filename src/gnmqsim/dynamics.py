@@ -6,12 +6,13 @@ integrates the first-order system exactly per grid step in normal-mode
 coordinates (forces held constant over each step) and assembles the
 snapshots into a history state. Langevin damping evolves the second-moment
 matrix rho(t) = e^{tJ} rho0 e^{tJ+} + int_0^t e^{sJ} S S+ e^{sJ+} ds under
-the generator J; the integral is computed by two independent routes
-(Gauss-Legendre quadrature of the matrix exponential, and the closed-form
-Lyapunov solution in the generator's eigenbasis) which must agree to 1e-8
-relative Frobenius. Monte Carlo oracles integrate the matching SDEs with
-Euler-Maruyama and counter-based noise so ensembles are reproducible and
-paths are independent of execution order.
+the generator J: in closed form in H's eigenbasis for scalar damping (J
+normal), by Van Loan's block exponential for velocity damping (J possibly
+defective). The Lyapunov identity J N + N J+ = E S S+ E+ - S S+, for the
+propagator E and noise integral N over the interval a route integrates,
+certifies the result to 1e-8 relative residual. Monte Carlo oracles
+integrate the matching SDEs with Euler-Maruyama and counter-based noise so
+ensembles are reproducible and paths are independent of execution order.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .network import NetworkModel
 from .stateprep import MAX_R, EncodedState, cbrng_array, encode_initial_conditions
 
 DECODE_RTOL = 1e-8
-CROSS_CHECK_RTOL = 1e-8
+LYAPUNOV_RTOL = 1e-8
 _ZERO_MODE_RTOL = 1e-8
 
 
@@ -287,60 +288,56 @@ def _taylor_safe_ratio(denom: np.ndarray, t: float) -> np.ndarray:
     return np.where(small, t * (1.0 - denom * t / 2.0), out)
 
 
-def _covariance_closed_form(embedded, params, rho0, t):
-    if params.damping == "scalar":
-        w, vecs = embedded.eig
-        decay = np.exp((-1j * w - params.gamma) * t)
-        r0 = vecs.conj().T @ rho0 @ vecs
-        first = vecs @ (np.outer(decay, decay.conj()) * r0) @ vecs.conj().T
-        Q = params.noise_matrix(embedded)
-        Qt = vecs.conj().T @ (Q @ Q.conj().T) @ vecs
-        denom = 2.0 * params.gamma + 1j * (w[:, None] - w[None, :])
-        integral = vecs @ (Qt * _taylor_safe_ratio(denom, t)) @ vecs.conj().T
-        return first + integral
-    J = params.generator(embedded)
-    d, W = scipy.linalg.eig(J)
-    resid = np.linalg.norm(W @ np.diag(d) @ np.linalg.inv(W) - J)
-    if resid > 1e-9 * max(np.linalg.norm(J), 1e-300):
-        raise NumericalError("generator eigenbasis too ill-conditioned for "
-                             "the closed-form route")
-    W_inv = np.linalg.inv(W)
-    prop = W @ np.diag(np.exp(d * t)) @ W_inv
-    first = prop @ rho0 @ prop.conj().T
-    Q = params.noise_matrix(embedded)
-    G = W_inv @ (Q @ Q.conj().T) @ W_inv.conj().T
-    denom = -(d[:, None] + d.conj()[None, :])
-    integral = W @ (G * _taylor_safe_ratio(denom, t)) @ W.conj().T
-    return first + integral
+def _scalar_covariance(embedded, gamma, QQ, rho0, t):
+    """Closed form in H's eigenbasis, exact because J = -iH - gamma*I is normal.
+
+    Returns rho(t), e^{Jt} and the noise integral over [0, t].
+    """
+    w, vecs = embedded.eig
+    decay = np.exp((-1j * w - gamma) * t)
+    r0 = vecs.conj().T @ rho0 @ vecs
+    first = vecs @ (np.outer(decay, decay.conj()) * r0) @ vecs.conj().T
+    Qt = vecs.conj().T @ QQ @ vecs
+    denom = 2.0 * gamma + 1j * (w[:, None] - w[None, :])
+    integral = vecs @ (Qt * _taylor_safe_ratio(denom, t)) @ vecs.conj().T
+    prop = (vecs * decay) @ vecs.conj().T
+    return first + integral, prop, integral
 
 
-def _covariance_quadrature(embedded, params, rho0, t, nodes):
-    J = params.generator(embedded)
-    # enough nodes to resolve oscillation at the spectral frequency
-    w = embedded.eig[0]
-    freq = float(np.max(np.abs(w))) + params.gamma
-    n_nodes = int(min(max(nodes, 64, math.ceil(1.5 * freq * t) + 16), 4096))
-    x, wt = np.polynomial.legendre.leggauss(n_nodes)
-    taus = 0.5 * t * (x + 1.0)
-    prop_t = scipy.linalg.expm(J * t)
-    out = prop_t @ rho0 @ prop_t.conj().T
-    Q = params.noise_matrix(embedded)
-    QQ = Q @ Q.conj().T
-    for tau, weight in zip(taus, wt):
-        e = scipy.linalg.expm(J * tau)
-        out += (0.5 * t * weight) * (e @ QQ @ e.conj().T)
-    return out
+def _velocity_covariance(J, gamma, QQ, rho0, t):
+    """Van Loan's block exponential (IEEE TAC 23(3), 1978) in equal steps h.
+
+    expm([[J, QQ], [0, -J+]] h) = [[e^{Jh}, F12], [0, e^{-J+h}]] with
+    F12 e^{J+h} = int_0^h e^{Js} QQ e^{J+s} ds; h = t / ceil(gamma t) keeps
+    |e^{-J+h}| <= e^{gamma h} below e. Returns rho(t), e^{Jh} and that integral.
+    """
+    dim = J.shape[0]
+    steps = max(1, math.ceil(gamma * t))
+    block = np.block([[J, QQ], [np.zeros_like(J), -J.conj().T]])
+    F = scipy.linalg.expm(block * (t / steps))
+    prop = F[:dim, :dim]
+    noise = F[:dim, dim:] @ prop.conj().T
+    rho = rho0
+    for _ in range(steps):
+        rho = prop @ rho @ prop.conj().T + noise
+    return rho, prop, noise
+
+
+def _lyapunov_residual(J, QQ, prop, noise) -> float:
+    """Residual of J N + N J+ = E QQ E+ - QQ over the sum of the terms' norms."""
+    terms = (J @ noise, noise @ J.conj().T, prop @ QQ @ prop.conj().T, QQ)
+    resid = np.linalg.norm(terms[0] + terms[1] - terms[2] + terms[3])
+    return float(resid / max(sum(np.linalg.norm(x) for x in terms), 1e-300))
 
 
 def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
                                params: LangevinParams, rho0: np.ndarray,
-                               t: float, method: str = "cross",
-                               nodes: int = 64) -> np.ndarray:
+                               t: float) -> np.ndarray:
     """Second-moment matrix at time t under the damped generator.
 
-    method "cross" (default) runs both the closed-form route and the
-    quadrature route and raises NumericalError if they disagree beyond
-    1e-8 relative Frobenius; "lyapunov" or "quadrature" run one route.
+    Scalar damping uses the closed form in H's eigenbasis, velocity damping
+    Van Loan's block exponential; NumericalError is raised when the
+    Lyapunov residual over the interval the route integrates exceeds 1e-8.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (embedded.dim, embedded.dim):
@@ -349,20 +346,19 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
         raise ValueError("rho0 must be Hermitian")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    if method == "lyapunov":
-        return _covariance_closed_form(embedded, params, rho0, t)
-    if method == "quadrature":
-        return _covariance_quadrature(embedded, params, rho0, t, nodes)
-    if method != "cross":
-        raise ValueError("method must be 'cross', 'lyapunov' or 'quadrature'")
-    closed = _covariance_closed_form(embedded, params, rho0, t)
-    quad = _covariance_quadrature(embedded, params, rho0, t, nodes)
-    scale = max(np.linalg.norm(closed), 1e-300)
-    diff = np.linalg.norm(closed - quad) / scale
-    if diff > CROSS_CHECK_RTOL:
-        raise NumericalError(f"covariance routes disagree: relative "
-                             f"Frobenius difference {diff:.3e}")
-    return closed
+    J = params.generator(embedded)
+    Q = params.noise_matrix(embedded)
+    QQ = Q @ Q.conj().T
+    if params.damping == "scalar":
+        rho, prop, noise = _scalar_covariance(embedded, params.gamma, QQ, rho0, t)
+    else:
+        rho, prop, noise = _velocity_covariance(J, params.gamma, QQ, rho0, t)
+    resid = _lyapunov_residual(J, QQ, prop, noise)
+    if resid > LYAPUNOV_RTOL:
+        raise NumericalError(f"Langevin covariance ({params.damping} damping): "
+                             f"Lyapunov relative residual {resid:.3e} exceeds "
+                             f"tolerance {LYAPUNOV_RTOL:.0e}")
+    return rho
 
 
 # -- Monte Carlo oracles ---------------------------------------------------------
@@ -388,6 +384,19 @@ def _normal_block(seed: int, bases: np.ndarray, count: int) -> np.ndarray:
     return out[:, :count]
 
 
+def _noise_windows(seed: int, n_paths: int, n_steps: int, count: int):
+    """Yield each step's (n_paths, count) normals of an ensemble.
+
+    Path p, step k reads the counter window starting at
+    p*n_steps*step_words + k*step_words, so draws are seed-reproducible and
+    do not depend on path ordering or ensemble size.
+    """
+    step_words = 2 * ((count + 1) // 2)
+    bases0 = np.arange(n_paths, dtype=np.uint64) * np.uint64(n_steps * step_words)
+    for k in range(n_steps):
+        yield _normal_block(seed, bases0 + np.uint64(k * step_words), count)
+
+
 def _step_count(t: float, h_max: float, h: float | None) -> tuple[int, float]:
     if h is not None:
         if h <= 0:
@@ -406,9 +415,7 @@ def monte_carlo_langevin(model: NetworkModel, params: LangevinParams, u0, v0,
     """Euler-Maruyama ensemble of the damped mechanical equation.
 
     Integrates M udd + gamma ud + K u + sigma xi = 0 path-by-path with
-    counter-based noise: path p, step k reads counters from the window
-    p*stride + k*step_words, so ensembles are seed-reproducible and do not
-    depend on path ordering.
+    counter-based noise (see `_noise_windows`).
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -417,16 +424,11 @@ def monte_carlo_langevin(model: NetworkModel, params: LangevinParams, u0, v0,
     h_max = 0.01 / max(math.sqrt(a_norm), 1e-12)
     n_steps, h = _step_count(t, h_max, h)
 
-    step_words = 2 * ((n + 1) // 2)
-    stride = n_steps * step_words
-    bases0 = np.arange(n_paths, dtype=np.uint64) * np.uint64(stride)
-
     u = np.tile(u0, (n_paths, 1))
     v = np.tile(v0, (n_paths, 1))
     inv_m = 1.0 / model.masses
     sqrt_h = math.sqrt(h)
-    for k in range(n_steps):
-        xi = _normal_block(seed, bases0 + np.uint64(k * step_words), n)
+    for xi in _noise_windows(seed, n_paths, n_steps, n):
         drift = (-params.gamma * v - u @ model.K) * inv_m
         u = u + h * v
         v = v + h * drift - (params.sigma * sqrt_h) * (xi * inv_m)
@@ -450,19 +452,13 @@ def monte_carlo_encoded(embedded: EmbeddedHamiltonian, params: LangevinParams,
     x0 = np.asarray(x0, dtype=complex)
     J = params.generator(embedded)
     S = params.noise_matrix(embedded)
-    n_channels = S.shape[1]
     w = embedded.eig[0]
     h_max = 0.01 / max(float(np.max(np.abs(w))) + params.gamma, 1e-12)
     n_steps, h = _step_count(t, h_max, h)
 
-    step_words = 2 * ((n_channels + 1) // 2)
-    stride = n_steps * step_words
-    bases0 = np.arange(n_paths, dtype=np.uint64) * np.uint64(stride)
-
     x = np.tile(x0, (n_paths, 1))
     sqrt_h = math.sqrt(h)
-    for k in range(n_steps):
-        xi = _normal_block(seed, bases0 + np.uint64(k * step_words), n_channels)
+    for xi in _noise_windows(seed, n_paths, n_steps, S.shape[1]):
         x = x + h * (x @ J.T) + sqrt_h * (xi @ S.T)
     outer = x[:, :, None] * x[:, None, :].conj()
     second = outer.mean(axis=0)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gnmqsim import dynamics as dyn
 from gnmqsim.errors import EncodingError, NumericalError
@@ -159,6 +162,28 @@ def test_langevin_zero_hamiltonian_integral():
     assert np.abs(rho_t - exact).max() < 1e-12
 
 
+def _covariance_quadrature(embedded, params, rho0, t, nodes):
+    J = params.generator(embedded)
+    # enough nodes to resolve oscillation at the spectral frequency
+    w = embedded.eig[0]
+    freq = float(np.max(np.abs(w))) + params.gamma
+    n_nodes = int(min(max(nodes, 64, math.ceil(1.5 * freq * t) + 16), 4096))
+    x, wt = np.polynomial.legendre.leggauss(n_nodes)
+    taus = 0.5 * t * (x + 1.0)
+    prop_t = scipy.linalg.expm(J * t)
+    out = prop_t @ rho0 @ prop_t.conj().T
+    Q = params.noise_matrix(embedded)
+    QQ = Q @ Q.conj().T
+    for tau, weight in zip(taus, wt):
+        e = scipy.linalg.expm(J * tau)
+        out += (0.5 * t * weight) * (e @ QQ @ e.conj().T)
+    return out
+
+
+def _relative_frobenius(a, ref):
+    return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+
 def test_langevin_routes_agree_for_all_mode_combinations(chain2, emb2):
     rng = np.random.default_rng(12)
     st = encode_initial_conditions(chain2, rng.normal(size=2),
@@ -169,9 +194,35 @@ def test_langevin_routes_agree_for_all_mode_combinations(chain2, emb2):
         for noise in ("velocity", "isotropic"):
             p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping,
                                    noise=noise)
-            # method="cross" raises if the two routes split
             rho = dyn.evolve_langevin_covariance(emb2, p, rho0, 1.3)
+            ref = _covariance_quadrature(emb2, p, rho0, 1.3, nodes=64)
+            assert _relative_frobenius(rho, ref) <= 1e-8, (damping, noise)
             assert np.abs(rho - rho.conj().T).max() < 1e-10
+
+
+def test_velocity_damping_at_critical_point_matches_quadrature():
+    # one bead, K = m = 1, omega = 1: the velocity-damped generator is
+    # defective at gamma = 2 omega and nearly so just below it
+    m1 = model_from_matrices(np.array([[1.0]]), np.ones(1))
+    emb = dyn.embed(m1)
+    st = encode_initial_conditions(m1, [0.7], [0.2])
+    x0 = st.psi * np.sqrt(2 * st.energy)
+    rho0 = np.outer(x0, x0.conj())
+    for gamma in (2.0, 2.0 - 1e-12):
+        p = dyn.LangevinParams(gamma=gamma, kT=0.4, damping="velocity")
+        rho = dyn.evolve_langevin_covariance(emb, p, rho0, 3.0)
+        ref = _covariance_quadrature(emb, p, rho0, 3.0, nodes=64)
+        assert _relative_frobenius(rho, ref) <= 1e-8, gamma
+
+
+def test_covariance_certificate_rejects_a_wrong_noise_integral(emb2,
+                                                              monkeypatch):
+    exact = dyn._taylor_safe_ratio
+    monkeypatch.setattr(dyn, "_taylor_safe_ratio",
+                        lambda denom, t: 1.001 * exact(denom, t))
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    with pytest.raises(NumericalError, match="Lyapunov relative residual"):
+        dyn.evolve_langevin_covariance(emb2, p, np.eye(emb2.dim), 1.0)
 
 
 def test_covariance_input_validation(emb2):
@@ -185,8 +236,6 @@ def test_covariance_input_validation(emb2):
         dyn.evolve_langevin_covariance(emb2, p, nonherm, 1.0)
     with pytest.raises(ValueError):
         dyn.evolve_langevin_covariance(emb2, p, ok, -1.0)
-    with pytest.raises(ValueError):
-        dyn.evolve_langevin_covariance(emb2, p, ok, 1.0, method="magic")
 
 
 def test_langevin_params_validation(emb2):
@@ -230,13 +279,22 @@ def test_monte_carlo_seed_and_prefix_stability(chain2, emb2):
     st = encode_initial_conditions(chain2, [0.4, -0.4], [0.0, 0.2])
     x0 = st.psi * np.sqrt(2 * st.energy)
     p = dyn.LangevinParams(gamma=0.5, kT=0.3)
-    a = dyn.monte_carlo_encoded(emb2, p, x0, t=0.8, n_paths=500, seed=11)
-    b = dyn.monte_carlo_encoded(emb2, p, x0, t=0.8, n_paths=500, seed=11)
-    assert np.array_equal(a["finals"], b["finals"])
-    small = dyn.monte_carlo_encoded(emb2, p, x0, t=0.8, n_paths=60, seed=11)
-    assert np.array_equal(a["finals"][:60], small["finals"])
-    other = dyn.monte_carlo_encoded(emb2, p, x0, t=0.8, n_paths=60, seed=12)
-    assert not np.array_equal(small["finals"], other["finals"])
+
+    def encoded(n_paths, seed):
+        return dyn.monte_carlo_encoded(emb2, p, x0, t=0.8, n_paths=n_paths,
+                                       seed=seed)["finals"]
+
+    def mechanical(n_paths, seed):
+        res = dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.2],
+                                       t=0.8, n_paths=n_paths, seed=seed)
+        return np.hstack([res["displacements"], res["velocities"]])
+
+    for finals in (encoded, mechanical):
+        a = finals(500, 11)
+        assert np.array_equal(a, finals(500, 11))
+        small = finals(60, 11)
+        assert np.array_equal(a[:60], small)
+        assert not np.array_equal(small, finals(60, 12))
 
 
 def test_noiseless_damped_path_matches_analytic():
