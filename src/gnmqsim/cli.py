@@ -156,7 +156,7 @@ def _build_model(cfg: RunConfig, struct):
     from . import network as nw
     build = nw.build_gnm if cfg.model == "gnm" else nw.build_anm
     if cfg.model == "anm" and cfg.cutoff == 7.0:
-        return build(struct)          # keep the ANM default (13 A)
+        return build(struct, spring=cfg.spring)  # keep the ANM default (13 A)
     return build(struct, cutoff=cfg.cutoff, spring=cfg.spring)
 
 
@@ -280,7 +280,8 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
     model = _build_model(cfg, struct)
     H = dy.embed(model).H
     alpha = cfg.alpha if cfg.alpha is not None else float(ob.spectral_bound(H))
-    exact = ob.chebyshev_moments_exact(H, alpha, cfg.moments)
+    eigenvalues = np.linalg.eigvalsh(H)
+    exact = ob.MomentSet.from_spectrum(eigenvalues, alpha, cfg.moments)
     artifacts = ["moments.csv", "dos.csv", "comparison.csv"]
     if cfg.probes > 0:
         stoch = ob.chebyshev_moments_stochastic(H, alpha, cfg.moments,
@@ -297,8 +298,6 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
     curve = ob.reconstruct_dos(curve_src)
     _write_csv(out_dir / "dos.csv", ["x", "density"],
                zip(curve.grid, curve.values))
-
-    eigenvalues = np.linalg.eigvalsh(H)
     cmp_res = ob.dos_histogram_l1(eigenvalues, curve_src, bins=40)
     edges = cmp_res["edges"]
     _write_csv(out_dir / "comparison.csv",

@@ -24,12 +24,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EncodingError, NumericalError
-from .network import NetworkModel
+from .network import ZERO_MODE_RTOL, NetworkModel
 from .stateprep import MAX_R, EncodedState, cbrng_array, encode_initial_conditions
 
 DECODE_RTOL = 1e-8
 LYAPUNOV_RTOL = 1e-8
-_ZERO_MODE_RTOL = 1e-8
 
 
 @dataclass
@@ -69,10 +68,6 @@ class EmbeddedHamiltonian:
         """Eigenvalues (ascending) and orthonormal eigenvectors of H."""
         return np.linalg.eigh(self.H)
 
-    def propagate(self, psi: np.ndarray, t: float) -> np.ndarray:
-        w, vecs = self.eig
-        return vecs @ (np.exp(-1j * w * t) * (vecs.conj().T @ psi))
-
 
 def embed(model: NetworkModel) -> EmbeddedHamiltonian:
     return EmbeddedHamiltonian(model=model)
@@ -81,17 +76,14 @@ def embed(model: NetworkModel) -> EmbeddedHamiltonian:
 def evolve_harmonic(embedded: EmbeddedHamiltonian, psi0: np.ndarray, t):
     """exp(-iHt) psi0; scalar t gives one state, a 1-D t one state per row."""
     psi0 = np.asarray(psi0, dtype=complex)
-    if np.isscalar(t):
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        return embedded.propagate(psi0, float(t))
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
     w, vecs = embedded.eig
     coeff = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, w))
-    return (phases * coeff) @ vecs.T
+    states = (phases * coeff) @ vecs.T
+    return states[0] if times.ndim == 0 else states
 
 
 def decode_state(model: NetworkModel, psi: np.ndarray,
@@ -185,7 +177,7 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
     sqrt_m = np.sqrt(model.masses)
     lam, modes = np.linalg.eigh(model.A)
     lam = np.clip(lam, 0.0, None)
-    zero = lam <= _ZERO_MODE_RTOL * max(lam[-1], 1.0)
+    zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 1.0)
     omega = np.sqrt(np.where(zero, 1.0, lam))  # placeholder on zero modes
 
     a = modes.T @ (sqrt_m * u0)

@@ -2,10 +2,11 @@
 
 The density of states is reconstructed with the kernel polynomial method:
 Chebyshev moments mu_k = Tr(T_k(X))/N of the rescaled matrix X = H/alpha,
-computed either exactly (matrix three-term recurrence) or stochastically
-(Hutchinson estimator over counter-generated Rademacher probes), then
-resummed with Jackson damping. alpha comes from a power-iteration bound so
-the rescaled spectrum stays inside [-1, 1], which also pins |mu_k| <= 1.
+by one three-term recurrence run either exactly on the eigenvalues of X
+(spectral sums) or stochastically on Rademacher probes (Hutchinson
+estimator), then resummed with Jackson damping. alpha comes from a
+power-iteration bound so the rescaled spectrum stays inside [-1, 1],
+which also pins |mu_k| <= 1.
 """
 from __future__ import annotations
 
@@ -15,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .network import NetworkModel
+from .network import ZERO_MODE_RTOL, NetworkModel
 from .stateprep import EncodedState, rademacher
 
-ZERO_MODE_RTOL = 1e-8
 MODE_RESIDUAL_RTOL = 1e-9
 _BOUND_SEED = 0x5BEC
+_BOUND_ITERS = 1000
+_BOUND_RTOL = 1e-7
 
 
 def kinetic_potential(state, energy: float | None = None,
@@ -85,20 +87,20 @@ def low_modes(model: NetworkModel, k: int) -> ModeSet:
                    matrix_norm=a_norm)
 
 
-def spectral_bound(matrix: np.ndarray, iters: int = 1000,
-                   rtol: float = 1e-7) -> float:
+def spectral_bound(matrix: np.ndarray) -> float:
     """1.01 times a power-iteration estimate of the spectral norm.
 
     Iterates with matrix^2 so +/- eigenvalue pairs of equal magnitude (the
     embedding's spectrum) cannot stall the iteration; ||matrix @ v||
     converges to the norm from below, and the 1 percent headroom keeps the
-    returned bound above it once stabilized to rtol.
+    returned bound above it once stabilized to 1e-7 relative (at most 1000
+    iterations).
     """
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     v = rademacher(_BOUND_SEED, 0, n) / math.sqrt(n)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_BOUND_ITERS):
         w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
@@ -106,9 +108,19 @@ def spectral_bound(matrix: np.ndarray, iters: int = 1000,
         w = matrix @ w
         v = w / np.linalg.norm(w)
         last, est = est, norm
-        if abs(est - last) <= rtol * max(est, 1e-300):
+        if abs(est - last) <= _BOUND_RTOL * max(est, 1e-300):
             break
     return 1.01 * est
+
+
+def _chebyshev_terms(apply, t0, order: int):
+    """Yield T_k(X) t0 for k = 0..order, where apply(v) computes X v."""
+    t_prev, t_cur = None, t0
+    yield t0
+    for k in range(1, order + 1):
+        step = apply(t_cur)  # T_1 = X, T_{k+1} = 2 X T_k - T_{k-1}
+        t_prev, t_cur = t_cur, step if k == 1 else 2.0 * step - t_prev
+        yield t_cur
 
 
 @dataclass(frozen=True)
@@ -131,23 +143,24 @@ class MomentSet:
     def order(self) -> int:
         return len(self.moments) - 1
 
+    @classmethod
+    def from_spectrum(cls, eigenvalues: np.ndarray, alpha: float,
+                      order: int) -> MomentSet:
+        """Exact moments mu_k = mean_j T_k(lambda_j/alpha) of a full spectrum.
+
+        An eigenvalue beyond alpha makes T_k grow and is rejected by the
+        |mu_k| <= 1 check as alpha too small.
+        """
+        x = np.asarray(eigenvalues, dtype=float) / alpha
+        terms = _chebyshev_terms(lambda v: x * v, np.ones_like(x), order)
+        moments = np.array([t.mean() for t in terms])
+        return cls(alpha=float(alpha), moments=moments, method="exact")
+
 
 def chebyshev_moments_exact(matrix: np.ndarray, alpha: float,
                             order: int) -> MomentSet:
-    """mu_k = Tr(T_k(matrix/alpha))/N by the matrix three-term recurrence."""
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    x = matrix / alpha
-    moments = np.empty(order + 1)
-    t_prev = np.eye(n)
-    t_cur = x.copy()
-    moments[0] = 1.0
-    if order >= 1:
-        moments[1] = np.trace(t_cur) / n
-    for k in range(2, order + 1):
-        t_prev, t_cur = t_cur, 2.0 * (x @ t_cur) - t_prev
-        moments[k] = np.trace(t_cur) / n
-    return MomentSet(alpha=float(alpha), moments=moments, method="exact")
+    """mu_k = Tr(T_k(matrix/alpha))/N of a symmetric matrix, from eigvalsh."""
+    return MomentSet.from_spectrum(np.linalg.eigvalsh(matrix), alpha, order)
 
 
 def chebyshev_moments_stochastic(matrix: np.ndarray, alpha: float, order: int,
@@ -164,15 +177,9 @@ def chebyshev_moments_stochastic(matrix: np.ndarray, alpha: float, order: int,
     x = matrix / alpha
     # probe p's entries come from counters [p*n, (p+1)*n): one batched draw
     z = rademacher(seed, 0, probes * n).reshape(probes, n).T
-    est = np.empty((order + 1, probes))
-    t_prev = z
-    t_cur = x @ z
-    est[0] = np.einsum("ip,ip->p", z, t_prev) / n  # exactly 1 per probe
-    if order >= 1:
-        est[1] = np.einsum("ip,ip->p", z, t_cur) / n
-    for k in range(2, order + 1):
-        t_prev, t_cur = t_cur, 2.0 * (x @ t_cur) - t_prev
-        est[k] = np.einsum("ip,ip->p", z, t_cur) / n
+    terms = _chebyshev_terms(lambda v: x @ v, z, order)
+    # row 0 is z.z/n, exactly 1 per probe
+    est = np.array([np.einsum("ip,ip->p", z, t) for t in terms]) / n
     moments = est.mean(axis=1)
     if probes > 1:
         stderr = est.std(axis=1, ddof=1) / math.sqrt(probes)
@@ -193,6 +200,19 @@ def jackson_coefficients(order: int) -> np.ndarray:
 def dirichlet_coefficients(order: int) -> np.ndarray:
     """Undamped (truncation-only) factors: all ones."""
     return np.ones(order + 1)
+
+
+def _series_coefficients(moments: MomentSet, kernel: str) -> np.ndarray:
+    """Kernel-damped series coefficients: g_0 mu_0, then 2 g_k mu_k."""
+    if kernel == "jackson":
+        g = jackson_coefficients(moments.order)
+    elif kernel == "dirichlet":
+        g = dirichlet_coefficients(moments.order)
+    else:
+        raise ValueError("kernel must be 'jackson' or 'dirichlet'")
+    coeffs = 2.0 * g * moments.moments
+    coeffs[0] *= 0.5
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -216,12 +236,7 @@ def reconstruct_dos(moments: MomentSet, grid: np.ndarray | None = None,
     The default grid is uniform on (-alpha, alpha) with the endpoints
     pulled in, avoiding the 1/sqrt(1 - x^2) edge poles.
     """
-    if kernel == "jackson":
-        g = jackson_coefficients(moments.order)
-    elif kernel == "dirichlet":
-        g = dirichlet_coefficients(moments.order)
-    else:
-        raise ValueError("kernel must be 'jackson' or 'dirichlet'")
+    coeffs = _series_coefficients(moments, kernel)
     alpha = moments.alpha
     if grid is None:
         grid = np.linspace(-alpha, alpha, n_points + 2)[1:-1]
@@ -230,8 +245,6 @@ def reconstruct_dos(moments: MomentSet, grid: np.ndarray | None = None,
         if np.any(np.abs(grid) >= alpha):
             raise ValueError("grid must lie strictly inside (-alpha, alpha)")
     x = grid / alpha
-    coeffs = 2.0 * g * moments.moments
-    coeffs[0] *= 0.5
     series = np.polynomial.chebyshev.chebval(x, coeffs)
     values = series / (np.pi * np.sqrt(1.0 - x * x)) / alpha
     if kernel == "jackson":
@@ -253,14 +266,7 @@ def dos_bin_masses(moments: MomentSet, edges: np.ndarray,
         raise ValueError("edges must be strictly ascending")
     if np.any(np.abs(edges) > moments.alpha):
         raise ValueError("edges must lie within [-alpha, alpha]")
-    if kernel == "jackson":
-        g = jackson_coefficients(moments.order)
-    elif kernel == "dirichlet":
-        g = dirichlet_coefficients(moments.order)
-    else:
-        raise ValueError("kernel must be 'jackson' or 'dirichlet'")
-    c = 2.0 * g * moments.moments
-    c[0] *= 0.5
+    c = _series_coefficients(moments, kernel)
     theta = np.arccos(np.clip(edges / moments.alpha, -1.0, 1.0))
     k = np.arange(1, moments.order + 1)
     anti = -(c[0] * theta + np.sin(np.outer(theta, k)) @ (c[1:] / k)) / np.pi
@@ -273,10 +279,10 @@ def dos_histogram_l1(eigenvalues: np.ndarray, moments: MomentSet,
 
     The histogram's outermost edges coincide with the extreme eigenvalues,
     whose kernel peaks straddle them; the comparison therefore partitions
-    the whole spectral domain by the 39 interior edges, extending the two
-    end bins to +-alpha so no mass is truncated. Bin masses come from the
-    closed-form integrals; both binned densities are normalized before the
-    distance is taken, so it is scale-free in [0, 2].
+    the whole spectral domain by the bins - 1 interior edges, extending the
+    two end bins to +-alpha so no mass is truncated. Bin masses come from
+    the closed-form integrals; both binned densities are normalized before
+    the distance is taken, so it is scale-free in [0, 2].
     """
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     counts, edges = np.histogram(eigenvalues, bins=bins)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gnmqsim.cli import _THREAD_VARS, RunConfig, main
+from gnmqsim.network import import_matrix_market
 
 PDB_LINES = """\
 ATOM      1  CA  THR A   1       0.000   0.000   0.000  1.00  0.00           C
@@ -68,6 +69,18 @@ def test_model_synthetic_chain(tmp_path):
     man = manifest_of(out)
     assert man["results"]["n_edges"] == 5
     assert man["results"]["n_dof"] == 6
+
+
+def test_anm_default_cutoff_keeps_spring(tmp_path):
+    mats = {}
+    for spring in ("1", "2"):
+        out = tmp_path / spring
+        assert main(["model", "--model", "anm", "--n", "4", "--spring", spring,
+                     "--out", str(out)]) == 0
+        assert manifest_of(out)["config"]["spring"] == float(spring)
+        mats[spring] = import_matrix_market(out / "matrix.mtx")
+    assert np.abs(mats["1"]).max() > 0
+    assert np.array_equal(mats["2"], 2.0 * mats["1"])
 
 
 def test_stateprep_is_byte_reproducible(tmp_path):

@@ -55,8 +55,10 @@ def test_batched_times_match_scalar_calls(chain2, emb2):
     batch = dyn.evolve_harmonic(emb2, st.psi, ts)
     assert batch.shape == (7, emb2.dim)
     for i, t in enumerate(ts):
-        single = dyn.evolve_harmonic(emb2, st.psi, float(t))
-        assert np.allclose(batch[i], single, atol=1e-13)
+        for scalar in (float(t), np.array(t)):
+            single = dyn.evolve_harmonic(emb2, st.psi, scalar)
+            assert single.shape == (emb2.dim,)
+            assert np.allclose(batch[i], single, atol=1e-13)
 
 
 def test_energy_conserved_to_ten_digits_over_long_window(chain5_gnm):

@@ -9,6 +9,24 @@ from gnmqsim.stateprep import encode_initial_conditions
 from gnmqsim.structure import ProteinStructure, synthetic_chain
 
 
+def dense_recurrence_moments(matrix: np.ndarray, alpha: float,
+                             order: int) -> obs.MomentSet:
+    """mu_k = Tr(T_k(matrix/alpha))/N by the matrix three-term recurrence."""
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    x = matrix / alpha
+    moments = np.empty(order + 1)
+    t_prev = np.eye(n)
+    t_cur = x.copy()
+    moments[0] = 1.0
+    if order >= 1:
+        moments[1] = np.trace(t_cur) / n
+    for k in range(2, order + 1):
+        t_prev, t_cur = t_cur, 2.0 * (x @ t_cur) - t_prev
+        moments[k] = np.trace(t_cur) / n
+    return obs.MomentSet(alpha=float(alpha), moments=moments, method="exact")
+
+
 @pytest.fixture(scope="module")
 def crambin_alpha(crambin_gnm):
     return obs.spectral_bound(crambin_gnm.A)
@@ -87,6 +105,16 @@ def test_exact_moments_match_eigenvalue_sums(crambin_gnm, crambin_alpha,
     assert np.abs(crambin_exact_moments.moments - oracle).max() <= 1e-10
 
 
+def test_exact_moments_match_dense_recurrence(crambin, crambin_gnm):
+    cases = [crambin_gnm.A, dyn.embed(crambin_gnm).H,
+             dyn.embed(build_anm(crambin)).H]
+    for M in cases:
+        alpha = obs.spectral_bound(M)
+        got = obs.chebyshev_moments_exact(M, alpha, 100)
+        oracle = dense_recurrence_moments(M, alpha, 100)
+        assert np.abs(got.moments - oracle.moments).max() <= 1e-10
+
+
 def test_trivial_moment_identities():
     momz = obs.chebyshev_moments_exact(np.zeros((4, 4)), 1.0, 6)
     assert np.allclose(momz.moments, [1, 0, -1, 0, 1, 0, -1], atol=1e-14)
@@ -114,11 +142,14 @@ def test_stochastic_moments_exact_for_zero_matrix():
     assert np.allclose(mom.moments, [1, 0, -1, 0, 1, 0, -1, 0, 1], atol=1e-14)
 
 
-def test_moment_set_rejects_inconsistent_values():
+def test_moment_set_rejects_inconsistent_values(crambin_gnm):
     with pytest.raises(NumericalError):
         obs.MomentSet(alpha=1.0, moments=np.array([0.9, 0.1]), method="exact")
     with pytest.raises(NumericalError):
         obs.MomentSet(alpha=1.0, moments=np.array([1.0, 1.4]), method="exact")
+    lam_max = np.linalg.eigvalsh(crambin_gnm.A)[-1]
+    with pytest.raises(NumericalError, match="alpha too small"):
+        obs.chebyshev_moments_exact(crambin_gnm.A, 0.5 * lam_max, 10)
 
 
 def test_jackson_coefficients_shape():
