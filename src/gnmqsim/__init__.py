@@ -29,7 +29,7 @@ _EXPORTS = {
     "dump_structure_json": "structure", "load_structure_json": "structure",
     # network
     "NetworkModel": "network", "build_gnm": "network", "build_anm": "network",
-    "mass_weight": "network", "incidence_factor": "network",
+    "mass_weight": "network",
     "model_from_matrices": "network", "condition_diagnostics": "network",
     # circuits
     "Gate": "circuits", "Circuit": "circuits",

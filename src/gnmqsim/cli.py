@@ -155,8 +155,6 @@ def _load_structure(cfg: RunConfig):
 def _build_model(cfg: RunConfig, struct):
     from . import network as nw
     build = nw.build_gnm if cfg.model == "gnm" else nw.build_anm
-    if cfg.model == "anm" and cfg.cutoff == 7.0:
-        return build(struct, spring=cfg.spring)  # keep the ANM default (13 A)
     return build(struct, cutoff=cfg.cutoff, spring=cfg.spring)
 
 
@@ -205,7 +203,8 @@ def cmd_model(cfg: RunConfig, out_dir: Path):
     from . import network as nw
     struct = _load_structure(cfg)
     model = _build_model(cfg, struct)
-    _write_csv(out_dir / "edges.csv", ["i", "j", "weight"], model.edges)
+    _write_csv(out_dir / "edges.csv", ["i", "j", "weight"],
+               [(i, j, model.spring) for i, j in model.edges.tolist()])
     nw.export_matrix_market(model.K, out_dir / "matrix.mtx",
                             comment=f"{cfg.model} stiffness matrix")
     evals = np.linalg.eigvalsh(model.A)
@@ -387,7 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="structure file (PDB or JSON)")
         p.add_argument("--n", type=int, help="synthetic chain length / qubit count")
         p.add_argument("--model", default="gnm", help="gnm or anm")
-        p.add_argument("--cutoff", type=float, default=7.0)
+        p.add_argument("--cutoff", type=float,
+                       help="contact cutoff in A (default 7 for gnm, 13 for anm)")
         p.add_argument("--spring", type=float, default=1.0)
         p.add_argument("--seed", default="2a", help="hexadecimal seed")
         p.add_argument("--moments", type=int, default=100)
@@ -410,9 +410,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_thread_cap()
+        from . import network as nw
+        cutoff = nw.DEFAULT_ANM_CUTOFF if args.model == "anm" else nw.DEFAULT_GNM_CUTOFF
         cfg = RunConfig(
-            command=args.command, input=args.input, n=args.n,
-            model=args.model, cutoff=args.cutoff, spring=args.spring,
+            command=args.command, input=args.input, n=args.n, model=args.model,
+            cutoff=cutoff if args.cutoff is None else args.cutoff, spring=args.spring,
             seed=_hex_seed(args.seed), moments=args.moments,
             probes=args.probes, dynamics=args.dynamics, gamma=args.gamma,
             kt=args.kt, rweight=args.rweight, horizon=args.horizon,

@@ -19,12 +19,16 @@ Each edit's total is asserted against the contract bound
 words because only leaf attachment and splice pointers are written, never
 whole search paths.
 
+Contacts are decided by `network.within_cutoff`, the test the network
+builders apply, so the store and `build_gnm` agree on every pair.
+
 The GNM convention holds throughout: row i enumerates exactly the
 neighbors within the cutoff (never i itself); the self-term is implicit
 as degree * spring.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParseError
+from .network import within_cutoff
 from .structure import ProteinStructure
 
 SENTINEL = -1
@@ -114,16 +119,13 @@ class ConnectivityStore:
 
     def _grid_neighbors(self, pos, exclude: int | None = None) -> list[int]:
         cx, cy, cz = self._cell(pos)
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in self._grid.get((cx + dx, cy + dy, cz + dz), ()):
-                        if j == exclude or not self._active[j]:
-                            continue
-                        if np.linalg.norm(pos - self._positions[j]) <= self.cutoff:
-                            out.append(j)
-        return sorted(out)
+        cand = sorted(j for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
+                      for j in self._grid.get((cx + dx, cy + dy, cz + dz), ())
+                      if j != exclude and self._active[j])
+        near = within_cutoff(np.reshape(pos, (1, 3)),
+                             np.reshape([self._positions[j] for j in cand], (-1, 3)),
+                             self.cutoff)[0]
+        return [j for j, hit in zip(cand, near) if hit]
 
     # -- counted primitive writes -------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Elastic network models: Kirchhoff/Hessian construction and factorization.
+"""Elastic network models: the contact test, K/A/B assembly and factorization.
 
 Two flavors are built from a structure and a distance cutoff:
 
@@ -7,9 +7,10 @@ Two flavors are built from a structure and a distance cutoff:
 * vector per-site model ("anm"): K is the 3N x 3N Hessian assembled from
   rank-one super-elements -spring * (d d^T) / |d|^2 per contact.
 
-Both are turned into the mass-weighted stiffness A = M^{-1/2} K M^{-1/2}
-and its incidence-style factor B with B B^T = A, which downstream modules
-embed into a Hamiltonian.
+`within_cutoff` is the one contact test (the connectivity store uses it
+too). One vectorised assembly builds K, the mass-weighted stiffness
+A = M^{-1/2} K M^{-1/2} and its incidence-style factor B with B B^T = A
+for both flavors, which downstream modules embed into a Hamiltonian.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.io
 import scipy.sparse
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .structure import ProteinStructure
@@ -38,7 +39,9 @@ class NetworkModel:
     masses : (n,) mass per degree of freedom
     A      : mass-weighted stiffness M^{-1/2} K M^{-1/2}
     B      : (n, n_edges) factor with B @ B.T == A
-    edges  : contact list [(i, j, weight), ...] with i < j (site indices)
+    edges  : (e, 2) integer contact pairs i < j in lexicographic order, one
+             per column of B, each of stiffness `spring` (empty for
+             `model_from_matrices`)
     """
 
     kind: str
@@ -46,7 +49,7 @@ class NetworkModel:
     masses: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
-    edges: list[tuple[int, int, float]] = field(repr=False)
+    edges: np.ndarray = field(repr=False)
     cutoff: float = 0.0
     spring: float = 1.0
 
@@ -59,22 +62,62 @@ class NetworkModel:
         return self.B.shape[1]
 
 
-def _contact_edges(structure: ProteinStructure, cutoff: float, spring: float,
+def within_cutoff(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
+    """Contact test: (len(a), len(b)) mask of |a_i - b_j| <= cutoff.
+
+    Distances come from scipy's Euclidean kernel (shared by cdist and
+    pdist), so every caller decides a pair at the cutoff boundary alike.
+    """
+    return cdist(a, b) <= cutoff
+
+
+def _contact_edges(structure: ProteinStructure, cutoff: float,
                    allow_coincident: bool):
-    dists = squareform(pdist(structure.positions))
-    n = structure.n_atoms
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dists[i, j] <= cutoff:
-                if dists[i, j] == 0.0:
-                    if not allow_coincident:
-                        raise NumericalError(
-                            f"atoms {i} and {j} coincide; contact direction undefined")
-                    warnings.warn(f"atoms {i} and {j} coincide; treated as connected",
-                                  stacklevel=3)
-                edges.append((i, j, spring))
-    return edges, dists
+    """Contacts i < j in lexicographic order, d = x_i - x_j and d . d."""
+    pos = structure.positions
+    i, j = np.nonzero(np.triu(within_cutoff(pos, pos, cutoff), 1))
+    d = pos[i] - pos[j]
+    dd = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    same = np.flatnonzero(dd == 0.0)
+    if same.size:
+        pair = f"atoms {i[same[0]]} and {j[same[0]]} coincide"
+        if same.size > 1:
+            pair += f" (and {same.size - 1} more pairs)"
+        if not allow_coincident:
+            raise NumericalError(f"{pair}; contact direction undefined")
+        warnings.warn(f"{pair}; treated as connected", stacklevel=3)
+    return i, j, d, dd
+
+
+def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
+              cutoff: float, spring: float) -> NetworkModel:
+    """K, A and B of contacts (i, j) with (e, k) directions d, dd = d . d.
+
+    GNM is k = 1 with d = 1; ANM is k = 3 with d = x_i - x_j. Contact c adds
+    b = -(d d^T)/dd to K's (i, j) and (j, i) blocks and -b to (i, i) and
+    (j, j), scattered in contact order so sums round as a contact loop's.
+    K is built at unit spring and scaled once. Column c of B holds
+    sqrt(spring / m) * d/|d| in site i's rows and its negative in j's.
+    """
+    n, (e, k) = structure.n_atoms, d.shape
+    off = np.arange(k)
+    block = -(d[:, :, None] * d[:, None, :]) / dd[:, None, None]
+    rows = k * np.stack([i, j, i, j], axis=1)[:, :, None, None] + off[:, None]
+    cols = k * np.stack([j, i, i, j], axis=1)[:, :, None, None] + off
+    K = np.zeros((k * n, k * n))
+    np.add.at(K, (rows, cols), np.stack([block, block, -block, -block], axis=1))
+    K = spring * K
+    masses = np.repeat(structure.masses, k)
+    A = mass_weight(K, masses)
+    scale = np.sqrt(spring / structure.masses)[:, None]
+    unit = d / np.sqrt(dd)[:, None]
+    B = np.zeros((k * n, e))
+    col = np.arange(e)[:, None]
+    B[k * i[:, None] + off, col] = scale[i] * unit
+    B[k * j[:, None] + off, col] = -scale[j] * unit
+    return NetworkModel(kind=kind, K=K, masses=masses, A=A, B=B,
+                        edges=np.column_stack([i, j]), cutoff=cutoff,
+                        spring=spring)
 
 
 def build_gnm(structure: ProteinStructure, cutoff: float = DEFAULT_GNM_CUTOFF,
@@ -82,23 +125,13 @@ def build_gnm(structure: ProteinStructure, cutoff: float = DEFAULT_GNM_CUTOFF,
     """Scalar contact-network model (graph Laplacian times spring).
 
     Off-diagonal K[i, j] = -spring for pairs within `cutoff`; diagonal
-    entries make each row sum to zero. The Laplacian is assembled over
-    integers and scaled once, so row sums vanish exactly for unit springs.
+    entries make each row sum to zero. The Laplacian is assembled from
+    unit contacts and scaled once, so row sums vanish exactly for unit
+    springs. Coincident atoms stay connected, with a warning.
     """
-    edges, _ = _contact_edges(structure, cutoff, spring, allow_coincident=True)
-    n = structure.n_atoms
-    lap = np.zeros((n, n), dtype=np.int64)
-    for i, j, _ in edges:
-        lap[i, j] -= 1
-        lap[j, i] -= 1
-        lap[i, i] += 1
-        lap[j, j] += 1
-    K = spring * lap.astype(float)
-    masses = structure.masses.copy()
-    A = mass_weight(K, masses)
-    B = incidence_factor(edges, masses, n)
-    return NetworkModel(kind="gnm", K=K, masses=masses, A=A, B=B,
-                        edges=edges, cutoff=cutoff, spring=spring)
+    i, j, _, _ = _contact_edges(structure, cutoff, allow_coincident=True)
+    one = np.ones((i.size, 1))
+    return _assemble("gnm", structure, i, j, one, one[:, 0], cutoff, spring)
 
 
 def build_anm(structure: ProteinStructure, cutoff: float = DEFAULT_ANM_CUTOFF,
@@ -110,54 +143,14 @@ def build_anm(structure: ProteinStructure, cutoff: float = DEFAULT_ANM_CUTOFF,
     negated off-diagonal sums. Coincident atoms are an error here because
     the contact direction is undefined.
     """
-    edges, _ = _contact_edges(structure, cutoff, spring, allow_coincident=False)
-    n = structure.n_atoms
-    K = np.zeros((3 * n, 3 * n))
-    for i, j, w in edges:
-        d = structure.positions[i] - structure.positions[j]
-        block = -w * np.outer(d, d) / (d @ d)
-        si, sj = slice(3 * i, 3 * i + 3), slice(3 * j, 3 * j + 3)
-        K[si, sj] += block
-        K[sj, si] += block
-        K[si, si] -= block
-        K[sj, sj] -= block
-    masses = np.repeat(structure.masses, 3)
-    A = mass_weight(K, masses)
-    B = incidence_factor(edges, masses, n, positions=structure.positions)
-    return NetworkModel(kind="anm", K=K, masses=masses, A=A, B=B,
-                        edges=edges, cutoff=cutoff, spring=spring)
+    i, j, d, dd = _contact_edges(structure, cutoff, allow_coincident=False)
+    return _assemble("anm", structure, i, j, d, dd, cutoff, spring)
 
 
 def mass_weight(K: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """A = M^{-1/2} K M^{-1/2} for diagonal mass matrix, elementwise form."""
     inv_sqrt = 1.0 / np.sqrt(np.asarray(masses, dtype=float))
     return K * np.outer(inv_sqrt, inv_sqrt)
-
-
-def incidence_factor(edges, masses, n_sites: int,
-                     positions: np.ndarray | None = None) -> np.ndarray:
-    """Edge-incidence factor B of the mass-weighted stiffness, B B^T = A.
-
-    Scalar models: column per edge (i, j, w) holding +sqrt(w/m_i) at row i
-    and -sqrt(w/m_j) at row j. Vector models (positions given): the same
-    two-entry pattern with each entry replaced by the 3-vector
-    sqrt(w/m) * unit(x_i - x_j) in the site's coordinate rows.
-    """
-    masses = np.asarray(masses, dtype=float)
-    if positions is None:
-        B = np.zeros((n_sites, len(edges)))
-        for col, (i, j, w) in enumerate(edges):
-            B[i, col] = np.sqrt(w / masses[i])
-            B[j, col] = -np.sqrt(w / masses[j])
-        return B
-    site_mass = masses[::3]
-    B = np.zeros((3 * n_sites, len(edges)))
-    for col, (i, j, w) in enumerate(edges):
-        d = positions[i] - positions[j]
-        unit = d / np.linalg.norm(d)
-        B[3 * i:3 * i + 3, col] = np.sqrt(w / site_mass[i]) * unit
-        B[3 * j:3 * j + 3, col] = -np.sqrt(w / site_mass[j]) * unit
-    return B
 
 
 def condition_diagnostics(model: NetworkModel) -> dict:
@@ -198,7 +191,8 @@ def model_from_matrices(K: np.ndarray, masses: np.ndarray,
     keep = evals > ZERO_MODE_RTOL * max(evals[-1], 0.0)
     B = vecs[:, keep] * np.sqrt(evals[keep])
     return NetworkModel(kind=kind, K=K, masses=masses, A=A, B=B,
-                        edges=[], cutoff=0.0, spring=1.0)
+                        edges=np.empty((0, 2), dtype=np.intp),
+                        cutoff=0.0, spring=1.0)
 
 
 def export_matrix_market(matrix: np.ndarray, path, comment: str = "") -> None:

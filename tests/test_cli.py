@@ -83,6 +83,19 @@ def test_anm_default_cutoff_keeps_spring(tmp_path):
     assert np.array_equal(mats["2"], 2.0 * mats["1"])
 
 
+@pytest.mark.parametrize("cutoff, n_edges", [(None, 6), ("7", 3), ("7.5", 3)])
+def test_anm_cutoff_is_the_one_given(tmp_path, cutoff, n_edges):
+    args = ["model", "--model", "anm", "--n", "4"]
+    if cutoff is not None:
+        args += ["--cutoff", cutoff]
+    code, out = run(tmp_path, *args)
+    assert code == 0
+    _, rows = csv_rows(out / "edges.csv")
+    assert len(rows) == n_edges
+    expected = 13.0 if cutoff is None else float(cutoff)
+    assert manifest_of(out)["config"]["cutoff"] == expected
+
+
 def test_stateprep_is_byte_reproducible(tmp_path):
     code1 = main(["stateprep", "--n", "6", "--out", str(tmp_path / "a")])
     code2 = main(["stateprep", "--n", "6", "--out", str(tmp_path / "b")])

@@ -1,12 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
+from gnmqsim.connectivity import ConnectivityStore
 from gnmqsim.errors import NumericalError
-from gnmqsim.network import (build_anm, build_gnm, condition_diagnostics,
-                             export_matrix_market, import_matrix_market,
-                             incidence_factor, mass_weight,
+from gnmqsim.network import (DEFAULT_ANM_CUTOFF, DEFAULT_GNM_CUTOFF,
+                             NetworkModel, build_anm, build_gnm,
+                             condition_diagnostics, export_matrix_market,
+                             import_matrix_market, mass_weight,
                              model_from_matrices)
-from gnmqsim.structure import ProteinStructure, synthetic_chain
+from gnmqsim.structure import (ProteinStructure, load_bundled_structure,
+                               synthetic_chain)
 
 RTOL = 1e-12
 
@@ -108,3 +114,132 @@ def test_matrix_market_round_trip(tmp_path):
     export_matrix_market(model.K, path, comment="chain")
     back = import_matrix_market(path)
     assert np.allclose(back, model.K, atol=1e-15)
+
+
+def pair_structure(a, b):
+    return ProteinStructure(positions=np.array([a, b], dtype=float),
+                            masses=np.ones(2), labels=["A1", "A2"])
+
+
+def test_gnm_and_store_agree_at_the_cutoff_boundary():
+    # 7.000000000000001 apart by scipy's kernel, 7.0 by np.linalg.norm
+    pair = pair_structure(
+        [36.88542943473193, 13.406997934744325, -0.34283062011469667],
+        [32.615175161474895, 17.87107337178247, -3.6347842853661865])
+    store = ConnectivityStore(pair, cutoff=7.0)
+    assert build_gnm(pair, cutoff=7.0).n_edges == store.degree(0)
+
+
+def test_gnm_keeps_coincident_atoms_connected_with_a_warning():
+    pair = pair_structure([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.warns(UserWarning, match="atoms 0 and 1 coincide") as record:
+        model = build_gnm(pair)
+    assert record[0].filename == __file__
+    assert model.K[0, 1] == -1.0
+
+
+def test_anm_rejects_coincident_atoms():
+    pair = pair_structure([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(NumericalError, match="atoms 0 and 1"):
+        build_anm(pair)
+
+
+# -- the contact-by-contact loops the vectorised assembly replaced, kept
+# -- unchanged as its oracle ---------------------------------------------------
+
+def _contact_edges(structure: ProteinStructure, cutoff: float, spring: float,
+                   allow_coincident: bool):
+    dists = squareform(pdist(structure.positions))
+    n = structure.n_atoms
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dists[i, j] <= cutoff:
+                if dists[i, j] == 0.0:
+                    if not allow_coincident:
+                        raise NumericalError(
+                            f"atoms {i} and {j} coincide; contact direction undefined")
+                    warnings.warn(f"atoms {i} and {j} coincide; treated as connected",
+                                  stacklevel=3)
+                edges.append((i, j, spring))
+    return edges, dists
+
+
+def loop_build_gnm(structure: ProteinStructure, cutoff: float = DEFAULT_GNM_CUTOFF,
+                   spring: float = 1.0) -> NetworkModel:
+    edges, _ = _contact_edges(structure, cutoff, spring, allow_coincident=True)
+    n = structure.n_atoms
+    lap = np.zeros((n, n), dtype=np.int64)
+    for i, j, _ in edges:
+        lap[i, j] -= 1
+        lap[j, i] -= 1
+        lap[i, i] += 1
+        lap[j, j] += 1
+    K = spring * lap.astype(float)
+    masses = structure.masses.copy()
+    A = mass_weight(K, masses)
+    B = incidence_factor(edges, masses, n)
+    return NetworkModel(kind="gnm", K=K, masses=masses, A=A, B=B,
+                        edges=edges, cutoff=cutoff, spring=spring)
+
+
+def loop_build_anm(structure: ProteinStructure, cutoff: float = DEFAULT_ANM_CUTOFF,
+                   spring: float = 1.0) -> NetworkModel:
+    edges, _ = _contact_edges(structure, cutoff, spring, allow_coincident=False)
+    n = structure.n_atoms
+    K = np.zeros((3 * n, 3 * n))
+    for i, j, w in edges:
+        d = structure.positions[i] - structure.positions[j]
+        block = -w * np.outer(d, d) / (d @ d)
+        si, sj = slice(3 * i, 3 * i + 3), slice(3 * j, 3 * j + 3)
+        K[si, sj] += block
+        K[sj, si] += block
+        K[si, si] -= block
+        K[sj, sj] -= block
+    masses = np.repeat(structure.masses, 3)
+    A = mass_weight(K, masses)
+    B = incidence_factor(edges, masses, n, positions=structure.positions)
+    return NetworkModel(kind="anm", K=K, masses=masses, A=A, B=B,
+                        edges=edges, cutoff=cutoff, spring=spring)
+
+
+def incidence_factor(edges, masses, n_sites: int,
+                     positions: np.ndarray | None = None) -> np.ndarray:
+    masses = np.asarray(masses, dtype=float)
+    if positions is None:
+        B = np.zeros((n_sites, len(edges)))
+        for col, (i, j, w) in enumerate(edges):
+            B[i, col] = np.sqrt(w / masses[i])
+            B[j, col] = -np.sqrt(w / masses[j])
+        return B
+    site_mass = masses[::3]
+    B = np.zeros((3 * n_sites, len(edges)))
+    for col, (i, j, w) in enumerate(edges):
+        d = positions[i] - positions[j]
+        unit = d / np.linalg.norm(d)
+        B[3 * i:3 * i + 3, col] = np.sqrt(w / site_mass[i]) * unit
+        B[3 * j:3 * j + 3, col] = -np.sqrt(w / site_mass[j]) * unit
+    return B
+
+
+def random_cloud():
+    rng = np.random.default_rng(11)
+    return ProteinStructure(positions=rng.uniform(0.0, 20.0, size=(60, 3)),
+                            masses=rng.uniform(0.5, 4.0, size=60),
+                            labels=["X"] * 60)
+
+
+@pytest.mark.parametrize("spring", [1.0, 2.0])
+@pytest.mark.parametrize("build, loop_build", [(build_gnm, loop_build_gnm),
+                                               (build_anm, loop_build_anm)])
+@pytest.mark.parametrize("make", [load_bundled_structure,
+                                  lambda: synthetic_chain(6), random_cloud],
+                         ids=["crambin", "chain6", "cloud"])
+def test_assembly_matches_contact_loops(build, loop_build, make, spring):
+    structure = make()
+    new, old = build(structure, spring=spring), loop_build(structure, spring=spring)
+    assert np.array_equal(new.K, old.K)
+    assert np.array_equal(new.A, old.A)
+    assert np.array_equal(new.B, old.B)
+    assert np.array_equal(new.edges,
+                          np.array([(i, j) for i, j, _ in old.edges]).reshape(-1, 2))
