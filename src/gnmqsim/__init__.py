@@ -32,7 +32,7 @@ _EXPORTS = {
     "mass_weight": "network",
     "model_from_matrices": "network", "condition_diagnostics": "network",
     # circuits
-    "Gate": "circuits", "Circuit": "circuits",
+    "Circuit": "circuits",
     "build_decoder": "circuits", "build_data_loader": "circuits",
     "build_qrom": "circuits", "build_sparse_index_oracle": "circuits",
     "build_position_oracle": "circuits", "resources": "circuits",

@@ -1,18 +1,21 @@
 """Gate-level circuit construction and simulation.
 
-The gate set is fixed: X, H, CNOT, CCX (multi-controlled X), CRY
-(multi-controlled Y rotation), SWAP, and DIAG_SIGN (a +/-1 diagonal).
-Circuits store layers of gates acting on disjoint wires; layerization is
-greedy, placing each gate in the earliest layer whose wires are free.
+A circuit is one columnar table, a row per gate, grouped by layer:
+`kinds` holds int8 kind codes; `wires` the wires each gate acts on,
+right-aligned and padded on the left with -1, controls first and the
+target last; `params` CRY's angle, DIAG_SIGN's read-only +/-1 vector
+(length 2**len(wires), indexed big-endian by the wire bits) or None; and
+`layer_starts` the row offsets of the layers. Layerization is greedy,
+placing each gate in the earliest layer whose wires are free, and keeps
+the given row order within a layer.
 
 Wire convention: wire 0 carries the most significant bit of a basis index,
 so a register listed as wires (w0, w1, ...) reads its value big-endian.
 
-Two evaluation paths exist. `apply` propagates a full statevector and
-supports every gate kind. `apply_basis` propagates a single computational
-basis state through classical (permutation) gates only, which is what the
-one-hot decoder, data loader, and QROM need for exhaustive checks far
-beyond the dense-simulation regime.
+`apply` propagates a full statevector gate by gate. `apply_basis`
+propagates basis states through the classical (permutation) kinds only,
+one vectorised update per layer: what the one-hot decoder, data loader
+and QROM need for exhaustive checks far beyond dense simulation.
 """
 from __future__ import annotations
 
@@ -23,103 +26,105 @@ import numpy as np
 
 from .errors import ParseError
 
-X, H, CNOT, CCX, CRY, SWAP, DIAG_SIGN = (
-    "X", "H", "CNOT", "CCX", "CRY", "SWAP", "DIAG_SIGN")
-GATE_KINDS = {X, H, CNOT, CCX, CRY, SWAP, DIAG_SIGN}
-CLASSICAL_KINDS = {X, CNOT, CCX, SWAP}
-
-_MIN_WIRES = {X: 1, H: 1, CNOT: 2, CCX: 2, CRY: 1, SWAP: 2, DIAG_SIGN: 1}
-_EXACT_WIRES = {X: 1, H: 1, CNOT: 2, SWAP: 2}
+# the classical (permutation) kinds take the lowest codes
+X, CNOT, CCX, H, CRY, DIAG_SIGN = range(6)
+KIND_NAMES = ("X", "CNOT", "CCX", "H", "CRY", "DIAG_SIGN")
+_WIRE_RANGE = np.array([(1, 1), (2, 2), (2, np.inf), (1, 1), (1, np.inf),
+                        (1, np.inf)])   # fewest and most wires, by kind code
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One gate: kind, wires it acts on, optional parameter.
+class RowError(ValueError):
+    """A gate row failed validation; `row` is its index in the input."""
 
-    CNOT/CCX/CRY list control wires first and the target last. CRY's param
-    is the rotation angle; DIAG_SIGN's param is a +/-1 vector of length
-    2**len(wires) indexed big-endian by the wire bits.
-    """
-
-    kind: str
-    wires: tuple[int, ...]
-    param: float | np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        wires = tuple(int(w) for w in self.wires)
-        object.__setattr__(self, "wires", wires)
-        if len(set(wires)) != len(wires):
-            raise ValueError(f"duplicate wires in {self.kind}: {wires}")
-        if len(wires) < _MIN_WIRES[self.kind]:
-            raise ValueError(f"{self.kind} needs >= {_MIN_WIRES[self.kind]} wires")
-        if self.kind in _EXACT_WIRES and len(wires) != _EXACT_WIRES[self.kind]:
-            raise ValueError(f"{self.kind} takes exactly {_EXACT_WIRES[self.kind]} wires")
-        if self.kind == CRY:
-            if self.param is None:
-                raise ValueError("CRY needs an angle")
-            object.__setattr__(self, "param", float(self.param))
-        elif self.kind == DIAG_SIGN:
-            signs = np.asarray(self.param, dtype=float)
-            if signs.shape != (2 ** len(wires),):
-                raise ValueError("DIAG_SIGN needs 2**len(wires) signs")
-            if not np.all(np.abs(signs) == 1.0):
-                raise ValueError("DIAG_SIGN entries must be +1 or -1")
-            signs.setflags(write=False)
-            object.__setattr__(self, "param", signs)
-        elif self.param is not None:
-            raise ValueError(f"{self.kind} takes no parameter")
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
 
 
 @dataclass
 class Circuit:
-    """A layered gate sequence on `n_qubits` wires.
+    """A layered gate table on `n_qubits` wires (see the module docstring).
 
     meta carries builder bookkeeping (register wire lists, ancilla counts,
     reported permutations); it does not affect simulation.
     """
 
     n_qubits: int
-    layers: list[list[Gate]]
+    kinds: np.ndarray
+    wires: np.ndarray
+    params: list
+    layer_starts: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def from_gates(cls, n_qubits: int, gates, meta: dict | None = None) -> "Circuit":
-        """Greedy layerization: earliest layer with all wires free."""
-        next_free = [0] * n_qubits
-        layers: list[list[Gate]] = []
-        for g in gates:
-            if max(g.wires) >= n_qubits:
-                raise ValueError(f"gate {g.kind} wire {max(g.wires)} out of range")
-            at = max(next_free[w] for w in g.wires)
-            if at == len(layers):
-                layers.append([])
-            layers[at].append(g)
-            for w in g.wires:
-                next_free[w] = at + 1
-        return cls(n_qubits=n_qubits, layers=layers, meta=meta or {})
+    def from_gates(cls, n_qubits: int, rows, meta: dict | None = None) -> "Circuit":
+        """Validate and layerize `(kind, wires[, param])` rows; see RowError."""
+        rows = list(rows)
+        # at least one control column, which an X row pads with -1
+        width = max([2, *(len(r[1]) for r in rows)])
+        wires = np.array([(-1,) * (width - len(r[1])) + tuple(r[1]) for r in rows],
+                         dtype=np.int64).reshape(-1, width)
+        negative = (wires >= 0).sum(axis=1) < [len(r[1]) for r in rows]
+        if np.any(negative):
+            raise RowError(int(np.argmax(negative)), "has a negative wire")
+        kinds = np.array([r[0] for r in rows], dtype=np.int64)
+        params = [r[2] if len(r) > 2 else None for r in rows]
+        return cls._from_columns(n_qubits, kinds, wires, params, meta)
 
-    @property
-    def gates(self) -> list[Gate]:
-        return [g for layer in self.layers for g in layer]
+    @classmethod
+    def _from_columns(cls, n_qubits, kinds, wires, params, meta) -> "Circuit":
+        """Validate all rows at once, then layerize and group rows by layer."""
+        unknown = (kinds < 0) | (kinds >= len(KIND_NAMES))
+        if np.any(unknown):
+            raise RowError(int(np.argmax(unknown)), "unknown gate kind")
+        widths = (wires >= 0).sum(axis=1)
+        lo, hi = _WIRE_RANGE[kinds].T
+        ordered = np.sort(wires, axis=1)
+        takes = np.isin(kinds, (CRY, DIAG_SIGN))
+        has = np.array([p is not None for p in params], dtype=bool)
+        for bad, reason in (
+                (widths < lo, "has too few wires"), (widths > hi, "has too many wires"),
+                (wires.max(axis=1) >= n_qubits, f"has a wire beyond {n_qubits} qubits"),
+                (np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0),
+                        axis=1), "has duplicate wires"),
+                (has & ~takes, "takes no parameter"),
+                (takes & ~has, "needs a parameter")):
+            if np.any(bad):
+                row = int(np.argmax(bad))
+                raise RowError(row, f"{KIND_NAMES[kinds[row]]} {reason}")
+        for row in np.flatnonzero(takes).tolist():
+            if kinds[row] == CRY:
+                params[row] = float(params[row])
+                continue
+            signs = np.asarray(params[row], dtype=float)
+            if signs.shape != (2 ** int(widths[row]),) or np.any(np.abs(signs) != 1.0):
+                raise RowError(row, "DIAG_SIGN needs 2**len(wires) signs of +-1")
+            signs.setflags(write=False)
+            params[row] = signs
+
+        next_free = [0] * (n_qubits + 1)   # the last slot is read by padding
+        layer = []
+        for row in wires.tolist():
+            at = max([next_free[w] for w in row])
+            for w in row:
+                next_free[w] = at + 1
+            next_free[-1] = 0
+            layer.append(at)
+        order = np.argsort(layer, kind="stable")
+        return cls(n_qubits=n_qubits, kinds=kinds[order].astype(np.int8),
+                   wires=np.asfortranarray(wires[order]),
+                   params=[params[i] for i in order.tolist()],
+                   layer_starts=np.cumsum([0, *np.bincount(layer)]), meta=meta or {})
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.layer_starts) - 1
 
-    def inverse_gates(self) -> list[Gate]:
-        """Reversed gate list; valid inverse for self-inverse gate kinds.
-
-        CRY is inverted by negating its angle; DIAG_SIGN is its own inverse.
-        """
-        out = []
-        for g in reversed(self.gates):
-            if g.kind == CRY:
-                out.append(Gate(CRY, g.wires, -g.param))
-            else:
-                out.append(g)
-        return out
+    def rows(self):
+        """(kind, wires, param) of every gate in layer order, unpadded."""
+        for kind, wires, param in zip(self.kinds.tolist(), self.wires.tolist(),
+                                      self.params):
+            yield kind, tuple(wires[wires.count(-1):]), param
 
 
 def bits_of(value: int, width: int) -> list[int]:
@@ -153,73 +158,70 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     if state.shape != (2 ** n,):
         raise ValueError(f"state length {state.shape} does not match {n} qubits")
     psi = np.array(state, dtype=complex).reshape([2] * n)
-    for layer in circuit.layers:
-        for g in layer:
-            _apply_gate(psi, g, n)
+    for kind, wires, param in circuit.rows():
+        _apply_gate(psi, kind, wires, param, n)
     return psi.reshape(-1)
 
 
-def _apply_gate(psi, g: Gate, n: int) -> None:
-    kind = g.kind
+def _apply_gate(psi, kind: int, wires: tuple, param, n: int) -> None:
     if kind in (X, CNOT, CCX):
-        *controls, target = g.wires
+        *controls, target = wires
         view, free = _controlled_view(psi, controls)
         t = free.index(target)
         lo = view[(slice(None),) * t + (0,)].copy()
         view[(slice(None),) * t + (0,)] = view[(slice(None),) * t + (1,)]
         view[(slice(None),) * t + (1,)] = lo
     elif kind == H:
-        t = g.wires[0]
+        t = wires[0]
         a = psi[(slice(None),) * t + (0,)].copy()
         b = psi[(slice(None),) * t + (1,)].copy()
         inv = 1.0 / math.sqrt(2.0)
         psi[(slice(None),) * t + (0,)] = (a + b) * inv
         psi[(slice(None),) * t + (1,)] = (a - b) * inv
     elif kind == CRY:
-        *controls, target = g.wires
+        *controls, target = wires
         view, free = _controlled_view(psi, controls)
         t = free.index(target)
         a = view[(slice(None),) * t + (0,)].copy()
         b = view[(slice(None),) * t + (1,)].copy()
-        c, s = math.cos(g.param / 2.0), math.sin(g.param / 2.0)
+        c, s = math.cos(param / 2.0), math.sin(param / 2.0)
         view[(slice(None),) * t + (0,)] = c * a - s * b
         view[(slice(None),) * t + (1,)] = s * a + c * b
-    elif kind == SWAP:
-        w0, w1 = g.wires
-        psi[...] = np.swapaxes(psi, w0, w1)
-    elif kind == DIAG_SIGN:
-        k = len(g.wires)
-        signs = np.asarray(g.param).reshape([2] * k)
-        signs = signs.transpose(np.argsort(g.wires))
-        shape = [2 if w in set(g.wires) else 1 for w in range(n)]
+    else:  # DIAG_SIGN
+        k = len(wires)
+        signs = np.asarray(param).reshape([2] * k)
+        signs = signs.transpose(np.argsort(wires))
+        shape = [2 if w in set(wires) else 1 for w in range(n)]
         psi *= signs.reshape(shape)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled gate kind {kind}")
 
 
-def apply_basis(circuit: Circuit, bits) -> list[int]:
-    """Propagate one computational basis state through classical gates.
+def apply_basis(circuit: Circuit, bits):
+    """Propagate basis states through classical gates (X, CNOT, CCX only).
 
-    Only permutation gates (X, CNOT, CCX, SWAP) are allowed; anything else
-    raises ValueError. Runs in O(gates), independent of qubit count.
+    `bits` is one bit string, returned as a list[int], or a (batch,
+    n_qubits) array, returned as a uint8 array of that shape. The state is
+    one bit-plane per wire, across the batch, plus an always-1 plane that
+    the -1 padding reads; each layer is one vectorised update
+    target ^= AND(controls), so a call takes O(depth) numpy steps.
     """
-    state = [int(b) for b in bits]
-    if len(state) != circuit.n_qubits:
+    state = np.asarray(bits)
+    n = circuit.n_qubits
+    if state.ndim not in (1, 2) or state.shape[-1] != n:
         raise ValueError("bit string length does not match circuit")
-    for g in circuit.gates:
-        kind = g.kind
-        if kind == X:
-            state[g.wires[0]] ^= 1
-        elif kind in (CNOT, CCX):
-            *controls, target = g.wires
-            if all(state[c] for c in controls):
-                state[target] ^= 1
-        elif kind == SWAP:
-            a, b = g.wires
-            state[a], state[b] = state[b], state[a]
-        else:
-            raise ValueError(f"{kind} gate is not classical; use apply()")
-    return state
+    if circuit.kinds.size and circuit.kinds.max() > CCX:
+        kind = KIND_NAMES[circuit.kinds[np.argmax(circuit.kinds > CCX)]]
+        raise ValueError(f"{kind} gate is not classical; use apply()")
+    planes = np.ones((n + 1, *state.shape[:-1]), dtype=bool)
+    planes[:n] = state.T
+    *controls, targets = circuit.wires.T
+    starts = circuit.layer_starts.tolist()
+    for a, b in zip(starts, starts[1:]):
+        flip = planes[controls[0][a:b]]
+        for column in controls[1:]:
+            flip &= planes[column[a:b]]
+        planes[targets[a:b]] ^= flip
+    out = planes[:n].T.astype(np.uint8)
+    return out.tolist() if state.ndim == 1 else out
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
@@ -237,7 +239,7 @@ def resources(circuit: Circuit) -> dict:
     """Depth, gate count, qubit count, and ancilla count of a circuit."""
     return {
         "depth": circuit.depth,
-        "gates": sum(len(layer) for layer in circuit.layers),
+        "gates": len(circuit.kinds),
         "qubits": circuit.n_qubits,
         "ancillas": int(circuit.meta.get("n_ancillas", 0)),
     }
@@ -252,21 +254,20 @@ def serialize_circuit(circuit: Circuit) -> str:
     sign vector as a +/- string. A header line records the qubit count.
     """
     lines = [f"# qubits {circuit.n_qubits}"]
-    for g in circuit.gates:
-        wires = ",".join(str(w) for w in g.wires)
-        if g.kind == CRY:
-            lines.append(f"CRY {wires} {g.param!r}")
-        elif g.kind == DIAG_SIGN:
-            signs = "".join("+" if s > 0 else "-" for s in g.param)
-            lines.append(f"DIAG_SIGN {wires} {signs}")
-        else:
-            lines.append(f"{g.kind} {wires}")
+    for kind, wires, param in circuit.rows():
+        line = f"{KIND_NAMES[kind]} {','.join(str(w) for w in wires)}"
+        if kind == CRY:
+            line += f" {param!r}"
+        elif kind == DIAG_SIGN:
+            line += " " + "".join("+" if s > 0 else "-" for s in param)
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def parse_circuit(text: str) -> Circuit:
+    """Read `serialize_circuit` text; malformed input raises ParseError."""
     n_qubits = None
-    gates = []
+    rows, linenos = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -274,32 +275,39 @@ def parse_circuit(text: str) -> Circuit:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "qubits":
-                n_qubits = int(parts[1])
+                try:
+                    n_qubits = int(parts[1])
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: bad qubit count") from exc
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ParseError(f"line {lineno}: expected 'KIND wires [param]'")
-        kind, wirespec = parts[0], parts[1]
+        # an unknown name gets code -1, which `from_gates` rejects
+        kind = KIND_NAMES.index(parts[0]) if parts[0] in KIND_NAMES else -1
         try:
-            wires = tuple(int(w) for w in wirespec.split(","))
+            wires = tuple(int(w) for w in parts[1].split(","))
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad wire list {wirespec!r}") from exc
+            raise ParseError(f"line {lineno}: bad wire list {parts[1]!r}") from exc
         param = None
         if len(parts) == 3:
             if kind == DIAG_SIGN:
+                if set(parts[2]) - {"+", "-"}:
+                    raise ParseError(f"line {lineno}: bad sign string {parts[2]!r}")
                 param = np.array([1.0 if ch == "+" else -1.0 for ch in parts[2]])
             else:
                 try:
                     param = float(parts[2])
                 except ValueError as exc:
                     raise ParseError(f"line {lineno}: bad parameter") from exc
-        try:
-            gates.append(Gate(kind, wires, param))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+        rows.append((kind, wires, param))
+        linenos.append(lineno)
     if n_qubits is None:
-        n_qubits = 1 + max((max(g.wires) for g in gates), default=0)
-    return Circuit.from_gates(n_qubits, gates)
+        n_qubits = 1 + max((max(r[1]) for r in rows), default=0)
+    try:
+        return Circuit.from_gates(n_qubits, rows)
+    except RowError as exc:
+        raise ParseError(f"line {linenos[exc.row]}: {exc.reason}") from exc
 
 
 # -- one-hot decoder ---------------------------------------------------------
@@ -330,10 +338,10 @@ def build_decoder(n_address: int) -> Circuit:
     meta = {"address_wires": address, "onehot_wires": onehot,
             "pi": decoder_permutation(n)}
     if n == 1:
-        gates = [Gate(CNOT, (0, onehot[0])), Gate(X, (0,)),
-                 Gate(CNOT, (0, onehot[1])), Gate(X, (0,))]
+        rows = [(CNOT, (0, onehot[0])), (X, (0,)),
+                (CNOT, (0, onehot[1])), (X, (0,))]
         meta["n_ancillas"] = 0
-        return Circuit.from_gates(1 + N, gates, meta)
+        return Circuit.from_gates(1 + N, rows, meta)
 
     next_wire = n + N
     # interior routing levels j = 1..n-1 hold 2^j path wires
@@ -343,12 +351,12 @@ def build_decoder(n_address: int) -> Circuit:
         next_wire += 2 ** j
     levels.append(onehot)  # level n
 
-    gates: list[Gate] = []
+    rows = []
     copy_pool_start = next_wire
 
     v0, v1 = levels[0]
-    gates += [Gate(CNOT, (address[0], v1)), Gate(X, (address[0],)),
-              Gate(CNOT, (address[0], v0)), Gate(X, (address[0],))]
+    rows += [(CNOT, (address[0], v1)), (X, (address[0],)),
+             (CNOT, (address[0], v0)), (X, (address[0],))]
 
     for j in range(2, n + 1):
         parents = levels[j - 2]
@@ -358,7 +366,7 @@ def build_decoder(n_address: int) -> Circuit:
         copies = list(range(next_wire, next_wire + n_parents - 1))
         next_wire += n_parents - 1
         # fanout the level's address bit: sources double each round
-        fanout: list[Gate] = []
+        fanout = []
         sources = [bit_wire]
         remaining = list(copies)
         while remaining:
@@ -367,10 +375,10 @@ def build_decoder(n_address: int) -> Circuit:
                 if not remaining:
                     break
                 t = remaining.pop(0)
-                fanout.append(Gate(CNOT, (s, t)))
+                fanout.append((CNOT, (s, t)))
                 new_sources.append(t)
             sources += new_sources
-        gates += fanout
+        rows += fanout
         controls = [bit_wire] + copies
         leaf = j == n
         for p in range(n_parents):
@@ -378,17 +386,15 @@ def build_decoder(n_address: int) -> Circuit:
             hi, lo = children[2 * p], children[2 * p + 1]
             if leaf:
                 # flipped child order at the leaves: pi(i) = i XOR 1
-                gates += [Gate(CCX, (P, c, hi)), Gate(CNOT, (P, lo)),
-                          Gate(CNOT, (hi, lo))]
+                rows += [(CCX, (P, c, hi)), (CNOT, (P, lo)), (CNOT, (hi, lo))]
             else:
-                gates += [Gate(CCX, (P, c, lo)), Gate(CNOT, (P, hi)),
-                          Gate(CNOT, (lo, hi))]
-        gates += [Gate(CNOT, g.wires) for g in reversed(fanout)]
+                rows += [(CCX, (P, c, lo)), (CNOT, (P, hi)), (CNOT, (lo, hi))]
+        rows += fanout[::-1]
 
     meta["scratch_wires"] = list(range(n + N, copy_pool_start))
     meta["copy_wires"] = list(range(copy_pool_start, next_wire))
     meta["n_ancillas"] = next_wire - n - N
-    return Circuit.from_gates(next_wire, gates, meta)
+    return Circuit.from_gates(next_wire, rows, meta)
 
 
 # -- dictionary data loader --------------------------------------------------
@@ -413,33 +419,33 @@ def build_data_loader(dictionary: dict[int, int], n_onehot: int,
     onehot = list(range(n_onehot))
     outputs = list(range(n_onehot, n_onehot + word_width))
     next_wire = n_onehot + word_width
-    gates: list[Gate] = []
+    rows = []
     for t in range(word_width):
         sources = sorted(i for i, w in dictionary.items() if (w >> t) & 1)
         if not sources:
             continue
         if len(sources) == 1:
-            gates.append(Gate(CNOT, (sources[0], outputs[t])))
+            rows.append((CNOT, (sources[0], outputs[t])))
             continue
-        tree: list[Gate] = []
+        tree = []
         current = list(sources)
         while len(current) > 1:
             merged = []
             for a, b in zip(current[0::2], current[1::2]):
                 z = next_wire
                 next_wire += 1
-                tree += [Gate(X, (a,)), Gate(X, (b,)), Gate(CCX, (a, b, z)),
-                         Gate(X, (a,)), Gate(X, (b,)), Gate(X, (z,))]
+                tree += [(X, (a,)), (X, (b,)), (CCX, (a, b, z)),
+                         (X, (a,)), (X, (b,)), (X, (z,))]
                 merged.append(z)
             if len(current) % 2:
                 merged.append(current[-1])
             current = merged
-        gates += tree
-        gates.append(Gate(CNOT, (current[0], outputs[t])))
-        gates += [Gate(g.kind, g.wires) for g in reversed(tree)]
+        rows += tree
+        rows.append((CNOT, (current[0], outputs[t])))
+        rows += tree[::-1]
     meta = {"onehot_wires": onehot, "output_wires": outputs,
             "n_ancillas": next_wire - n_onehot - word_width}
-    return Circuit.from_gates(next_wire, gates, meta)
+    return Circuit.from_gates(next_wire, rows, meta)
 
 
 # -- QROM and oracles --------------------------------------------------------
@@ -466,34 +472,29 @@ def build_qrom(table, word_width: int) -> Circuit:
     dec = build_decoder(n)
     pi = dec.meta["pi"]
     dictionary = {pi[i]: padded[i] for i in range(N) if padded[i] != 0}
-
-    onehot = dec.meta["onehot_wires"]
+    loader = build_data_loader(dictionary, N, word_width)
+    # loader wires map to the decoder's one-hot block, then outputs and OR
+    # ancillas after the decoder's wires; the -1 padding reads the last entry
     out_base = dec.n_qubits
-    outputs = list(range(out_base, out_base + word_width))
-    loader_local = build_data_loader(dictionary, N, word_width)
-    # remap loader wires: one-hot -> decoder's one-hot block, outputs and
-    # OR ancillas appended after the decoder's wires
-    n_or_anc = loader_local.meta["n_ancillas"]
-
-    def remap(w: int) -> int:
-        if w < N:
-            return onehot[w]
-        return out_base + (w - N)
-
-    gates = dec.gates
-    gates += [Gate(g.kind, tuple(remap(w) for w in g.wires), g.param)
-              for g in loader_local.gates]
-    gates += dec.inverse_gates()
-    n_qubits = out_base + word_width + n_or_anc
+    n_qubits = out_base + loader.n_qubits - N
+    lookup = np.concatenate([dec.meta["onehot_wires"],
+                             np.arange(out_base, n_qubits), [-1]])
+    # decoder and loader gates are X/CNOT/CCX, which take no parameter and
+    # are self-inverse: the decoder's rows reversed undo it
+    kinds = np.concatenate([dec.kinds, loader.kinds, dec.kinds[::-1]])
+    blocks = [dec.wires, lookup[loader.wires], dec.wires[::-1]]
+    width = max(b.shape[1] for b in blocks)
+    wires = np.concatenate([np.pad(b, ((0, 0), (width - b.shape[1], 0)),
+                                   constant_values=-1) for b in blocks])
     meta = {
         "address_wires": dec.meta["address_wires"],
-        "output_wires": outputs,
+        "output_wires": list(range(out_base, out_base + word_width)),
         "n_address_bits": n,
         "table_size": len(table),
         "word_width": word_width,
         "n_ancillas": n_qubits - n - word_width,
     }
-    return Circuit.from_gates(n_qubits, gates, meta)
+    return Circuit._from_columns(n_qubits, kinds, wires, [None] * len(kinds), meta)
 
 
 def encode_fixed_point(value: float, bits: int, scale: float) -> int:
@@ -558,12 +559,9 @@ def build_sparse_index_oracle(j_table: np.ndarray, n_sites: int) -> Circuit:
     j_table = np.where(j_table < 0, sentinel, j_table)
     row_bits = max(1, math.ceil(math.log2(n_rows)))
     slot_bits = max(1, math.ceil(math.log2(n_slots)))
-    flat = np.full(2 ** (row_bits + slot_bits), sentinel, dtype=np.int64)
-    for i in range(n_rows):
-        base = i << slot_bits
-        flat[base:base + n_slots] = j_table[i]
-        flat[base + n_slots:base + 2 ** slot_bits] = sentinel
-    circuit = build_qrom(flat.tolist(), out_bits)
+    padded = np.full((2 ** row_bits, 2 ** slot_bits), sentinel, dtype=np.int64)
+    padded[:n_rows, :n_slots] = j_table
+    circuit = build_qrom(padded.ravel().tolist(), out_bits)
     circuit.meta.update({"row_bits": row_bits, "slot_bits": slot_bits,
                          "sentinel": sentinel, "out_bits": out_bits})
     return circuit

@@ -410,8 +410,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_thread_cap()
-        from . import network as nw
-        cutoff = nw.DEFAULT_ANM_CUTOFF if args.model == "anm" else nw.DEFAULT_GNM_CUTOFF
+        from . import structure as st
+        cutoff = st.DEFAULT_ANM_CUTOFF if args.model == "anm" else st.DEFAULT_GNM_CUTOFF
         cfg = RunConfig(
             command=args.command, input=args.input, n=args.n, model=args.model,
             cutoff=cutoff if args.cutoff is None else args.cutoff, spring=args.spring,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NumericalError, ParseError
 from .network import within_cutoff
-from .structure import ProteinStructure
+from .structure import DEFAULT_GNM_CUTOFF, ProteinStructure
 
 SENTINEL = -1
 _MAGIC = b"GQKP"
@@ -65,8 +65,8 @@ class ConnectivityStore:
     removed sites leave inactive slots behind.
     """
 
-    def __init__(self, structure: ProteinStructure, cutoff: float = 7.0,
-                 spring: float = 1.0):
+    def __init__(self, structure: ProteinStructure,
+                 cutoff: float = DEFAULT_GNM_CUTOFF, spring: float = 1.0):
         self.cutoff = float(cutoff)
         self.spring = float(spring)
         self.source_id = structure.source_id

@@ -23,10 +23,8 @@ import scipy.sparse
 from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
-from .structure import ProteinStructure
+from .structure import DEFAULT_ANM_CUTOFF, DEFAULT_GNM_CUTOFF, ProteinStructure
 
-DEFAULT_GNM_CUTOFF = 7.0
-DEFAULT_ANM_CUTOFF = 13.0
 ZERO_MODE_RTOL = 1e-8
 
 

@@ -195,14 +195,10 @@ def prepare_gaussian_state(n: int, seed: int,
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    gates: list[qc.Gate] = []
+    rows = []
     for level in range(1, n + 1):
         target = level - 1
         controls = list(range(level - 1))
-        if not controls:
-            theta = sample_angle(n, level, 0, seed, audit)
-            gates.append(qc.Gate(qc.CRY, (target,), 2.0 * theta))
-            continue
         flipped: set[int] = set()
         n_branch = 2 ** len(controls)
         for k in range(n_branch):
@@ -210,12 +206,12 @@ def prepare_gaussian_state(n: int, seed: int,
             want = {controls[b] for b in range(len(controls))
                     if not (branch >> (len(controls) - 1 - b)) & 1}
             for w in sorted(want ^ flipped):
-                gates.append(qc.Gate(qc.X, (w,)))
+                rows.append((qc.X, (w,)))
             flipped = want
             theta = sample_angle(n, level, branch, seed, audit)
-            gates.append(qc.Gate(qc.CRY, (*controls, target), 2.0 * theta))
+            rows.append((qc.CRY, (*controls, target), 2.0 * theta))
         for w in sorted(flipped):
-            gates.append(qc.Gate(qc.X, (w,)))
+            rows.append((qc.X, (w,)))
 
     signs = np.where(
         2 * cbrng_array(seed, sign_counter_base(n, 0)
@@ -224,8 +220,8 @@ def prepare_gaussian_state(n: int, seed: int,
     if audit is not None:
         for j in range(2 ** n):
             audit.append((sign_counter_base(n, j), 1))
-    gates.append(qc.Gate(qc.DIAG_SIGN, tuple(range(n)), signs))
-    circuit = qc.Circuit.from_gates(n, gates, {"n_ancillas": 0, "seed": seed})
+    rows.append((qc.DIAG_SIGN, tuple(range(n)), signs))
+    circuit = qc.Circuit.from_gates(n, rows, {"n_ancillas": 0, "seed": seed})
     state = qc.apply(circuit, qc.basis_state(n, 0))
     return circuit, state
 
@@ -241,9 +237,9 @@ def prepare_ensemble_state(n: int):
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    gates = [qc.Gate(qc.H, (w,)) for w in range(n)]
-    gates += [qc.Gate(qc.CNOT, (w, w + n)) for w in range(n)]
-    circuit = qc.Circuit.from_gates(2 * n, gates, {"n_ancillas": 0})
+    rows = [(qc.H, (w,)) for w in range(n)]
+    rows += [(qc.CNOT, (w, w + n)) for w in range(n)]
+    circuit = qc.Circuit.from_gates(2 * n, rows, {"n_ancillas": 0})
     state = qc.apply(circuit, qc.basis_state(2 * n, 0))
     dim = 2 ** n
     pattern = state.reshape(dim, dim)

@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import EmptyStructureError, ParseError
 
+# contact cutoffs in Angstrom, kept out of `network` so reading them skips scipy
+DEFAULT_GNM_CUTOFF = 7.0
+DEFAULT_ANM_CUTOFF = 13.0
+
 
 class Atom(NamedTuple):
     id: int

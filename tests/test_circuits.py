@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gnmqsim import circuits as qc
+from gnmqsim import stateprep as sp
 from gnmqsim.connectivity import ConnectivityStore
+from gnmqsim.errors import ParseError
 from gnmqsim.structure import synthetic_chain
 
 
@@ -34,7 +36,8 @@ def test_decoder_is_reported_permutation():
 
 
 def test_decoder_single_bit_is_minimal():
-    assert sum(len(l) for l in qc.build_decoder(1).layers) == 4
+    circ = qc.build_decoder(1)
+    assert qc.resources(circ)["gates"] == len(circ.kinds) == 4
 
 
 def test_data_loader_companion_dictionary():
@@ -146,15 +149,16 @@ def test_serialize_parse_round_trip():
     text = qc.serialize_circuit(circ)
     back = qc.parse_circuit(text)
     assert back.n_qubits == circ.n_qubits
-    assert [g.kind for g in back.gates] == [g.kind for g in circ.gates]
-    assert [g.wires for g in back.gates] == [g.wires for g in circ.gates]
+    assert np.array_equal(back.kinds, circ.kinds)
+    assert np.array_equal(back.wires, circ.wires)
+    assert np.array_equal(back.layer_starts, circ.layer_starts)
 
 
 def test_resources_counts():
     circ = qc.build_qrom(list(range(16)), 4)
     res = qc.resources(circ)
-    assert res["depth"] == len(circ.layers)
-    assert res["gates"] == sum(len(l) for l in circ.layers)
+    assert res["depth"] == len(circ.layer_starts) - 1
+    assert res["gates"] == circ.layer_starts[-1] == len(circ.kinds)
     assert res["qubits"] == circ.n_qubits
     assert res["ancillas"] >= 0
 
@@ -167,3 +171,70 @@ def test_qrom_depth_grows_quadratically_in_address_bits():
     L = np.log2([4, 16, 64, 256])
     slope = np.polyfit(np.log(L), np.log(depths), 1)[0]
     assert 1.5 < slope < 2.5
+
+
+def test_gaussian_circuit_text_round_trips_byte_for_byte():
+    circ, _ = sp.prepare_gaussian_state(5, seed=0x2A)
+    text = qc.serialize_circuit(circ)
+    assert qc.serialize_circuit(qc.parse_circuit(text)) == text
+
+
+@pytest.mark.parametrize("text,line", [
+    ("# qubits 2\nX 0\nX -1\n", 3),          # negative wire
+    ("# qubits 1\nDIAG_SIGN 0 +x\n", 2),     # sign other than +/-
+    ("# qubits abc\nX 0\n", 1),              # malformed header
+    ("# qubits 2\nCNOT 0,1\nX 5\n", 3),     # wire out of range
+    ("# qubits 2\nX 0\nSWAP 0,1\n", 3),     # SWAP is no longer a kind
+], ids=["negative-wire", "bad-sign", "bad-header", "wire-out-of-range", "swap"])
+def test_parse_rejects_bad_text_naming_the_line(text, line):
+    with pytest.raises(ParseError, match=f"line {line}:"):
+        qc.parse_circuit(text)
+
+
+@pytest.mark.parametrize("rows,row", [
+    ([(qc.X, (0,)), (qc.CNOT, (1, 1))], 1),
+    ([(qc.CNOT, (0, 1)), (qc.CCX, (0,))], 1),
+    ([(qc.X, (0,)), (qc.CRY, (0,))], 1),
+    ([(qc.X, (0,), 0.5)], 0),
+    ([(qc.DIAG_SIGN, (0, 1), [1.0, -1.0])], 0),
+    ([(qc.X, (0,)), (qc.X, (2,))], 1),
+    ([(9, (0,))], 0),
+    ([(qc.X, (0,)), (qc.CNOT, (-1, 1))], 1),
+])
+def test_from_gates_names_the_bad_row(rows, row):
+    with pytest.raises(qc.RowError, match=f"^row {row}:") as info:
+        qc.Circuit.from_gates(2, rows)
+    assert info.value.row == row
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (qc.build_decoder(3), 3),
+    lambda: (qc.build_data_loader({1: 0b10, 2: 0b11, 3: 0b01, 6: 0b01}, 8, 2), 0),
+    lambda: (qc.build_qrom(list(range(13)), 4), 4),
+    lambda: (qc.build_qrom([(7 * v) % 64 for v in range(201)], 6), 8),
+], ids=["decoder3", "loader", "qrom13", "qrom201"])
+def test_batched_basis_matches_single_calls(build):
+    circ, abits = build()
+    if abits:
+        bits = np.array([qc.bits_of(a, abits) + [0] * (circ.n_qubits - abits)
+                         for a in range(2 ** abits)], dtype=np.uint8)
+    else:   # the loader: every single-hot input and the all-cold input
+        bits = np.zeros((9, circ.n_qubits), dtype=np.uint8)
+        bits[np.arange(1, 9), circ.meta["onehot_wires"]] = 1
+    out = qc.apply_basis(circ, bits)
+    assert out.dtype == np.uint8 and out.shape == bits.shape
+    for row, got in zip(bits.tolist(), out.tolist()):
+        single = qc.apply_basis(circ, row)
+        assert isinstance(single, list) and single == got
+
+
+@pytest.mark.parametrize("circ", [
+    qc.Circuit.from_gates(2, [(qc.H, (0,)), (qc.CNOT, (0, 1))]),
+    qc.Circuit.from_gates(2, [(qc.X, (0,)), (qc.CRY, (0, 1), 0.3)]),
+    qc.Circuit.from_gates(1, [(qc.DIAG_SIGN, (0,), [1.0, -1.0])]),
+], ids=["H", "CRY", "DIAG_SIGN"])
+def test_basis_walk_rejects_non_classical_gates(circ):
+    with pytest.raises(ValueError, match="not classical"):
+        qc.apply_basis(circ, [0] * circ.n_qubits)
+    with pytest.raises(ValueError, match="not classical"):
+        qc.apply_basis(circ, np.zeros((3, circ.n_qubits), dtype=np.uint8))

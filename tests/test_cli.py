@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +254,16 @@ def test_thread_cap_env_variable(tmp_path, monkeypatch):
         assert os.environ[var] == "3"
     monkeypatch.setenv("GNMQSIM_THREADS", "zero")
     assert main(["structure", "--out", str(tmp_path / "n2")]) == 2
+
+
+@pytest.mark.parametrize("command", ["resources", "structure"])
+def test_light_commands_do_not_load_network(tmp_path, command):
+    code = ("import sys; from gnmqsim.cli import main; "
+            f"assert main([{command!r}, '--out', {str(tmp_path)!r}]) == 0; "
+            "print('gnmqsim.network' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
