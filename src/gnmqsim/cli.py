@@ -128,16 +128,17 @@ class RunConfig:
 
 # -- plumbing -----------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """Stream rows through one template: %.17g, %d or %s by first-row type."""
+    template = None
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            row = tuple(row.tolist() if hasattr(row, "tolist") else row)
+            template = template or ",".join(
+                "%.17g" if isinstance(v, float) else
+                "%d" if isinstance(v, int) else "%s" for v in row) + "\n"
+            out.write(template % row)
 
 
 def _load_structure(cfg: RunConfig):
@@ -191,10 +192,8 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, artifacts: list[str],
 
 def cmd_structure(cfg: RunConfig, out_dir: Path):
     struct = _load_structure(cfg)
-    rows = [(a.id, a.position[0], a.position[1], a.position[2],
-             a.mass, a.label) for a in struct.atoms]
-    _write_csv(out_dir / "atoms.csv",
-               ["id", "x", "y", "z", "mass", "label"], rows)
+    _write_csv(out_dir / "atoms.csv", ["id", "x", "y", "z", "mass", "label"],
+               ((a.id, *a.position, a.mass, a.label) for a in struct.atoms))
     return ["atoms.csv"], {"n_atoms": struct.n_atoms}
 
 
@@ -241,21 +240,20 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path):
 
     if cfg.dynamics == "harmonic":
         hist = dy.evolve_inhomogeneous(model, u0, v0, None, cfg.tmax, cfg.steps)
-        n = model.n_dof
-        traj_rows = np.column_stack([hist.times, hist.displacements])
         _write_csv(out_dir / "trajectory.csv",
-                   ["time"] + [f"u_{i}" for i in range(n)], traj_rows)
+                   ["time"] + [f"u_{i}" for i in range(model.n_dof)],
+                   np.column_stack([hist.times, hist.displacements]))
         kinetic = 0.5 * np.einsum("ti,i,ti->t", hist.velocities,
                                   model.masses, hist.velocities)
-        potential = 0.5 * np.einsum("ti,ij,tj->t", hist.displacements,
-                                    model.K, hist.displacements)
+        potential = 0.5 * ((hist.displacements @ model.K)
+                           * hist.displacements).sum(axis=1)
         _write_csv(out_dir / "energies.csv",
                    ["time", "kinetic", "potential", "total"],
                    np.column_stack([hist.times, kinetic, potential,
                                     hist.energies]))
         drift = float(np.abs(hist.energies - hist.energies[0]).max())
         return (["trajectory.csv", "energies.csv"],
-                {"n_dof": n, "energy_drift": drift})
+                {"n_dof": model.n_dof, "energy_drift": drift})
 
     from . import stateprep as sp
     emb = dy.embed(model)
@@ -263,9 +261,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path):
     enc = sp.encode_initial_conditions(model, u0, v0)
     rho0 = np.outer(enc.psi, enc.psi.conj())
     rho = dy.evolve_langevin_covariance(emb, params, rho0, cfg.tmax)
-    rows = [(i, j, float(rho[i, j].real), float(rho[i, j].imag))
-            for i in range(rho.shape[0]) for j in range(rho.shape[1])]
-    _write_csv(out_dir / "covariance.csv", ["row", "col", "real", "imag"], rows)
+    _write_csv(out_dir / "covariance.csv", ["row", "col", "real", "imag"],
+               zip(*np.indices(rho.shape).reshape(2, -1).tolist(),
+                   rho.real.ravel().tolist(), rho.imag.ravel().tolist()))
     return (["covariance.csv"],
             {"dim": rho.shape[0], "trace": float(np.trace(rho).real),
              "energy": enc.energy})
@@ -281,19 +279,12 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
     alpha = cfg.alpha if cfg.alpha is not None else float(ob.spectral_bound(H))
     eigenvalues = np.linalg.eigvalsh(H)
     exact = ob.MomentSet.from_spectrum(eigenvalues, alpha, cfg.moments)
-    artifacts = ["moments.csv", "dos.csv", "comparison.csv"]
+    columns, curve_src = {"k": range(cfg.moments + 1), "exact": exact.moments}, exact
     if cfg.probes > 0:
-        stoch = ob.chebyshev_moments_stochastic(H, alpha, cfg.moments,
-                                                cfg.probes, cfg.seed)
-        _write_csv(out_dir / "moments.csv",
-                   ["k", "exact", "stochastic", "stderr"],
-                   zip(range(cfg.moments + 1), exact.moments,
-                       stoch.moments, stoch.stderr))
-        curve_src = stoch
-    else:
-        _write_csv(out_dir / "moments.csv", ["k", "exact"],
-                   zip(range(cfg.moments + 1), exact.moments))
-        curve_src = exact
+        curve_src = ob.chebyshev_moments_stochastic(H, alpha, cfg.moments,
+                                                    cfg.probes, cfg.seed)
+        columns.update(stochastic=curve_src.moments, stderr=curve_src.stderr)
+    _write_csv(out_dir / "moments.csv", list(columns), zip(*columns.values()))
     curve = ob.reconstruct_dos(curve_src)
     _write_csv(out_dir / "dos.csv", ["x", "density"],
                zip(curve.grid, curve.values))
@@ -303,8 +294,9 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
                ["left", "right", "histogram", "kpm"],
                zip(edges[:-1], edges[1:], cmp_res["hist_density"],
                    cmp_res["kpm_density"]))
-    return artifacts, {"alpha": alpha, "l1_distance": cmp_res["l1"],
-                       "n_eigenvalues": int(eigenvalues.size)}
+    return (["moments.csv", "dos.csv", "comparison.csv"],
+            {"alpha": alpha, "l1_distance": cmp_res["l1"],
+             "n_eigenvalues": int(eigenvalues.size)})
 
 
 def cmd_control(cfg: RunConfig, out_dir: Path):

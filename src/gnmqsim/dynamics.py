@@ -1,18 +1,19 @@
 """Time evolution of encoded network dynamics.
 
-Harmonic motion is unitary propagation under the Hermitian embedding
-H = -[[0, B], [B^T, 0]], computed in H's eigenbasis. Forced motion
-integrates the first-order system exactly per grid step in normal-mode
-coordinates (forces held constant over each step) and assembles the
-snapshots into a history state. Langevin damping evolves the second-moment
-matrix rho(t) = e^{tJ} rho0 e^{tJ+} + int_0^t e^{sJ} S S+ e^{sJ+} ds under
-the generator J: in closed form in H's eigenbasis for scalar damping (J
-normal), by Van Loan's block exponential for velocity damping (J possibly
-defective). The Lyapunov identity J N + N J+ = E S S+ E+ - S S+, for the
-propagator E and noise integral N over the interval a route integrates,
-certifies the result to 1e-8 relative residual. Monte Carlo oracles
-integrate the matching SDEs with Euler-Maruyama and counter-based noise so
-ensembles are reproducible and paths are independent of execution order.
+Harmonic motion, unitary propagation under the Hermitian embedding
+H = -[[0, B], [B^T, 0]], and decoding are computed blockwise from the
+model's cached eigenpairs of A = B B^T and B, since H^2 = diag(A, B^T B).
+Forced motion steps A's mode coefficients exactly per grid step (forces
+held constant over each step) and rebuilds the history afterwards.
+Langevin damping evolves rho(t) = e^{tJ} rho0 e^{tJ+} + int_0^t e^{sJ} S S+
+e^{sJ+} ds under the generator J: in closed form in H's eigenbasis for
+scalar damping (J normal), by Van Loan's block exponential for velocity
+damping (J possibly defective). The Lyapunov identity J N + N J+ =
+E S S+ E+ - S S+, for the propagator E and noise integral N over the
+interval a route integrates, certifies the result to 1e-8 relative
+residual. Monte Carlo oracles integrate the matching SDEs with
+Euler-Maruyama and counter-based noise so ensembles are reproducible and
+paths are independent of execution order.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import scipy.linalg
 
 from .errors import EncodingError, NumericalError
 from .network import ZERO_MODE_RTOL, NetworkModel
-from .stateprep import MAX_R, EncodedState, cbrng_array, encode_initial_conditions
+from .stateprep import MAX_R, cbrng_array
 
 DECODE_RTOL = 1e-8
 LYAPUNOV_RTOL = 1e-8
@@ -37,19 +38,11 @@ class EmbeddedHamiltonian:
 
     H = -[[0, B], [B^T, 0]] acts on [velocity block; i*B^T y block]; its
     square is block-diagonal (B B^T, B^T B), so the nonzero spectrum comes
-    in +/- sqrt(eig A) pairs.
+    in +/- sqrt(eig A) pairs. H and its eigendecomposition are built on
+    first access; harmonic propagation never needs them.
     """
 
     model: NetworkModel
-    H: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        B = self.model.B
-        n, e = B.shape
-        H = np.zeros((n + e, n + e))
-        H[:n, n:] = -B
-        H[n:, :n] = -B.T
-        self.H = H
 
     @property
     def n_dof(self) -> int:
@@ -61,7 +54,14 @@ class EmbeddedHamiltonian:
 
     @property
     def dim(self) -> int:
-        return self.H.shape[0]
+        return self.n_dof + self.n_edges
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        H = np.zeros((self.dim, self.dim))
+        H[:self.n_dof, self.n_dof:] = -self.model.B
+        H[self.n_dof:, :self.n_dof] = -self.model.B.T
+        return H
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -73,16 +73,43 @@ def embed(model: NetworkModel) -> EmbeddedHamiltonian:
     return EmbeddedHamiltonian(model=model)
 
 
+def _vector(value, name: str, size: int, dtype=float) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    if arr.shape != (size,):
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({size},)")
+    return arr
+
+
+def _modes(model: NetworkModel, t=0.0):
+    """A = U diag(lam) U^T (lam 0 on zero modes) and, per time and mode,
+    cos(wt), sin(wt)/w and (cos(wt) - 1)/w^2 with zero-mode limits 1, t, -t^2/2."""
+    lam, U = model.eigenpairs
+    zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 0.0)
+    lam, tt = np.where(zero, 0.0, lam), np.asarray(t, dtype=float)[..., None]
+    omega = np.sqrt(np.where(zero, 1.0, lam))
+    half = np.sin(0.5 * tt * omega) / omega
+    return U, lam, (np.where(zero, 1.0, np.cos(tt * omega)),
+                    np.where(zero, tt, np.sin(tt * omega) / omega),
+                    np.where(zero, -0.5 * tt * tt, -2.0 * half * half))
+
+
 def evolve_harmonic(embedded: EmbeddedHamiltonian, psi0: np.ndarray, t):
-    """exp(-iHt) psi0; scalar t gives one state, a 1-D t one state per row."""
-    psi0 = np.asarray(psi0, dtype=complex)
+    """exp(-iHt) psi0; scalar t gives one state, a 1-D t one state per row.
+
+    For psi0 = [p; q] and A = U diag(w^2) U^T the blocks are
+    U[cos(wt) U^T p + i sin(wt)/w U^T B q] and
+    q + B^T U[(cos(wt) - 1)/w^2 U^T B q + i sin(wt)/w U^T p].
+    """
+    model, n = embedded.model, embedded.n_dof
+    psi0 = _vector(psi0, "psi0", embedded.dim, complex)
     times = np.asarray(t, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be nonnegative")
-    w, vecs = embedded.eig
-    coeff = vecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, w))
-    states = (phases * coeff) @ vecs.T
+    if times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"t must be finite, nonnegative and at most 1-D, "
+                         f"got shape {times.shape}")
+    U, _, (cos, sinc, cosm1) = _modes(model, np.atleast_1d(times))
+    cp, cq = U.T @ psi0[:n], U.T @ (model.B @ psi0[n:])
+    states = np.hstack([(cos * cp + 1j * sinc * cq) @ U.T,
+                        psi0[n:] + ((cosm1 * cq + 1j * sinc * cp) @ U.T) @ model.B])
     return states[0] if times.ndim == 0 else states
 
 
@@ -94,9 +121,9 @@ def decode_state(model: NetworkModel, psi: np.ndarray,
     the range of B^T; violations beyond 1e-8 relative mean the vector is
     not a valid encoding and raise EncodingError. The encoding stores B^T y
     only, so the component of y along ker(B^T) (the rigid zero modes) is
-    irrecoverable; the minimum-norm solution is returned, i.e. decoded
-    displacements are the zero-mode-free projection of the originals.
-    Velocities are stored in full and round-trip exactly.
+    irrecoverable; the minimum-norm solution y = A^+ B (B^T y) is returned,
+    i.e. decoded displacements are the zero-mode-free projection of the
+    originals. Velocities are stored in full and round-trip exactly.
     """
     psi = np.asarray(psi, dtype=complex)
     n = model.n_dof
@@ -111,52 +138,51 @@ def decode_state(model: NetworkModel, psi: np.ndarray,
         raise EncodingError("velocity block is not real: encoding corrupted")
     ydot = scale * block1.real
     rhs = -1j * block2  # equals B^T y / sqrt(2E) for a valid encoding
-    y_hat, _, _, _ = np.linalg.lstsq(model.B.T, rhs.real, rcond=None)
+    U, lam, _ = _modes(model)
+    y_hat = U @ np.divide(U.T @ (model.B @ rhs.real), lam, out=np.zeros(n),
+                          where=lam > 0)
     residual = math.hypot(np.linalg.norm(model.B.T @ y_hat - rhs.real),
                           np.linalg.norm(rhs.imag))
     if residual > tol:
         raise EncodingError("block outside the range of B^T: encoding corrupted")
-    y = scale * y_hat
     sqrt_m = np.sqrt(model.masses)
-    return y / sqrt_m, ydot / sqrt_m
+    return scale * y_hat / sqrt_m, ydot / sqrt_m
 
 
 @dataclass(frozen=True)
 class HistoryState:
-    """Grid snapshots of a trajectory plus their normalized superposition.
+    """Grid displacements, velocities and energies of a trajectory.
 
     snapshots[k] is the encoded vector at t_k (the zero vector where the
     snapshot energy vanishes and no encoding exists); composite is
-    (1/sqrt(N_t+1)) sum_k |k> (x) snapshots[k], flattened row-major.
+    (1/sqrt(N_t+1)) sum_k |k> (x) snapshots[k], flattened row-major. Both
+    are built on first access, with one product by B.
     """
 
     times: np.ndarray
     displacements: np.ndarray
     velocities: np.ndarray
     energies: np.ndarray
-    snapshots: np.ndarray
-    composite: np.ndarray
+    model: NetworkModel = field(repr=False)
 
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
 
+    @cached_property
+    def snapshots(self) -> np.ndarray:
+        sqrt_m, E = np.sqrt(self.model.masses), self.energies[:, None]
+        snaps = np.hstack([self.velocities * sqrt_m + 0j,
+                           1j * ((self.displacements * sqrt_m) @ self.model.B)])
+        return np.where(E > 0.0, snaps / np.sqrt(2.0 * np.where(E > 0.0, E, 1.0)), 0j)
+
+    @cached_property
+    def composite(self) -> np.ndarray:
+        return self.snapshots.ravel() / np.sqrt(self.n_snapshots)
+
     @property
     def composite_norm(self) -> float:
         return float(np.linalg.norm(self.composite))
-
-
-def _force_table(force, times, n_dof: int) -> np.ndarray:
-    n_steps = len(times) - 1
-    if force is None:
-        return np.zeros((max(n_steps, 0), n_dof))
-    if callable(force):
-        return np.array([np.asarray(force(t), dtype=float)
-                         for t in times[:-1]])
-    table = np.asarray(force, dtype=float)
-    if table.shape != (n_steps, n_dof):
-        raise ValueError(f"force table must have shape ({n_steps}, {n_dof})")
-    return table
 
 
 def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
@@ -164,63 +190,38 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
     """Driven evolution, exact per step for forces constant on each interval.
 
     force is a callable t -> vector sampled at interval left endpoints, a
-    (n_steps, n_dof) table of per-interval forces, or None. Each normal
-    mode is advanced by the closed-form driven-oscillator update, so the
-    only approximation is the piecewise-constant force itself.
+    table of per-interval forces, or None; either way the table must be
+    (n_steps, n_dof). Only A's mode coefficients are stepped, by the
+    closed-form driven-oscillator update, so the only approximation is the
+    piecewise-constant force itself; the history is rebuilt afterwards.
     """
     if T < 0 or n_steps < 1:
         raise ValueError("need T >= 0 and at least one step")
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
+    n = model.n_dof
+    u0, v0 = _vector(u0, "u0", n), _vector(v0, "v0", n)
     times = np.linspace(0.0, T, n_steps + 1)
-    forces = _force_table(force, times, model.n_dof)
     sqrt_m = np.sqrt(model.masses)
-    lam, modes = np.linalg.eigh(model.A)
-    lam = np.clip(lam, 0.0, None)
-    zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 1.0)
-    omega = np.sqrt(np.where(zero, 1.0, lam))  # placeholder on zero modes
-
-    a = modes.T @ (sqrt_m * u0)
-    adot = modes.T @ (sqrt_m * v0)
-    h = T / n_steps
-
-    n_snap = n_steps + 1
-    us = np.empty((n_snap, model.n_dof))
-    vs = np.empty((n_snap, model.n_dof))
-    energies = np.empty(n_snap)
-    snapshots = np.zeros((n_snap, model.n_dof + model.n_edges), dtype=complex)
-
-    def record(k):
-        y = modes @ a
-        ydot = modes @ adot
-        us[k] = y / sqrt_m
-        vs[k] = ydot / sqrt_m
-        energies[k] = 0.5 * (ydot @ ydot + y @ (model.A @ y))
-        if energies[k] > 0.0:
-            snap = np.concatenate([ydot.astype(complex), 1j * (model.B.T @ y)])
-            snapshots[k] = snap / np.sqrt(2.0 * energies[k])
-
-    record(0)
-    cos_h, sin_h = np.cos(omega * h), np.sin(omega * h)
+    U, lam, (c, s, cosm1) = _modes(model, T / n_steps)
+    phis = np.zeros((n_steps, n))  # per-interval forces on A's modes
+    if force is not None:
+        table = np.asarray([force(t) for t in times[:-1]] if callable(force)
+                           else force, dtype=float)
+        if table.shape != phis.shape:
+            raise ValueError(f"force table has shape {table.shape}, "
+                             f"expected {phis.shape}")
+        phis = (table / sqrt_m) @ U
+    coef = np.empty((2, n_steps + 1, n))
+    coef[0, 0], coef[1, 0] = U.T @ (sqrt_m * u0), U.T @ (sqrt_m * v0)
     for k in range(n_steps):
-        phi = modes.T @ (forces[k] / sqrt_m)
-        a_new = np.where(
-            zero,
-            a + adot * h + 0.5 * phi * h * h,
-            a * cos_h + adot * sin_h / omega + phi / np.where(zero, 1.0, lam) * (1.0 - cos_h),
-        )
-        adot_new = np.where(
-            zero,
-            adot + phi * h,
-            -a * omega * sin_h + adot * cos_h + phi / omega * sin_h,
-        )
-        a, adot = a_new, adot_new
-        record(k + 1)
-
-    composite = snapshots.ravel() / np.sqrt(n_snap)
-    return HistoryState(times=times, displacements=us, velocities=vs,
-                        energies=energies, snapshots=snapshots,
-                        composite=composite)
+        a, adot = coef[0, k], coef[1, k]
+        coef[0, k + 1] = c * a + s * adot - cosm1 * phis[k]
+        coef[1, k + 1] = c * adot - lam * s * a + s * phis[k]
+    y, ydot = coef @ U.T
+    energies = 0.5 * (np.einsum("ti,ti->t", ydot, ydot)
+                      + np.einsum("ti,ti->t", y @ model.A, y))
+    return HistoryState(times=times, displacements=y / sqrt_m,
+                        velocities=ydot / sqrt_m, energies=energies,
+                        model=model)
 
 
 # -- Langevin damping -----------------------------------------------------------
@@ -409,11 +410,9 @@ def monte_carlo_langevin(model: NetworkModel, params: LangevinParams, u0, v0,
     Integrates M udd + gamma ud + K u + sigma xi = 0 path-by-path with
     counter-based noise (see `_noise_windows`).
     """
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
     n = model.n_dof
-    a_norm = float(np.linalg.eigvalsh(model.A)[-1]) if n else 0.0
-    h_max = 0.01 / max(math.sqrt(a_norm), 1e-12)
+    u0, v0 = _vector(u0, "u0", n), _vector(v0, "v0", n)
+    h_max = 0.01 / max(math.sqrt(model.eigenpairs[0][-1]), 1e-12)
     n_steps, h = _step_count(t, h_max, h)
 
     u = np.tile(u0, (n_paths, 1))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.io
@@ -58,6 +59,14 @@ class NetworkModel:
     @property
     def n_edges(self) -> int:
         return self.B.shape[1]
+
+    @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(A) computed once: ascending eigenvalues and orthonormal
+        eigenvectors, both read-only, for every route in A's modes."""
+        lam, vecs = np.linalg.eigh(self.A)
+        lam.flags.writeable = vecs.flags.writeable = False
+        return lam, vecs
 
 
 def within_cutoff(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:

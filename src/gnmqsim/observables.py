@@ -72,7 +72,7 @@ def low_modes(model: NetworkModel, k: int) -> ModeSet:
     """k smallest nonzero eigenpairs of A, zero modes excluded by threshold."""
     if not 0 < k < model.n_dof:
         raise ValueError("need 0 < k < n_dof")
-    lam, vecs = np.linalg.eigh(model.A)
+    lam, vecs = model.eigenpairs
     a_norm = float(lam[-1]) if lam[-1] > 0 else 0.0
     nonzero = lam > ZERO_MODE_RTOL * max(a_norm, 1e-300)
     n_zero = int(np.sum(~nonzero))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnmqsim import cli
 from gnmqsim.cli import _THREAD_VARS, RunConfig, main
 from gnmqsim.network import import_matrix_market
 
@@ -267,3 +268,67 @@ def test_light_commands_do_not_load_network(tmp_path, command):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# -- the per-value writer the row-template writer replaced, kept as the oracle --
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def oracle_write_csv(path: Path, header: list[str], rows) -> None:
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_row_template_writer_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(9)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e300, -1.5, 0.1, 1 / 3]
+    floats = np.concatenate([special, rng.normal(size=2000),
+                             rng.normal(size=2000) * 10.0 ** rng.integers(-300, 300, 2000),
+                             rng.integers(0, 2 ** 63, 2000).view(np.float64)])
+    floats = floats[: len(floats) // 4 * 4].reshape(-1, 4)
+    labels = [("THR1", 1, 0.5), ("GLY2", -7, -0.0), ("x y", 2 ** 70, np.float64(3.25))]
+    cases = [
+        (["a", "b", "c", "d"], floats),                              # ndarray rows
+        (["a", "b", "c", "d"], [tuple(r) for r in floats]),          # numpy scalars
+        (["i", "j", "w"], [(i, j, 1.0) for i, j in zip(range(50), range(1, 51))]),
+        (["k", "x"], zip(range(30), floats[:, 0])),
+        (["label", "n", "x"], labels),
+        (["n", "bits"], np.arange(12, dtype=np.int64).reshape(6, 2)),
+        (["empty"], []),
+    ]
+    for k, (header, rows) in enumerate(cases):
+        rows = list(rows) if not isinstance(rows, np.ndarray) else rows
+        cli._write_csv(tmp_path / f"new{k}.csv", header, rows)
+        oracle_write_csv(tmp_path / f"old{k}.csv", header, rows)
+        assert ((tmp_path / f"new{k}.csv").read_bytes()
+                == (tmp_path / f"old{k}.csv").read_bytes()), header
+
+
+@pytest.mark.parametrize("argv", [
+    ["structure"],
+    ["model"],
+    ["model", "--model", "anm"],
+    ["stateprep", "--n", "8"],
+    ["resources"],
+    ["dos", "--probes", "400"],
+    ["evolve", "--n", "6", "--tmax", "5", "--steps", "200"],
+    ["evolve", "--dynamics", "langevin"],
+    ["control"],
+])
+def test_every_artifact_is_byte_identical_to_the_oracle_writer(tmp_path, monkeypatch,
+                                                               argv):
+    assert main([*argv, "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(cli, "_write_csv", oracle_write_csv)
+    assert main([*argv, "--out", str(tmp_path / "old")]) == 0
+    names = sorted(p.name for p in (tmp_path / "old").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "new").iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert ((tmp_path / "new" / name).read_bytes()
+                    == (tmp_path / "old" / name).read_bytes()), name

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import scipy.linalg
 
 from gnmqsim import dynamics as dyn
 from gnmqsim.errors import EncodingError, NumericalError
-from gnmqsim.network import build_gnm, model_from_matrices
+from gnmqsim.network import (ZERO_MODE_RTOL, build_anm, build_gnm,
+                             model_from_matrices)
 from gnmqsim.stateprep import encode_initial_conditions
-from gnmqsim.structure import synthetic_chain
+from gnmqsim.structure import load_bundled_structure, synthetic_chain
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,229 @@ def test_constant_force_solved_exactly_per_step():
         exact = (F / k_spring) * (1 - np.cos(w0 * hist.times))
         # piecewise-constant sampling of a constant force is lossless
         assert np.abs(hist.displacements[:, 0] - exact).max() < 1e-9
+
+
+# -- the dense-H, lstsq and per-step record routes the mode-space routes
+# replaced, kept as oracles --
+
+
+def oracle_evolve_harmonic(embedded, psi0, t):
+    psi0 = np.asarray(psi0, dtype=complex)
+    times = np.asarray(t, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("times must be nonnegative")
+    w, vecs = embedded.eig
+    coeff = vecs.conj().T @ psi0
+    phases = np.exp(-1j * np.outer(times, w))
+    states = (phases * coeff) @ vecs.T
+    return states[0] if times.ndim == 0 else states
+
+
+def oracle_decode_state(model, psi, energy):
+    psi = np.asarray(psi, dtype=complex)
+    n = model.n_dof
+    if psi.shape != (model.n_dof + model.n_edges,):
+        raise EncodingError("state length does not match the model")
+    block1, block2 = psi[:n], psi[n:]
+    scale = math.sqrt(2.0 * energy)
+    tol = dyn.DECODE_RTOL * max(np.linalg.norm(psi), 1e-300)
+    if np.linalg.norm(block1.imag) > tol:
+        raise EncodingError("velocity block is not real: encoding corrupted")
+    ydot = scale * block1.real
+    rhs = -1j * block2
+    y_hat, _, _, _ = np.linalg.lstsq(model.B.T, rhs.real, rcond=None)
+    residual = math.hypot(np.linalg.norm(model.B.T @ y_hat - rhs.real),
+                          np.linalg.norm(rhs.imag))
+    if residual > tol:
+        raise EncodingError("block outside the range of B^T: encoding corrupted")
+    y = scale * y_hat
+    sqrt_m = np.sqrt(model.masses)
+    return y / sqrt_m, ydot / sqrt_m
+
+
+def oracle_force_table(force, times, n_dof: int) -> np.ndarray:
+    n_steps = len(times) - 1
+    if force is None:
+        return np.zeros((max(n_steps, 0), n_dof))
+    if callable(force):
+        return np.array([np.asarray(force(t), dtype=float)
+                         for t in times[:-1]])
+    table = np.asarray(force, dtype=float)
+    if table.shape != (n_steps, n_dof):
+        raise ValueError(f"force table must have shape ({n_steps}, {n_dof})")
+    return table
+
+
+def oracle_evolve_inhomogeneous(model, u0, v0, force, T, n_steps):
+    if T < 0 or n_steps < 1:
+        raise ValueError("need T >= 0 and at least one step")
+    u0 = np.asarray(u0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    times = np.linspace(0.0, T, n_steps + 1)
+    forces = oracle_force_table(force, times, model.n_dof)
+    sqrt_m = np.sqrt(model.masses)
+    lam, modes = np.linalg.eigh(model.A)
+    lam = np.clip(lam, 0.0, None)
+    zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 1.0)
+    omega = np.sqrt(np.where(zero, 1.0, lam))  # placeholder on zero modes
+
+    a = modes.T @ (sqrt_m * u0)
+    adot = modes.T @ (sqrt_m * v0)
+    h = T / n_steps
+
+    n_snap = n_steps + 1
+    us = np.empty((n_snap, model.n_dof))
+    vs = np.empty((n_snap, model.n_dof))
+    energies = np.empty(n_snap)
+    snapshots = np.zeros((n_snap, model.n_dof + model.n_edges), dtype=complex)
+
+    def record(k):
+        y = modes @ a
+        ydot = modes @ adot
+        us[k] = y / sqrt_m
+        vs[k] = ydot / sqrt_m
+        energies[k] = 0.5 * (ydot @ ydot + y @ (model.A @ y))
+        if energies[k] > 0.0:
+            snap = np.concatenate([ydot.astype(complex), 1j * (model.B.T @ y)])
+            snapshots[k] = snap / np.sqrt(2.0 * energies[k])
+
+    record(0)
+    cos_h, sin_h = np.cos(omega * h), np.sin(omega * h)
+    for k in range(n_steps):
+        phi = modes.T @ (forces[k] / sqrt_m)
+        a_new = np.where(
+            zero,
+            a + adot * h + 0.5 * phi * h * h,
+            a * cos_h + adot * sin_h / omega + phi / np.where(zero, 1.0, lam) * (1.0 - cos_h),
+        )
+        adot_new = np.where(
+            zero,
+            adot + phi * h,
+            -a * omega * sin_h + adot * cos_h + phi / omega * sin_h,
+        )
+        a, adot = a_new, adot_new
+        record(k + 1)
+
+    composite = snapshots.ravel() / np.sqrt(n_snap)
+    return SimpleNamespace(times=times, displacements=us, velocities=vs,
+                           energies=energies, snapshots=snapshots,
+                           composite=composite)
+
+
+def _oracle_models():
+    path4 = (np.diag([1.0, 2.0, 2.0, 1.0]) - np.diag([1.0, 1.0, 1.0], 1)
+             - np.diag([1.0, 1.0, 1.0], -1))
+    return {
+        "chain5": build_gnm(synthetic_chain(5)),
+        "bundled-anm": build_anm(load_bundled_structure()),
+        "matrices-with-zero-mode": model_from_matrices(path4,
+                                                       [1.0, 2.0, 1.0, 3.0]),
+    }
+
+
+ORACLE_MODELS = _oracle_models()
+
+
+def _max_rel(a, ref):
+    return np.abs(np.asarray(a) - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("key", ORACLE_MODELS)
+def test_mode_space_routes_match_dense_and_lstsq_oracles(key):
+    model = ORACLE_MODELS[key]
+    emb = dyn.embed(model)
+    rng = np.random.default_rng(21)
+    st = encode_initial_conditions(model, rng.normal(size=model.n_dof),
+                                   rng.normal(size=model.n_dof))
+    ts = np.linspace(0.0, 20.0, 41)
+    states = dyn.evolve_harmonic(emb, st.psi, ts)
+    assert "H" not in vars(emb)  # the mode-space route never builds dense H
+    assert np.abs(states - oracle_evolve_harmonic(emb, st.psi, ts)).max() <= 1e-12
+    for psi in states[::8]:
+        u, v = dyn.decode_state(model, psi, st.energy)
+        u_ref, v_ref = oracle_decode_state(model, psi, st.energy)
+        assert np.abs(u - u_ref).max() <= 1e-10
+        assert np.abs(v - v_ref).max() <= 1e-10
+    # a random complex vector is no encoding: it still propagates alike,
+    # and both decoders refuse it
+    psi = rng.normal(size=emb.dim) + 1j * rng.normal(size=emb.dim)
+    assert _max_rel(dyn.evolve_harmonic(emb, psi, ts),
+                    oracle_evolve_harmonic(emb, psi, ts)) <= 1e-12
+    for decode in (dyn.decode_state, oracle_decode_state):
+        with pytest.raises(EncodingError):
+            decode(model, psi, 1.0)
+
+
+@pytest.mark.parametrize("key", ORACLE_MODELS)
+def test_driven_history_matches_record_loop_oracle(key):
+    model = ORACLE_MODELS[key]
+    n = model.n_dof
+    rng = np.random.default_rng(22)
+    u0, v0 = rng.normal(size=n), rng.normal(size=n)
+    table = rng.normal(size=(120, n))
+    for force in (table, lambda t: np.cos(t) * table[0], None):
+        hist = dyn.evolve_inhomogeneous(model, u0, v0, force, T=6.0, n_steps=120)
+        ref = oracle_evolve_inhomogeneous(model, u0, v0, force, 6.0, 120)
+        assert np.array_equal(hist.times, ref.times)
+        for name in ("displacements", "velocities", "energies"):
+            assert _max_rel(getattr(hist, name), getattr(ref, name)) <= 1e-12, name
+        # the lazy history equals the old eager arrays
+        assert np.abs(hist.snapshots - ref.snapshots).max() <= 1e-10
+        assert np.abs(hist.composite - ref.composite).max() <= 1e-10
+        assert abs(hist.composite_norm - 1) < 1e-12
+
+
+def test_soft_network_modes_oscillate_whatever_the_stiffness_scale():
+    # lambda = 2e-9 is the only nonzero mode: the zero-mode threshold is
+    # relative to lambda_max, so the mode oscillates rather than drifting
+    soft = model_from_matrices(1e-9 * np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                               np.ones(2))
+    omega, u0 = math.sqrt(2e-9), np.array([0.5, -0.5])
+    hist = dyn.evolve_inhomogeneous(soft, u0, np.zeros(2), None, T=2e4,
+                                    n_steps=100)
+    exact = np.outer(np.cos(omega * hist.times), u0)
+    assert np.abs(hist.displacements - exact).max() <= 1e-10
+    st = encode_initial_conditions(soft, u0, np.zeros(2))
+    psi = dyn.evolve_harmonic(dyn.embed(soft), st.psi, 2e4)
+    u, _ = dyn.decode_state(soft, psi, st.energy)
+    assert np.abs(u - exact[-1]).max() <= 1e-10
+
+
+def test_eigenpairs_are_computed_once_and_read_only(chain5_gnm):
+    pairs = chain5_gnm.eigenpairs
+    assert pairs is chain5_gnm.eigenpairs
+    lam, vecs = pairs
+    assert not lam.flags.writeable and not vecs.flags.writeable
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 1.0
+    assert np.array_equal(lam, np.linalg.eigh(chain5_gnm.A)[0])
+
+
+def test_force_shape_is_checked_for_callables_and_tables(chain5_gnm):
+    for force in (lambda t: 1.0, lambda t: np.ones(4), np.ones((4, 4)),
+                  np.ones(5)):
+        with pytest.raises(ValueError, match=r"force.*expected \(4, 5\)"):
+            dyn.evolve_inhomogeneous(chain5_gnm, np.zeros(5), np.zeros(5),
+                                     force, T=1.0, n_steps=4)
+
+
+@pytest.mark.parametrize("name", ["u0", "v0", "psi0"])
+def test_wrong_length_inputs_are_named(chain5_gnm, name):
+    short = np.zeros(4)
+    with pytest.raises(ValueError, match=rf"{name} has shape \(4,\)"):
+        if name == "psi0":
+            dyn.evolve_harmonic(dyn.embed(chain5_gnm), short, 1.0)
+        else:
+            u0, v0 = (short, np.zeros(5)) if name == "u0" else (np.zeros(5), short)
+            dyn.evolve_inhomogeneous(chain5_gnm, u0, v0, None, T=1.0, n_steps=4)
+
+
+@pytest.mark.parametrize("t", [np.ones((2, 3)), np.nan, [0.0, np.inf]],
+                         ids=["2-D", "nan", "inf"])
+def test_times_must_be_finite_and_at_most_1d(chain5_gnm, t):
+    st = encode_initial_conditions(chain5_gnm, [1.0, 0, 0, 0, -1.0], np.zeros(5))
+    with pytest.raises(ValueError, match="t must be finite"):
+        dyn.evolve_harmonic(dyn.embed(chain5_gnm), st.psi, t)
 
 
 def test_langevin_gamma_zero_is_unitary_conjugation(chain2, emb2):
