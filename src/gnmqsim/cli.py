@@ -270,14 +270,14 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path):
 
 
 def cmd_dos(cfg: RunConfig, out_dir: Path):
-    import numpy as np
     from . import dynamics as dy
     from . import observables as ob
     struct = _load_structure(cfg)
     model = _build_model(cfg, struct)
-    H = dy.embed(model).H
+    emb = dy.embed(model)
+    H = emb.operator
     alpha = cfg.alpha if cfg.alpha is not None else float(ob.spectral_bound(H))
-    eigenvalues = np.linalg.eigvalsh(H)
+    eigenvalues = emb.spectrum
     exact = ob.MomentSet.from_spectrum(eigenvalues, alpha, cfg.moments)
     columns, curve_src = {"k": range(cfg.moments + 1), "exact": exact.moments}, exact
     if cfg.probes > 0:

@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import EncodingError, NumericalError
 from .network import ZERO_MODE_RTOL, NetworkModel
@@ -38,8 +39,11 @@ class EmbeddedHamiltonian:
 
     H = -[[0, B], [B^T, 0]] acts on [velocity block; i*B^T y block]; its
     square is block-diagonal (B B^T, B^T B), so the nonzero spectrum comes
-    in +/- sqrt(eig A) pairs. H and its eigendecomposition are built on
-    first access; harmonic propagation never needs them.
+    in +/- sqrt(eig A) pairs. `spectrum` reads them from A's cached
+    eigenpairs and `operator` is H in sparse form; the density-of-states
+    read-out uses only these two. The dense H and its eigendecomposition
+    are built on first access, for the scalar-damping Langevin closed form
+    and `monte_carlo_encoded`; harmonic propagation needs neither form.
     """
 
     model: NetworkModel
@@ -55,6 +59,33 @@ class EmbeddedHamiltonian:
     @property
     def dim(self) -> int:
         return self.n_dof + self.n_edges
+
+    @cached_property
+    def operator(self) -> scipy.sparse.csr_array:
+        """H as a CSR matrix holding B's nonzeros twice (read-only arrays)."""
+        n, B = self.n_dof, self.model.B
+        i, j = np.nonzero(B)
+        H = scipy.sparse.csr_array(
+            (np.tile(-B[i, j], 2),
+             (np.concatenate([i, n + j]), np.concatenate([n + j, i]))),
+            shape=(self.dim, self.dim))
+        for arr in (H.data, H.indices, H.indptr):
+            arr.flags.writeable = False
+        return H
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of H: +/- sqrt(lam) over A's nonzero modes
+        (the zero-mode rule of `_modes`), padded with exact zeros; read-only."""
+        lam = self.model.eigenpairs[0]
+        root = np.sqrt(lam[lam > ZERO_MODE_RTOL * max(lam[-1], 0.0)])
+        if 2 * root.size > self.dim:
+            raise NumericalError(f"A has {root.size} nonzero modes, more than "
+                                 f"half the embedding dimension {self.dim}")
+        spectrum = np.concatenate([-root[::-1], np.zeros(self.dim - 2 * root.size),
+                                   root])
+        spectrum.flags.writeable = False
+        return spectrum
 
     @cached_property
     def H(self) -> np.ndarray:

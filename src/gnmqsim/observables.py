@@ -6,7 +6,10 @@ by one three-term recurrence run either exactly on the eigenvalues of X
 (spectral sums) or stochastically on Rademacher probes (Hutchinson
 estimator), then resummed with Jackson damping. alpha comes from a
 power-iteration bound so the rescaled spectrum stays inside [-1, 1],
-which also pins |mu_k| <= 1.
+which also pins |mu_k| <= 1. The bound and the probe recurrence only
+multiply by the matrix, so they take a dense array or a scipy.sparse
+matrix alike; `gnmqsim dos` passes the embedding's sparse H and takes the
+exact moments from its spectrum, read from A's eigenpairs.
 """
 from __future__ import annotations
 
@@ -87,16 +90,16 @@ def low_modes(model: NetworkModel, k: int) -> ModeSet:
                    matrix_norm=a_norm)
 
 
-def spectral_bound(matrix: np.ndarray) -> float:
+def spectral_bound(matrix) -> float:
     """1.01 times a power-iteration estimate of the spectral norm.
 
     Iterates with matrix^2 so +/- eigenvalue pairs of equal magnitude (the
     embedding's spectrum) cannot stall the iteration; ||matrix @ v||
     converges to the norm from below, and the 1 percent headroom keeps the
     returned bound above it once stabilized to 1e-7 relative (at most 1000
-    iterations).
+    iterations). matrix is a dense array or a scipy.sparse matrix: the
+    iteration only multiplies by it.
     """
-    matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     v = rademacher(_BOUND_SEED, 0, n) / math.sqrt(n)
     est = 0.0
@@ -163,14 +166,16 @@ def chebyshev_moments_exact(matrix: np.ndarray, alpha: float,
     return MomentSet.from_spectrum(np.linalg.eigvalsh(matrix), alpha, order)
 
 
-def chebyshev_moments_stochastic(matrix: np.ndarray, alpha: float, order: int,
+def chebyshev_moments_stochastic(matrix, alpha: float, order: int,
                                  probes: int, seed: int) -> MomentSet:
     """Hutchinson moment estimates over Rademacher probes, with stderr.
 
     Probe p draws its entries from the counter window [p*N, (p+1)*N), so
-    estimates are reproducible and independent of probe batching.
+    estimates are reproducible and independent of probe batching. matrix
+    is a dense array or a scipy.sparse matrix (the recurrence only
+    multiplies the probe block by matrix/alpha); a sparse H costs its
+    nonzeros per probe and step, a dense one N^2.
     """
-    matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     if probes < 1:
         raise ValueError("need at least one probe")
@@ -301,12 +306,21 @@ def displacement_stats(model: NetworkModel, kT: float) -> dict:
 
     The pseudo-inverse excludes zero modes (rigid motions carry no
     restoring force and have no equilibrium variance); masses do not enter
-    equilibrium statistics.
+    equilibrium statistics. With every mass 1, A equals K bit for bit, so
+    the pseudo-inverse is built from the model's cached eigenpairs of A,
+    dropping eigenvalues at or below ZERO_MODE_RTOL * lambda_max as pinv's
+    rcond does; other masses take pinv(K).
     """
     if kT < 0:
         raise ValueError("kT must be nonnegative")
-    correlation = kT * np.linalg.pinv(model.K, hermitian=True,
-                                      rcond=ZERO_MODE_RTOL)
+    if np.all(model.masses == 1.0):
+        lam, vecs = model.eigenpairs
+        keep = lam > ZERO_MODE_RTOL * max(lam[-1], 0.0)
+        inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=keep)
+        correlation = kT * ((vecs * inv) @ vecs.T)
+    else:
+        correlation = kT * np.linalg.pinv(model.K, hermitian=True,
+                                          rcond=ZERO_MODE_RTOL)
     per_dof = np.sqrt(np.clip(np.diag(correlation), 0.0, None))
     if model.kind == "anm":
         rmsd = np.sqrt(np.clip(np.diag(correlation), 0.0, None)

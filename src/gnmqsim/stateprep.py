@@ -283,8 +283,10 @@ def encode_initial_conditions(model: NetworkModel, u0: np.ndarray,
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if u0.shape != (model.n_dof,) or v0.shape != (model.n_dof,):
-        raise EncodingError(f"u0/v0 must have shape ({model.n_dof},)")
+    for name, arr in (("u0", u0), ("v0", v0)):
+        if arr.shape != (model.n_dof,):
+            raise EncodingError(f"{name} has shape {arr.shape}, "
+                                f"expected ({model.n_dof},)")
     sqrt_m = np.sqrt(model.masses)
     y = sqrt_m * u0
     ydot = sqrt_m * v0

@@ -7,8 +7,8 @@ import scipy.linalg
 
 from gnmqsim import dynamics as dyn
 from gnmqsim.errors import EncodingError, NumericalError
-from gnmqsim.network import (ZERO_MODE_RTOL, build_anm, build_gnm,
-                             model_from_matrices)
+from gnmqsim.network import (ZERO_MODE_RTOL, NetworkModel, build_anm,
+                             build_gnm, model_from_matrices)
 from gnmqsim.stateprep import encode_initial_conditions
 from gnmqsim.structure import load_bundled_structure, synthetic_chain
 
@@ -334,6 +334,31 @@ def test_eigenpairs_are_computed_once_and_read_only(chain5_gnm):
     with pytest.raises(ValueError):
         vecs[0, 0] = 1.0
     assert np.array_equal(lam, np.linalg.eigh(chain5_gnm.A)[0])
+
+
+@pytest.mark.parametrize("key", ORACLE_MODELS)
+def test_sparse_operator_and_spectrum_come_from_b_and_a(key):
+    model = ORACLE_MODELS[key]
+    emb = dyn.embed(model)
+    op, spectrum = emb.operator, emb.spectrum
+    assert op.format == "csr" and op.nnz == 2 * np.count_nonzero(model.B)
+    assert np.array_equal(op.toarray(), emb.H)
+    assert op is emb.operator and spectrum is emb.spectrum
+    assert not op.data.flags.writeable and not spectrum.flags.writeable
+    w = np.linalg.eigvalsh(emb.H)
+    assert np.abs(spectrum - w).max() <= 1e-12 * np.abs(w).max()
+    lam = model.eigenpairs[0]
+    n_nonzero = int(np.sum(lam > ZERO_MODE_RTOL * lam[-1]))
+    assert np.sum(spectrum == 0.0) == emb.dim - 2 * n_nonzero
+    assert np.array_equal(spectrum, -spectrum[::-1])
+
+
+def test_spectrum_refuses_more_nonzero_modes_than_h_can_hold():
+    model = NetworkModel(kind="custom", K=np.eye(3), masses=np.ones(3),
+                         A=np.eye(3), B=np.ones((3, 1)),
+                         edges=np.empty((0, 2), dtype=np.intp))
+    with pytest.raises(NumericalError, match=r"3 nonzero modes.*dimension 4"):
+        dyn.embed(model).spectrum
 
 
 def test_force_shape_is_checked_for_callables_and_tables(chain5_gnm):

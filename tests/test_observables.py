@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse
 
+from gnmqsim import cli
 from gnmqsim import dynamics as dyn
 from gnmqsim import observables as obs
 from gnmqsim.errors import NumericalError
-from gnmqsim.network import build_anm, build_gnm, model_from_matrices
+from gnmqsim.network import (ZERO_MODE_RTOL, build_anm, build_gnm,
+                             model_from_matrices)
 from gnmqsim.stateprep import encode_initial_conditions
-from gnmqsim.structure import ProteinStructure, synthetic_chain
+from gnmqsim.structure import (ProteinStructure, load_bundled_structure,
+                               synthetic_chain)
 
 
 def dense_recurrence_moments(matrix: np.ndarray, alpha: float,
@@ -240,3 +246,138 @@ def test_displacement_stats_groups_anm_triplets():
     assert stats["rmsd_per_dof"].shape == (9,)
     assert np.allclose(stats["rmsd"] ** 2,
                        stats["rmsd_per_dof"].reshape(3, 3).__pow__(2).sum(1))
+
+
+@pytest.mark.parametrize("build", [build_gnm, build_anm], ids=["gnm", "anm"])
+def test_displacement_stats_reads_cached_eigenpairs_for_unit_masses(build,
+                                                                    monkeypatch):
+    model = build(load_bundled_structure())
+    assert np.all(model.masses == 1.0)
+    ref = 1.5 * np.linalg.pinv(model.K, hermitian=True, rcond=ZERO_MODE_RTOL)
+    calls = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(a))
+    stats = obs.displacement_stats(model, kT=1.5)
+    assert not calls
+    assert np.abs(stats["correlation"] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_displacement_stats_takes_pinv_for_other_masses(monkeypatch):
+    chain = synthetic_chain(6)
+    heavy = ProteinStructure(positions=chain.positions,
+                             masses=np.linspace(1.0, 2.0, 6),
+                             labels=chain.labels, source_id="t")
+    model = build_gnm(heavy)
+    pinv, calls = np.linalg.pinv, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    stats = obs.displacement_stats(model, kT=2.0)
+    assert len(calls) == 1 and "eigenpairs" not in vars(model)
+    assert np.array_equal(stats["correlation"], 2.0 * pinv(
+        model.K, hermitian=True, rcond=ZERO_MODE_RTOL))
+
+
+# -- the dense read-out route, kept as the oracle of `gnmqsim dos` -------------
+
+
+def dense_dos_oracle(model, order: int, probes: int, seed: int):
+    """`gnmqsim dos` on the dense embedding: spectral_bound(H), eigvalsh(H),
+    exact moments of that spectrum and the probe recurrence on dense H."""
+    H = dyn.embed(model).H
+    alpha = obs.spectral_bound(H)
+    eigenvalues = np.linalg.eigvalsh(H)
+    return (alpha, eigenvalues,
+            obs.MomentSet.from_spectrum(eigenvalues, alpha, order),
+            obs.chebyshev_moments_stochastic(H, alpha, order, probes, seed))
+
+
+def _dos_models():
+    rng = np.random.default_rng(31)
+    w = np.triu(rng.uniform(0.5, 2.0, (7, 7)) * (rng.uniform(size=(7, 7)) < 0.5), 1)
+    w[np.arange(6), np.arange(1, 7)] = 1.0  # connected: exactly one zero mode
+    laplacian = np.diag((w + w.T).sum(axis=1)) - w - w.T
+    return {
+        "bundled-gnm": build_gnm(load_bundled_structure()),
+        "bundled-anm": build_anm(load_bundled_structure()),
+        "matrices-with-zero-mode": model_from_matrices(
+            laplacian, np.linspace(1.0, 3.0, 7)),
+    }
+
+
+DOS_MODELS = _dos_models()
+
+
+@pytest.mark.parametrize("key", DOS_MODELS)
+def test_mode_space_dos_matches_the_dense_oracle(key):
+    model = DOS_MODELS[key]
+    alpha, eigenvalues, exact, stoch = dense_dos_oracle(model, 100, 50, 0x2A)
+    emb = dyn.embed(model)
+    got_alpha = obs.spectral_bound(emb.operator)
+    assert abs(got_alpha - alpha) <= 1e-14 * alpha
+    assert np.abs(emb.spectrum - eigenvalues).max() <= 1e-12 * alpha
+    got = obs.MomentSet.from_spectrum(emb.spectrum, got_alpha, 100)
+    assert np.abs(got.moments - exact.moments).max() <= 1e-12
+    got = obs.chebyshev_moments_stochastic(emb.operator, got_alpha, 100, 50, 0x2A)
+    assert np.abs(got.moments - stoch.moments).max() <= 1e-13
+    assert np.abs(got.stderr - stoch.stderr).max() <= 1e-13
+    assert "H" not in vars(emb)
+    if key == "matrices-with-zero-mode":
+        assert model.n_edges < model.n_dof
+        assert np.sum(emb.spectrum == 0.0) == model.n_dof - model.n_edges
+
+
+def test_bound_and_probe_moments_take_dense_or_sparse_input(crambin_gnm):
+    for dense in (dyn.embed(crambin_gnm).H, crambin_gnm.A):
+        sparse = scipy.sparse.csr_array(dense)
+        alpha = obs.spectral_bound(dense)
+        assert abs(obs.spectral_bound(sparse) - alpha) <= 1e-14 * alpha
+        ref = obs.chebyshev_moments_stochastic(dense, alpha, 60, 20, 5)
+        got = obs.chebyshev_moments_stochastic(sparse, alpha, 60, 20, 5)
+        assert np.abs(got.moments - ref.moments).max() <= 1e-13
+        assert np.abs(got.stderr - ref.stderr).max() <= 1e-13
+
+
+@pytest.mark.parametrize("model_flag", ["gnm", "anm"])
+def test_dos_cli_never_builds_dense_h_and_matches_the_dense_oracle(
+        tmp_path, monkeypatch, model_flag):
+    model = DOS_MODELS[f"bundled-{model_flag}"]
+    alpha, eigenvalues, exact, stoch = dense_dos_oracle(model, 100, 50, 0x2A)
+
+    def refuse(self):
+        raise AssertionError("gnmqsim dos built the dense H")
+
+    monkeypatch.setattr(dyn.EmbeddedHamiltonian, "H", property(refuse))
+    out = tmp_path / "out"
+    assert cli.main(["dos", "--model", model_flag, "--probes", "50",
+                     "--out", str(out)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    table = np.loadtxt(out / "moments.csv", delimiter=",", skiprows=1)
+    assert abs(results["alpha"] - alpha) <= 1e-14 * alpha
+    assert results["n_eigenvalues"] == eigenvalues.size
+    assert np.abs(table[:, 1] - exact.moments).max() <= 1e-12
+    assert np.abs(table[:, 2] - stoch.moments).max() <= 1e-13
+    assert np.abs(table[:, 3] - stoch.stderr).max() <= 1e-13
+
+
+def test_dos_puts_every_null_eigenvalue_in_one_middle_bin(tmp_path):
+    model = DOS_MODELS["bundled-anm"]
+    spectrum = dyn.embed(model).spectrum
+    n_zero = int(np.sum(spectrum == 0.0))
+    assert n_zero == model.n_dof + model.n_edges - 2 * int(np.sum(spectrum > 0))
+    texts = []
+    for name in ("first", "second"):
+        assert cli.main(["dos", "--model", "anm", "--out",
+                         str(tmp_path / name)]) == 0
+        texts.append((tmp_path / name / "comparison.csv").read_bytes())
+    assert texts[0] == texts[1]
+    table = np.loadtxt(tmp_path / "first" / "comparison.csv", delimiter=",",
+                       skiprows=1)
+    counts = np.rint(table[:, 2] * (table[:, 1] - table[:, 0]) * spectrum.size)
+    assert counts.sum() == spectrum.size
+    edges = np.append(table[:, 0], table[-1, 1])
+    zeros_per_bin = counts - np.histogram(spectrum[spectrum != 0.0], edges)[0]
+    assert np.flatnonzero(zeros_per_bin).tolist() in ([19], [20])
+    assert zeros_per_bin.max() == n_zero

@@ -172,3 +172,14 @@ def test_encode_initial_conditions(chain5_gnm):
     from gnmqsim.errors import EncodingError
     with pytest.raises(EncodingError):
         sp.encode_initial_conditions(chain5_gnm, np.zeros(5), np.zeros(5))
+
+
+@pytest.mark.parametrize("name", ["u0", "v0"])
+def test_encode_names_the_wrong_length_argument(chain5_gnm, name):
+    from gnmqsim.errors import EncodingError
+    short, fine = np.zeros(4), np.ones(5)
+    u0, v0 = (short, fine) if name == "u0" else (fine, short)
+    with pytest.raises(EncodingError,
+                       match=rf"^{name} has shape \(4,\), expected \(5,\)$"):
+        sp.encode_initial_conditions(chain5_gnm, u0, v0)
+    assert issubclass(EncodingError, ValueError)
