@@ -2,18 +2,20 @@
 
 Harmonic motion, unitary propagation under the Hermitian embedding
 H = -[[0, B], [B^T, 0]], and decoding are computed blockwise from the
-model's cached eigenpairs of A = B B^T and B, since H^2 = diag(A, B^T B).
+model's cached eigenpairs of A = B B^T and its sparse factor B, since
+H^2 = diag(A, B^T B); H itself is stored only as a sparse operator.
 Forced motion steps A's mode coefficients exactly per grid step (forces
 held constant over each step) and rebuilds the history afterwards.
 Langevin damping evolves rho(t) = e^{tJ} rho0 e^{tJ+} + int_0^t e^{sJ} S S+
-e^{sJ+} ds under the generator J: in closed form in H's eigenbasis for
-scalar damping (J normal), by Van Loan's block exponential for velocity
-damping (J possibly defective). The Lyapunov identity J N + N J+ =
-E S S+ E+ - S S+, for the propagator E and noise integral N over the
-interval a route integrates, certifies the result to 1e-8 relative
-residual. Monte Carlo oracles integrate the matching SDEs with
-Euler-Maruyama and counter-based noise so ensembles are reproducible and
-paths are independent of execution order.
+e^{sJ+} ds under the dense dim x dim generator J: in closed form in the
+eigenbasis of the densified operator for scalar damping (J normal), by
+Van Loan's block exponential for velocity damping (J possibly
+defective). The Lyapunov identity J N + N J+ = E S S+ E+ - S S+, for
+the propagator E and noise integral N over the interval a route
+integrates, certifies the result to 1e-8 relative residual. Monte Carlo
+oracles integrate the matching SDEs with Euler-Maruyama and counter-based
+noise so ensembles are reproducible and paths are independent of
+execution order.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import EncodingError, NumericalError
-from .network import ZERO_MODE_RTOL, NetworkModel
-from .stateprep import MAX_R, cbrng_array
+from .network import NetworkModel
+from .stateprep import standard_normals
 
 DECODE_RTOL = 1e-8
 LYAPUNOV_RTOL = 1e-8
@@ -39,11 +41,12 @@ class EmbeddedHamiltonian:
 
     H = -[[0, B], [B^T, 0]] acts on [velocity block; i*B^T y block]; its
     square is block-diagonal (B B^T, B^T B), so the nonzero spectrum comes
-    in +/- sqrt(eig A) pairs. `spectrum` reads them from A's cached
-    eigenpairs and `operator` is H in sparse form; the density-of-states
-    read-out uses only these two. The dense H and its eigendecomposition
-    are built on first access, for the scalar-damping Langevin closed form
-    and `monte_carlo_encoded`; harmonic propagation needs neither form.
+    in +/- sqrt(eig A) pairs. H has two forms, both cached on first
+    access: `operator`, H as a sparse matrix built from B's nonzeros, and
+    `spectrum`, its eigenvalues read from A's cached eigenpairs. Routes
+    that need dense algebra (the Langevin generator, the scalar-damping
+    closed form) densify `operator` locally; harmonic propagation needs
+    neither form.
     """
 
     model: NetworkModel
@@ -63,11 +66,12 @@ class EmbeddedHamiltonian:
     @cached_property
     def operator(self) -> scipy.sparse.csr_array:
         """H as a CSR matrix holding B's nonzeros twice (read-only arrays)."""
-        n, B = self.n_dof, self.model.B
-        i, j = np.nonzero(B)
+        b = self.model.B.tocoo()
+        top, bottom = b.row, self.n_dof + b.col
+        # intp triplets, so H's index dtype does not depend on B's
         H = scipy.sparse.csr_array(
-            (np.tile(-B[i, j], 2),
-             (np.concatenate([i, n + j]), np.concatenate([n + j, i]))),
+            (np.tile(-b.data, 2), (np.concatenate([top, bottom], dtype=np.intp),
+                                   np.concatenate([bottom, top], dtype=np.intp))),
             shape=(self.dim, self.dim))
         for arr in (H.data, H.indices, H.indptr):
             arr.flags.writeable = False
@@ -76,9 +80,8 @@ class EmbeddedHamiltonian:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of H: +/- sqrt(lam) over A's nonzero modes
-        (the zero-mode rule of `_modes`), padded with exact zeros; read-only."""
-        lam = self.model.eigenpairs[0]
-        root = np.sqrt(lam[lam > ZERO_MODE_RTOL * max(lam[-1], 0.0)])
+        (the model's `zero_modes` mask), padded with exact zeros; read-only."""
+        root = np.sqrt(self.model.eigenpairs[0][~self.model.zero_modes])
         if 2 * root.size > self.dim:
             raise NumericalError(f"A has {root.size} nonzero modes, more than "
                                  f"half the embedding dimension {self.dim}")
@@ -86,18 +89,6 @@ class EmbeddedHamiltonian:
                                    root])
         spectrum.flags.writeable = False
         return spectrum
-
-    @cached_property
-    def H(self) -> np.ndarray:
-        H = np.zeros((self.dim, self.dim))
-        H[:self.n_dof, self.n_dof:] = -self.model.B
-        H[self.n_dof:, :self.n_dof] = -self.model.B.T
-        return H
-
-    @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and orthonormal eigenvectors of H."""
-        return np.linalg.eigh(self.H)
 
 
 def embed(model: NetworkModel) -> EmbeddedHamiltonian:
@@ -114,8 +105,7 @@ def _vector(value, name: str, size: int, dtype=float) -> np.ndarray:
 def _modes(model: NetworkModel, t=0.0):
     """A = U diag(lam) U^T (lam 0 on zero modes) and, per time and mode,
     cos(wt), sin(wt)/w and (cos(wt) - 1)/w^2 with zero-mode limits 1, t, -t^2/2."""
-    lam, U = model.eigenpairs
-    zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 0.0)
+    (lam, U), zero = model.eigenpairs, model.zero_modes
     lam, tt = np.where(zero, 0.0, lam), np.asarray(t, dtype=float)[..., None]
     omega = np.sqrt(np.where(zero, 1.0, lam))
     half = np.sin(0.5 * tt * omega) / omega
@@ -288,7 +278,8 @@ class LangevinParams:
         return math.sqrt(2.0 * self.kT * self.gamma)
 
     def generator(self, embedded: EmbeddedHamiltonian) -> np.ndarray:
-        J = -1j * embedded.H.astype(complex)
+        """J as a dense dim x dim matrix (it is dense by nature)."""
+        J = -1j * embedded.operator.toarray().astype(complex)
         if self.damping == "scalar":
             J -= self.gamma * np.eye(embedded.dim)
         else:
@@ -315,9 +306,10 @@ def _taylor_safe_ratio(denom: np.ndarray, t: float) -> np.ndarray:
 def _scalar_covariance(embedded, gamma, QQ, rho0, t):
     """Closed form in H's eigenbasis, exact because J = -iH - gamma*I is normal.
 
+    The eigenbasis comes from eigh of the densified operator (dim x dim).
     Returns rho(t), e^{Jt} and the noise integral over [0, t].
     """
-    w, vecs = embedded.eig
+    w, vecs = np.linalg.eigh(embedded.operator.toarray())
     decay = np.exp((-1j * w - gamma) * t)
     r0 = vecs.conj().T @ rho0 @ vecs
     first = vecs @ (np.outer(decay, decay.conj()) * r0) @ vecs.conj().T
@@ -388,26 +380,6 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
 # -- Monte Carlo oracles ---------------------------------------------------------
 
 
-def _normal_block(seed: int, bases: np.ndarray, count: int) -> np.ndarray:
-    """Box-Muller normals, `count` per row, from per-row counter windows.
-
-    Row p consumes counters bases[p] .. bases[p] + 2*ceil(count/2) - 1,
-    matching the layout of the scalar-window generator.
-    """
-    pairs = (count + 1) // 2
-    offs = np.arange(pairs, dtype=np.uint64) * np.uint64(2)
-    even = bases[:, None].astype(np.uint64) + offs[None, :]
-    r1 = cbrng_array(seed, even.ravel()).reshape(even.shape)
-    r2 = cbrng_array(seed, (even + np.uint64(1)).ravel()).reshape(even.shape)
-    u1 = (r1 + 1.0) / (MAX_R + 1.0)
-    u2 = r2 / MAX_R
-    radius = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty((even.shape[0], 2 * pairs))
-    out[:, 0::2] = radius * np.cos(2.0 * np.pi * u2)
-    out[:, 1::2] = radius * np.sin(2.0 * np.pi * u2)
-    return out[:, :count]
-
-
 def _noise_windows(seed: int, n_paths: int, n_steps: int, count: int):
     """Yield each step's (n_paths, count) normals of an ensemble.
 
@@ -418,7 +390,7 @@ def _noise_windows(seed: int, n_paths: int, n_steps: int, count: int):
     step_words = 2 * ((count + 1) // 2)
     bases0 = np.arange(n_paths, dtype=np.uint64) * np.uint64(n_steps * step_words)
     for k in range(n_steps):
-        yield _normal_block(seed, bases0 + np.uint64(k * step_words), count)
+        yield standard_normals(seed, bases0 + np.uint64(k * step_words), count)
 
 
 def _step_count(t: float, h_max: float, h: float | None) -> tuple[int, float]:
@@ -474,8 +446,7 @@ def monte_carlo_encoded(embedded: EmbeddedHamiltonian, params: LangevinParams,
     x0 = np.asarray(x0, dtype=complex)
     J = params.generator(embedded)
     S = params.noise_matrix(embedded)
-    w = embedded.eig[0]
-    h_max = 0.01 / max(float(np.max(np.abs(w))) + params.gamma, 1e-12)
+    h_max = 0.01 / max(float(embedded.spectrum[-1]) + params.gamma, 1e-12)
     n_steps, h = _step_count(t, h_max, h)
 
     x = np.tile(x0, (n_paths, 1))

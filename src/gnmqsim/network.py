@@ -11,6 +11,9 @@ Two flavors are built from a structure and a distance cutoff:
 too). One vectorised assembly builds K, the mass-weighted stiffness
 A = M^{-1/2} K M^{-1/2} and its incidence-style factor B with B B^T = A
 for both flavors, which downstream modules embed into a Hamiltonian.
+K and A are dense (eigh(A) is the one eigensolve); B is stored only as a
+sparse CSC array, filled from the contact arrays, with 2 nonzeros per
+contact for GNM and at most 6 for ANM.
 """
 from __future__ import annotations
 
@@ -37,7 +40,9 @@ class NetworkModel:
     K      : (n, n) stiffness matrix
     masses : (n,) mass per degree of freedom
     A      : mass-weighted stiffness M^{-1/2} K M^{-1/2}
-    B      : (n, n_edges) factor with B @ B.T == A
+    B      : (n, n_edges) factor with B @ B.T == A, a scipy.sparse
+             csc_array holding no explicit zeros (an exactly-zero ANM
+             direction component is not stored)
     edges  : (e, 2) integer contact pairs i < j in lexicographic order, one
              per column of B, each of stiffness `spring` (empty for
              `model_from_matrices`)
@@ -47,7 +52,7 @@ class NetworkModel:
     K: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
+    B: scipy.sparse.csc_array = field(repr=False)
     edges: np.ndarray = field(repr=False)
     cutoff: float = 0.0
     spring: float = 1.0
@@ -67,6 +72,16 @@ class NetworkModel:
         lam, vecs = np.linalg.eigh(self.A)
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
+
+    @cached_property
+    def zero_modes(self) -> np.ndarray:
+        """The one zero-mode rule, as a read-only mask over `eigenpairs`:
+        lam <= ZERO_MODE_RTOL * max(lam_max, 0), so every mode is a zero
+        mode when lam_max <= 0."""
+        lam = self.eigenpairs[0]
+        zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 0.0)
+        zero.flags.writeable = False
+        return zero
 
 
 def within_cutoff(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
@@ -104,7 +119,9 @@ def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
     b = -(d d^T)/dd to K's (i, j) and (j, i) blocks and -b to (i, i) and
     (j, j), scattered in contact order so sums round as a contact loop's.
     K is built at unit spring and scaled once. Column c of B holds
-    sqrt(spring / m) * d/|d| in site i's rows and its negative in j's.
+    sqrt(spring / m) * d/|d| in site i's rows and its negative in j's;
+    B is filled from those (row, column, value) triplets, exact zeros
+    dropped.
     """
     n, (e, k) = structure.n_atoms, d.shape
     off = np.arange(k)
@@ -118,10 +135,11 @@ def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
     A = mass_weight(K, masses)
     scale = np.sqrt(spring / structure.masses)[:, None]
     unit = d / np.sqrt(dd)[:, None]
-    B = np.zeros((k * n, e))
-    col = np.arange(e)[:, None]
-    B[k * i[:, None] + off, col] = scale[i] * unit
-    B[k * j[:, None] + off, col] = -scale[j] * unit
+    vals = np.stack([scale[i] * unit, -scale[j] * unit], axis=1)
+    c, end, comp = np.nonzero(vals)  # (contact, site i or j, component)
+    B = scipy.sparse.csc_array(
+        (vals[c, end, comp], (k * np.column_stack([i, j])[c, end] + comp, c)),
+        shape=(k * n, e))
     return NetworkModel(kind=kind, K=K, masses=masses, A=A, B=B,
                         edges=np.column_stack([i, j]), cutoff=cutoff,
                         spring=spring)
@@ -163,20 +181,18 @@ def mass_weight(K: np.ndarray, masses: np.ndarray) -> np.ndarray:
 def condition_diagnostics(model: NetworkModel) -> dict:
     """Spectral diagnostics of A: extreme eigenvalues, zero modes, kappa.
 
-    kappa is the ratio of the largest to the smallest nonzero eigenvalue
-    (zero modes excluded at relative threshold 1e-8 of the largest).
+    Read from the model's cached eigenpairs and zero-mode mask; kappa is
+    the ratio of the largest to the smallest nonzero eigenvalue.
     """
-    evals = np.linalg.eigvalsh(model.A)
-    lam_max = float(evals[-1])
-    if lam_max <= 0:
+    lam = model.eigenpairs[0]
+    lam_max, nonzero = float(lam[-1]), lam[~model.zero_modes]
+    if not nonzero.size:  # lam_max <= 0
         return {"lambda_max": lam_max, "lambda_min_nonzero": 0.0,
                 "kappa": np.inf, "n_zero_modes": model.n_dof}
-    nonzero = evals[evals > ZERO_MODE_RTOL * lam_max]
-    lam_min = float(nonzero[0]) if nonzero.size else 0.0
     return {
         "lambda_max": lam_max,
-        "lambda_min_nonzero": lam_min,
-        "kappa": lam_max / lam_min if lam_min > 0 else np.inf,
+        "lambda_min_nonzero": float(nonzero[0]),
+        "kappa": lam_max / float(nonzero[0]),
         "n_zero_modes": int(model.n_dof - nonzero.size),
     }
 
@@ -186,7 +202,8 @@ def model_from_matrices(K: np.ndarray, masses: np.ndarray,
     """Wrap explicit symmetric PSD K and masses as a NetworkModel.
 
     The factor B is recovered from the eigendecomposition of A (columns
-    scaled by sqrt of the nonzero eigenvalues), so B B^T = A still holds.
+    scaled by sqrt of the nonzero eigenvalues), so B B^T = A still holds;
+    it is stored as a CSC array like the assembled factors.
     Intended for hand-built test systems and control problems.
     """
     K = np.asarray(K, dtype=float)
@@ -196,7 +213,7 @@ def model_from_matrices(K: np.ndarray, masses: np.ndarray,
     if evals.size and evals[0] < -1e-10 * max(evals[-1], 1.0):
         raise NumericalError(f"K is not positive semidefinite (min eig {evals[0]:g})")
     keep = evals > ZERO_MODE_RTOL * max(evals[-1], 0.0)
-    B = vecs[:, keep] * np.sqrt(evals[keep])
+    B = scipy.sparse.csc_array(vecs[:, keep] * np.sqrt(evals[keep]))
     return NetworkModel(kind=kind, K=K, masses=masses, A=A, B=B,
                         edges=np.empty((0, 2), dtype=np.intp),
                         cutoff=0.0, spring=1.0)

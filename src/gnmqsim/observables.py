@@ -8,8 +8,10 @@ estimator), then resummed with Jackson damping. alpha comes from a
 power-iteration bound so the rescaled spectrum stays inside [-1, 1],
 which also pins |mu_k| <= 1. The bound and the probe recurrence only
 multiply by the matrix, so they take a dense array or a scipy.sparse
-matrix alike; `gnmqsim dos` passes the embedding's sparse H and takes the
-exact moments from its spectrum, read from A's eigenpairs.
+matrix alike; `gnmqsim dos` passes the embedding's sparse H (built from
+the model's sparse B) and takes the exact moments from its spectrum, read
+from A's eigenpairs. Zero modes are those of the model's `zero_modes`
+mask.
 """
 from __future__ import annotations
 
@@ -72,14 +74,14 @@ class ModeSet:
 
 
 def low_modes(model: NetworkModel, k: int) -> ModeSet:
-    """k smallest nonzero eigenpairs of A, zero modes excluded by threshold."""
+    """k smallest nonzero eigenpairs of A, zero modes excluded by the
+    model's `zero_modes` mask."""
     if not 0 < k < model.n_dof:
         raise ValueError("need 0 < k < n_dof")
     lam, vecs = model.eigenpairs
     a_norm = float(lam[-1]) if lam[-1] > 0 else 0.0
-    nonzero = lam > ZERO_MODE_RTOL * max(a_norm, 1e-300)
-    n_zero = int(np.sum(~nonzero))
-    idx = np.flatnonzero(nonzero)[:k]
+    n_zero = int(np.sum(model.zero_modes))
+    idx = np.flatnonzero(~model.zero_modes)[:k]
     if len(idx) < k:
         raise ValueError(f"only {len(idx)} nonzero modes available")
     eigenvalues, modes = lam[idx], vecs[:, idx]
@@ -230,7 +232,8 @@ class DosCurve:
     alpha: float
 
     def integral(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
+        from scipy.integrate import trapezoid  # heavy import, needed only here
+        return float(trapezoid(self.values, self.grid))
 
 
 def reconstruct_dos(moments: MomentSet, grid: np.ndarray | None = None,
@@ -308,15 +311,15 @@ def displacement_stats(model: NetworkModel, kT: float) -> dict:
     restoring force and have no equilibrium variance); masses do not enter
     equilibrium statistics. With every mass 1, A equals K bit for bit, so
     the pseudo-inverse is built from the model's cached eigenpairs of A,
-    dropping eigenvalues at or below ZERO_MODE_RTOL * lambda_max as pinv's
-    rcond does; other masses take pinv(K).
+    dropping its `zero_modes` (eigenvalues at or below ZERO_MODE_RTOL *
+    lambda_max, as pinv's rcond does); other masses take pinv(K).
     """
     if kT < 0:
         raise ValueError("kT must be nonnegative")
     if np.all(model.masses == 1.0):
         lam, vecs = model.eigenpairs
-        keep = lam > ZERO_MODE_RTOL * max(lam[-1], 0.0)
-        inv = np.divide(1.0, lam, out=np.zeros(lam.shape), where=keep)
+        inv = np.divide(1.0, lam, out=np.zeros(lam.shape),
+                        where=~model.zero_modes)
         correlation = kT * ((vecs * inv) @ vecs.T)
     else:
         correlation = kT * np.linalg.pinv(model.K, hermitian=True,

@@ -75,22 +75,25 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return r / MAX_R
 
 
-def standard_normals(seed: int, start: int, count: int) -> np.ndarray:
+def standard_normals(seed: int, start, count: int) -> np.ndarray:
     """Standard normals via Box-Muller on consecutive counter pairs.
 
     Draw k consumes counters start + 2*floor(k/2) and the one after it;
-    2*ceil(count/2) counters are consumed in total.
+    2*ceil(count/2) counters are consumed in total. start is an integer
+    (one vector of count draws) or a 1-D array of window starts (one row
+    of count draws per start).
     """
     pairs = (count + 1) // 2
-    u = cbrng_array(seed, np.arange(start, start + 2 * pairs, dtype=np.uint64))
-    u = u.reshape(pairs, 2)
-    u1 = (u[:, 0] + 1.0) / (MAX_R + 1.0)  # in (0, 1], log-safe
-    u2 = u[:, 1] / MAX_R
+    counters = np.add.outer(np.asarray(start, dtype=np.uint64),
+                            np.arange(2 * pairs, dtype=np.uint64))
+    u = cbrng_array(seed, counters).reshape(*counters.shape[:-1], pairs, 2)
+    u1 = (u[..., 0] + 1.0) / (MAX_R + 1.0)  # in (0, 1], log-safe
+    u2 = u[..., 1] / MAX_R
     radius = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    out[1::2] = radius * np.sin(2.0 * np.pi * u2)
-    return out[:count]
+    out = np.empty((*counters.shape[:-1], 2 * pairs))
+    out[..., 0::2] = radius * np.cos(2.0 * np.pi * u2)
+    out[..., 1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return out[..., :count]
 
 
 def rademacher(seed: int, start: int, count: int) -> np.ndarray:

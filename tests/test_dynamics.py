@@ -25,17 +25,18 @@ def emb2(chain2):
 
 def test_embedding_spectrum_is_plus_minus_pairs(chain5_gnm):
     emb = dyn.embed(chain5_gnm)
-    w = emb.eig[0]
+    H = emb.operator.toarray()
+    w = np.linalg.eigh(H)[0]
     lam = np.linalg.eigvalsh(chain5_gnm.A)
     nz = lam[lam > 1e-10 * lam[-1]]
     paired = np.sort(np.concatenate([np.sqrt(nz), -np.sqrt(nz),
                                      np.zeros(emb.dim - 2 * len(nz))]))
     assert np.allclose(np.sort(w), paired, atol=1e-10)
     # H^2 is block diagonal with the two mass-weighted stiffness factors
-    H2 = emb.H @ emb.H
+    H2, B = H @ H, chain5_gnm.B.toarray()
     n = chain5_gnm.n_dof
-    assert np.allclose(H2[:n, :n], chain5_gnm.B @ chain5_gnm.B.T, atol=1e-12)
-    assert np.allclose(H2[n:, n:], chain5_gnm.B.T @ chain5_gnm.B, atol=1e-12)
+    assert np.allclose(H2[:n, :n], B @ B.T, atol=1e-12)
+    assert np.allclose(H2[n:, n:], B.T @ B, atol=1e-12)
     assert np.allclose(H2[:n, n:], 0, atol=1e-15)
 
 
@@ -141,7 +142,18 @@ def test_constant_force_solved_exactly_per_step():
 
 
 # -- the dense-H, lstsq and per-step record routes the mode-space routes
-# replaced, kept as oracles --
+# replaced, and the dense-B operator the sparse B replaced, kept as oracles --
+
+
+def oracle_operator(model):
+    """H = -[[0, B], [B^T, 0]] in CSR form from the nonzeros of a dense B."""
+    n, B = model.n_dof, model.B.toarray()
+    i, j = np.nonzero(B)
+    dim = n + model.n_edges
+    return scipy.sparse.csr_array(
+        (np.tile(-B[i, j], 2),
+         (np.concatenate([i, n + j]), np.concatenate([n + j, i]))),
+        shape=(dim, dim))
 
 
 def oracle_evolve_harmonic(embedded, psi0, t):
@@ -149,7 +161,7 @@ def oracle_evolve_harmonic(embedded, psi0, t):
     times = np.asarray(t, dtype=float)
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
-    w, vecs = embedded.eig
+    w, vecs = np.linalg.eigh(embedded.operator.toarray())
     coeff = vecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, w))
     states = (phases * coeff) @ vecs.T
@@ -168,8 +180,9 @@ def oracle_decode_state(model, psi, energy):
         raise EncodingError("velocity block is not real: encoding corrupted")
     ydot = scale * block1.real
     rhs = -1j * block2
-    y_hat, _, _, _ = np.linalg.lstsq(model.B.T, rhs.real, rcond=None)
-    residual = math.hypot(np.linalg.norm(model.B.T @ y_hat - rhs.real),
+    Bt = model.B.toarray().T
+    y_hat, _, _, _ = np.linalg.lstsq(Bt, rhs.real, rcond=None)
+    residual = math.hypot(np.linalg.norm(Bt @ y_hat - rhs.real),
                           np.linalg.norm(rhs.imag))
     if residual > tol:
         raise EncodingError("block outside the range of B^T: encoding corrupted")
@@ -274,7 +287,7 @@ def test_mode_space_routes_match_dense_and_lstsq_oracles(key):
                                    rng.normal(size=model.n_dof))
     ts = np.linspace(0.0, 20.0, 41)
     states = dyn.evolve_harmonic(emb, st.psi, ts)
-    assert "H" not in vars(emb)  # the mode-space route never builds dense H
+    assert "operator" not in vars(emb)  # the mode-space route never builds H
     assert np.abs(states - oracle_evolve_harmonic(emb, st.psi, ts)).max() <= 1e-12
     for psi in states[::8]:
         u, v = dyn.decode_state(model, psi, st.energy)
@@ -336,16 +349,52 @@ def test_eigenpairs_are_computed_once_and_read_only(chain5_gnm):
     assert np.array_equal(lam, np.linalg.eigh(chain5_gnm.A)[0])
 
 
+OPERATOR_MODELS = {
+    "bundled-gnm": build_gnm(load_bundled_structure()),
+    "bundled-anm": ORACLE_MODELS["bundled-anm"],
+    "chain6-anm": build_anm(synthetic_chain(6)),
+    "matrices-with-zero-mode": ORACLE_MODELS["matrices-with-zero-mode"],
+}
+
+
+@pytest.mark.parametrize("key", OPERATOR_MODELS)
+def test_operator_is_bit_identical_to_the_dense_b_oracle(key):
+    model = OPERATOR_MODELS[key]
+    op, ref = dyn.embed(model).operator, oracle_operator(model)
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(op, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_embedding_keeps_only_operator_and_spectrum(chain5_gnm):
+    emb = dyn.embed(chain5_gnm)
+    assert not hasattr(emb, "H") and not hasattr(emb, "eig")
+    emb.operator, emb.spectrum
+    assert set(vars(emb)) == {"model", "operator", "spectrum"}
+
+
+@pytest.mark.parametrize("key", ORACLE_MODELS)
+def test_encoded_monte_carlo_step_bound_is_the_spectral_radius(key):
+    emb = dyn.embed(ORACLE_MODELS[key])
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    radius = float(np.abs(np.linalg.eigvalsh(emb.operator.toarray())).max())
+    for t in (0.01, 0.3, 1.0):
+        n_steps = max(1, math.ceil(t / (0.01 / max(radius + p.gamma, 1e-12))))
+        res = dyn.monte_carlo_encoded(emb, p, np.zeros(emb.dim), t, n_paths=2,
+                                      seed=3)
+        assert res["n_steps"] == n_steps and res["h"] == t / n_steps
+
+
 @pytest.mark.parametrize("key", ORACLE_MODELS)
 def test_sparse_operator_and_spectrum_come_from_b_and_a(key):
     model = ORACLE_MODELS[key]
     emb = dyn.embed(model)
     op, spectrum = emb.operator, emb.spectrum
-    assert op.format == "csr" and op.nnz == 2 * np.count_nonzero(model.B)
-    assert np.array_equal(op.toarray(), emb.H)
+    assert op.format == "csr" and op.nnz == 2 * model.B.nnz
+    assert np.array_equal(op.toarray(), oracle_operator(model).toarray())
     assert op is emb.operator and spectrum is emb.spectrum
     assert not op.data.flags.writeable and not spectrum.flags.writeable
-    w = np.linalg.eigvalsh(emb.H)
+    w = np.linalg.eigvalsh(op.toarray())
     assert np.abs(spectrum - w).max() <= 1e-12 * np.abs(w).max()
     lam = model.eigenpairs[0]
     n_nonzero = int(np.sum(lam > ZERO_MODE_RTOL * lam[-1]))
@@ -417,7 +466,7 @@ def test_langevin_zero_hamiltonian_integral():
 def _covariance_quadrature(embedded, params, rho0, t, nodes):
     J = params.generator(embedded)
     # enough nodes to resolve oscillation at the spectral frequency
-    w = embedded.eig[0]
+    w = np.linalg.eigvalsh(embedded.operator.toarray())
     freq = float(np.max(np.abs(w))) + params.gamma
     n_nodes = int(min(max(nodes, 64, math.ceil(1.5 * freq * t) + 16), 4096))
     x, wt = np.polynomial.legendre.leggauss(n_nodes)

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.spatial.distance import pdist, squareform
 
 from gnmqsim.connectivity import ConnectivityStore
@@ -87,11 +88,24 @@ def test_mass_weighting():
 @pytest.mark.parametrize("builder", [build_gnm, build_anm])
 def test_incidence_factorization(builder, crambin):
     model = builder(crambin)
-    assert np.allclose(model.B @ model.B.T, model.A, atol=1e-10)
+    B = model.B.toarray()
+    assert np.allclose(B @ B.T, model.A, atol=1e-10)
 
 
 def test_factor_column_count_matches_edges(crambin_gnm):
     assert crambin_gnm.B.shape == (46, crambin_gnm.n_edges)
+
+
+def test_factor_is_csc_without_explicit_zeros():
+    # a collinear chain: every ANM contact direction has exact-zero y and z
+    chain_anm = build_anm(synthetic_chain(6))
+    models = (chain_anm, build_gnm(synthetic_chain(6)),
+              build_anm(load_bundled_structure()),
+              model_from_matrices(np.diag([2.0, 0.0, 1.0]), np.ones(3)))
+    for model in models:
+        assert isinstance(model.B, scipy.sparse.csc_array)
+        assert model.B.nnz == np.count_nonzero(model.B.toarray())
+    assert chain_anm.B.nnz == 2 * chain_anm.n_edges
 
 
 def test_model_from_matrices_rejects_indefinite():
@@ -240,6 +254,6 @@ def test_assembly_matches_contact_loops(build, loop_build, make, spring):
     new, old = build(structure, spring=spring), loop_build(structure, spring=spring)
     assert np.array_equal(new.K, old.K)
     assert np.array_equal(new.A, old.A)
-    assert np.array_equal(new.B, old.B)
+    assert np.array_equal(new.B.toarray(), old.B)
     assert np.array_equal(new.edges,
                           np.array([(i, j) for i, j, _ in old.edges]).reshape(-1, 2))

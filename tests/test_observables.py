@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.integrate import trapezoid
 
 from gnmqsim import cli
 from gnmqsim import dynamics as dyn
 from gnmqsim import observables as obs
 from gnmqsim.errors import NumericalError
 from gnmqsim.network import (ZERO_MODE_RTOL, build_anm, build_gnm,
-                             model_from_matrices)
+                             condition_diagnostics, model_from_matrices)
 from gnmqsim.stateprep import encode_initial_conditions
 from gnmqsim.structure import (ProteinStructure, load_bundled_structure,
                                synthetic_chain)
@@ -91,8 +92,34 @@ def test_zero_modes_count_graph_components():
     assert np.sum(lam <= 1e-8 * lam[-1]) == 2
 
 
+def test_every_zero_mode_reader_uses_the_one_cached_mask():
+    far = synthetic_chain(6).positions.copy()
+    far[3:] += 100.0
+    split = build_gnm(ProteinStructure(positions=far, masses=np.ones(6),
+                                       labels=["X"] * 6, source_id="t"),
+                      cutoff=4.0)
+    zero = split.zero_modes
+    assert zero is split.zero_modes and not zero.flags.writeable
+    lam = split.eigenpairs[0]
+    assert np.array_equal(zero, lam <= ZERO_MODE_RTOL * lam[-1])
+    assert zero.sum() == 2
+    assert condition_diagnostics(split)["n_zero_modes"] == 2
+    assert obs.low_modes(split, 1).n_zero_modes == 2
+    assert np.sum(dyn.embed(split).spectrum == 0.0) == 6 + split.n_edges - 2 * 4
+    stats = obs.displacement_stats(split, 1.0)
+    vecs = split.eigenpairs[1]
+    assert np.abs(stats["correlation"] @ vecs[:, zero]).max() <= 1e-12
+    # lam_max <= 0: every mode is a zero mode
+    flat = model_from_matrices(np.zeros((3, 3)), np.ones(3))
+    assert flat.zero_modes.all()
+    assert condition_diagnostics(flat) == {"lambda_max": 0.0,
+                                           "lambda_min_nonzero": 0.0,
+                                           "kappa": np.inf, "n_zero_modes": 3}
+    assert flat.B.shape == (3, 0) and dyn.embed(flat).spectrum.tolist() == [0.0] * 3
+
+
 def test_spectral_bound_is_tight_upper_bound(crambin_gnm):
-    cases = [crambin_gnm.A, dyn.embed(crambin_gnm).H,
+    cases = [crambin_gnm.A, dyn.embed(crambin_gnm).operator.toarray(),
              np.diag([1.0, -1.0]), np.zeros((3, 3))]
     for M in cases:
         true = float(np.max(np.abs(np.linalg.eigvalsh(M)))) if M.size else 0.0
@@ -112,8 +139,8 @@ def test_exact_moments_match_eigenvalue_sums(crambin_gnm, crambin_alpha,
 
 
 def test_exact_moments_match_dense_recurrence(crambin, crambin_gnm):
-    cases = [crambin_gnm.A, dyn.embed(crambin_gnm).H,
-             dyn.embed(build_anm(crambin)).H]
+    cases = [crambin_gnm.A, dyn.embed(crambin_gnm).operator.toarray(),
+             dyn.embed(build_anm(crambin)).operator.toarray()]
     for M in cases:
         alpha = obs.spectral_bound(M)
         got = obs.chebyshev_moments_exact(M, alpha, 100)
@@ -199,7 +226,7 @@ def test_bin_masses_integrate_the_series(crambin_gnm, crambin_alpha):
     masses = obs.dos_bin_masses(mom, part)
     for lo, hi, mass in zip(part[:-1], part[1:], masses):
         grid = np.linspace(lo, hi, 20001)
-        quad = np.trapezoid(obs.reconstruct_dos(mom, grid=grid).values, grid)
+        quad = trapezoid(obs.reconstruct_dos(mom, grid=grid).values, grid)
         assert abs(quad - mass) < 5e-6
     with pytest.raises(ValueError):
         obs.dos_bin_masses(mom, np.array([0.5, 0.5]))
@@ -286,7 +313,7 @@ def test_displacement_stats_takes_pinv_for_other_masses(monkeypatch):
 def dense_dos_oracle(model, order: int, probes: int, seed: int):
     """`gnmqsim dos` on the dense embedding: spectral_bound(H), eigvalsh(H),
     exact moments of that spectrum and the probe recurrence on dense H."""
-    H = dyn.embed(model).H
+    H = dyn.embed(model).operator.toarray()
     alpha = obs.spectral_bound(H)
     eigenvalues = np.linalg.eigvalsh(H)
     return (alpha, eigenvalues,
@@ -323,14 +350,13 @@ def test_mode_space_dos_matches_the_dense_oracle(key):
     got = obs.chebyshev_moments_stochastic(emb.operator, got_alpha, 100, 50, 0x2A)
     assert np.abs(got.moments - stoch.moments).max() <= 1e-13
     assert np.abs(got.stderr - stoch.stderr).max() <= 1e-13
-    assert "H" not in vars(emb)
     if key == "matrices-with-zero-mode":
         assert model.n_edges < model.n_dof
         assert np.sum(emb.spectrum == 0.0) == model.n_dof - model.n_edges
 
 
 def test_bound_and_probe_moments_take_dense_or_sparse_input(crambin_gnm):
-    for dense in (dyn.embed(crambin_gnm).H, crambin_gnm.A):
+    for dense in (dyn.embed(crambin_gnm).operator.toarray(), crambin_gnm.A):
         sparse = scipy.sparse.csr_array(dense)
         alpha = obs.spectral_bound(dense)
         assert abs(obs.spectral_bound(sparse) - alpha) <= 1e-14 * alpha
@@ -346,10 +372,10 @@ def test_dos_cli_never_builds_dense_h_and_matches_the_dense_oracle(
     model = DOS_MODELS[f"bundled-{model_flag}"]
     alpha, eigenvalues, exact, stoch = dense_dos_oracle(model, 100, 50, 0x2A)
 
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("gnmqsim dos built the dense H")
 
-    monkeypatch.setattr(dyn.EmbeddedHamiltonian, "H", property(refuse))
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
     out = tmp_path / "out"
     assert cli.main(["dos", "--model", model_flag, "--probes", "50",
                      "--out", str(out)]) == 0

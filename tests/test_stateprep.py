@@ -56,6 +56,15 @@ def test_standard_normals_pair_consumption():
     assert np.array_equal(long[10:12], tail)
 
 
+def test_standard_normals_array_starts_match_per_start_calls():
+    starts = np.array([0, 7, 40, 41, 2 ** 40 + 3], dtype=np.uint64)
+    for count in (1, 5, 6):
+        block = sp.standard_normals(3, starts, count)
+        assert block.shape == (len(starts), count)
+        for row, start in zip(block, starts.tolist()):
+            assert np.array_equal(row, sp.standard_normals(3, start, count))
+
+
 def test_standard_normals_moments():
     z = sp.standard_normals(11, 0, 200_000)
     assert abs(z.mean()) < 0.01
