@@ -206,7 +206,7 @@ def cmd_model(cfg: RunConfig, out_dir: Path):
                [(i, j, model.spring) for i, j in model.edges.tolist()])
     nw.export_matrix_market(model.K, out_dir / "matrix.mtx",
                             comment=f"{cfg.model} stiffness matrix")
-    evals = np.linalg.eigvalsh(model.A)
+    evals = np.linalg.eigvalsh(model.A.toarray())
     _write_csv(out_dir / "spectrum.csv", ["index", "eigenvalue"],
                list(enumerate(evals)))
     return (["edges.csv", "matrix.mtx", "spectrum.csv"],

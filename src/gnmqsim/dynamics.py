@@ -33,6 +33,7 @@ from .stateprep import standard_normals
 
 DECODE_RTOL = 1e-8
 LYAPUNOV_RTOL = 1e-8
+_MC_BLOCK_ENTRIES = 1 << 20  # outer-product entries per block of paths
 
 
 @dataclass
@@ -45,8 +46,8 @@ class EmbeddedHamiltonian:
     access: `operator`, H as a sparse matrix built from B's nonzeros, and
     `spectrum`, its eigenvalues read from A's cached eigenpairs. Routes
     that need dense algebra (the Langevin generator, the scalar-damping
-    closed form) densify `operator` locally; harmonic propagation needs
-    neither form.
+    closed form) densify `operator` once per call and share that copy;
+    harmonic propagation needs neither form.
     """
 
     model: NetworkModel
@@ -239,7 +240,7 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
         coef[1, k + 1] = c * adot - lam * s * a + s * phis[k]
     y, ydot = coef @ U.T
     energies = 0.5 * (np.einsum("ti,ti->t", ydot, ydot)
-                      + np.einsum("ti,ti->t", y @ model.A, y))
+                      + np.einsum("ti,ti->t", (model.A @ y.T).T, y))
     return HistoryState(times=times, displacements=y / sqrt_m,
                         velocities=ydot / sqrt_m, energies=energies,
                         model=model)
@@ -277,14 +278,14 @@ class LangevinParams:
         """Fluctuation-dissipation amplitude sqrt(2 kT gamma)."""
         return math.sqrt(2.0 * self.kT * self.gamma)
 
-    def generator(self, embedded: EmbeddedHamiltonian) -> np.ndarray:
-        """J as a dense dim x dim matrix (it is dense by nature)."""
-        J = -1j * embedded.operator.toarray().astype(complex)
+    def generator(self, H: np.ndarray, n_dof: int) -> np.ndarray:
+        """J as a dense dim x dim matrix (it is dense by nature), from the
+        densified operator H and the size n_dof of the velocity block."""
+        J = -1j * H.astype(complex)
         if self.damping == "scalar":
-            J -= self.gamma * np.eye(embedded.dim)
+            J -= self.gamma * np.eye(H.shape[0])
         else:
-            J[:embedded.n_dof, :embedded.n_dof] -= (
-                self.gamma * np.eye(embedded.n_dof))
+            J[:n_dof, :n_dof] -= self.gamma * np.eye(n_dof)
         return J
 
     def noise_matrix(self, embedded: EmbeddedHamiltonian) -> np.ndarray:
@@ -303,13 +304,13 @@ def _taylor_safe_ratio(denom: np.ndarray, t: float) -> np.ndarray:
     return np.where(small, t * (1.0 - denom * t / 2.0), out)
 
 
-def _scalar_covariance(embedded, gamma, QQ, rho0, t):
+def _scalar_covariance(H, gamma, QQ, rho0, t):
     """Closed form in H's eigenbasis, exact because J = -iH - gamma*I is normal.
 
-    The eigenbasis comes from eigh of the densified operator (dim x dim).
+    The eigenbasis comes from eigh of the densified operator H (dim x dim).
     Returns rho(t), e^{Jt} and the noise integral over [0, t].
     """
-    w, vecs = np.linalg.eigh(embedded.operator.toarray())
+    w, vecs = np.linalg.eigh(H)
     decay = np.exp((-1j * w - gamma) * t)
     r0 = vecs.conj().T @ rho0 @ vecs
     first = vecs @ (np.outer(decay, decay.conj()) * r0) @ vecs.conj().T
@@ -362,11 +363,12 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
         raise ValueError("rho0 must be Hermitian")
     if t < 0:
         raise ValueError("time must be nonnegative")
-    J = params.generator(embedded)
+    H = embedded.operator.toarray()  # densified once, for J and the eigenbasis
+    J = params.generator(H, embedded.n_dof)
     Q = params.noise_matrix(embedded)
     QQ = Q @ Q.conj().T
     if params.damping == "scalar":
-        rho, prop, noise = _scalar_covariance(embedded, params.gamma, QQ, rho0, t)
+        rho, prop, noise = _scalar_covariance(H, params.gamma, QQ, rho0, t)
     else:
         rho, prop, noise = _velocity_covariance(J, params.gamma, QQ, rho0, t)
     resid = _lyapunov_residual(J, QQ, prop, noise)
@@ -441,10 +443,13 @@ def monte_carlo_encoded(embedded: EmbeddedHamiltonian, params: LangevinParams,
 
     Returns the ensemble second-moment matrix E[x x+] with per-entry
     standard errors (real and imaginary parts separately) for z-scoring
-    against the master-equation result.
+    against the master-equation result. Both are taken in two passes (the
+    mean, then the squared deviations from it) over blocks of paths whose
+    outer products hold about _MC_BLOCK_ENTRIES entries, so memory does not
+    grow with n_paths.
     """
     x0 = np.asarray(x0, dtype=complex)
-    J = params.generator(embedded)
+    J = params.generator(embedded.operator.toarray(), embedded.n_dof)
     S = params.noise_matrix(embedded)
     h_max = 0.01 / max(float(embedded.spectrum[-1]) + params.gamma, 1e-12)
     n_steps, h = _step_count(t, h_max, h)
@@ -453,10 +458,19 @@ def monte_carlo_encoded(embedded: EmbeddedHamiltonian, params: LangevinParams,
     sqrt_h = math.sqrt(h)
     for xi in _noise_windows(seed, n_paths, n_steps, S.shape[1]):
         x = x + h * (x @ J.T) + sqrt_h * (xi @ S.T)
-    outer = x[:, :, None] * x[:, None, :].conj()
-    second = outer.mean(axis=0)
-    stderr_real = outer.real.std(axis=0, ddof=1) / math.sqrt(n_paths)
-    stderr_imag = outer.imag.std(axis=0, ddof=1) / math.sqrt(n_paths)
+    dim = x.shape[1]
+    step = max(1, _MC_BLOCK_ENTRIES // (dim * dim))
+    blocks = [x[a:a + step] for a in range(0, n_paths, step)]
+    second = sum(((b[:, :, None] * b[:, None, :].conj()).sum(axis=0)
+                  for b in blocks), np.zeros((dim, dim), complex)) / n_paths
+    dev_real, dev_imag = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for b in blocks:
+        dev = b[:, :, None] * b[:, None, :].conj()
+        dev -= second
+        dev_real += np.square(dev.real).sum(axis=0)
+        dev_imag += np.square(dev.imag).sum(axis=0)
+    stderr_real, stderr_imag = (np.sqrt(dev / (n_paths - 1)) / math.sqrt(n_paths)
+                                for dev in (dev_real, dev_imag))
     return {
         "second_moment": second, "stderr_real": stderr_real,
         "stderr_imag": stderr_imag, "h": h, "n_steps": n_steps,

@@ -11,9 +11,11 @@ Two flavors are built from a structure and a distance cutoff:
 too). One vectorised assembly builds K, the mass-weighted stiffness
 A = M^{-1/2} K M^{-1/2} and its incidence-style factor B with B B^T = A
 for both flavors, which downstream modules embed into a Hamiltonian.
-K and A are dense (eigh(A) is the one eigensolve); B is stored only as a
-sparse CSC array, filled from the contact arrays, with 2 nonzeros per
-contact for GNM and at most 6 for ANM.
+K is dense. A is stored only as a sparse CSR array with the contact
+graph's sparsity (`eigenpairs`, the one eigensolve, densifies it; every
+other reader multiplies by it), and B only as a sparse CSC array, filled
+from the contact arrays, with 2 nonzeros per contact for GNM and at most
+6 for ANM. Neither holds explicit zeros.
 """
 from __future__ import annotations
 
@@ -39,7 +41,9 @@ class NetworkModel:
     kind   : "gnm" (scalar site DOF) or "anm" (3 DOF per site)
     K      : (n, n) stiffness matrix
     masses : (n,) mass per degree of freedom
-    A      : mass-weighted stiffness M^{-1/2} K M^{-1/2}
+    A      : mass-weighted stiffness M^{-1/2} K M^{-1/2}, a scipy.sparse
+             csr_array holding no explicit zeros; A.toarray() equals
+             mass_weight(K, masses) bit for bit
     B      : (n, n_edges) factor with B @ B.T == A, a scipy.sparse
              csc_array holding no explicit zeros (an exactly-zero ANM
              direction component is not stored)
@@ -51,7 +55,7 @@ class NetworkModel:
     kind: str
     K: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
-    A: np.ndarray = field(repr=False)
+    A: scipy.sparse.csr_array = field(repr=False)
     B: scipy.sparse.csc_array = field(repr=False)
     edges: np.ndarray = field(repr=False)
     cutoff: float = 0.0
@@ -68,8 +72,9 @@ class NetworkModel:
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """eigh(A) computed once: ascending eigenvalues and orthonormal
-        eigenvectors, both read-only, for every route in A's modes."""
-        lam, vecs = np.linalg.eigh(self.A)
+        eigenvectors, both read-only, for every route in A's modes. The
+        one place A is densified."""
+        lam, vecs = np.linalg.eigh(self.A.toarray())
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
 
@@ -120,8 +125,8 @@ def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
     (j, j), scattered in contact order so sums round as a contact loop's.
     K is built at unit spring and scaled once. Column c of B holds
     sqrt(spring / m) * d/|d| in site i's rows and its negative in j's;
-    B is filled from those (row, column, value) triplets, exact zeros
-    dropped.
+    B is filled from those (row, column, value) triplets and A from the
+    dense mass-weighted K, exact zeros dropped from both.
     """
     n, (e, k) = structure.n_atoms, d.shape
     off = np.arange(k)
@@ -132,7 +137,7 @@ def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
     np.add.at(K, (rows, cols), np.stack([block, block, -block, -block], axis=1))
     K = spring * K
     masses = np.repeat(structure.masses, k)
-    A = mass_weight(K, masses)
+    A = scipy.sparse.csr_array(mass_weight(K, masses))
     scale = np.sqrt(spring / structure.masses)[:, None]
     unit = d / np.sqrt(dd)[:, None]
     vals = np.stack([scale[i] * unit, -scale[j] * unit], axis=1)
@@ -203,7 +208,7 @@ def model_from_matrices(K: np.ndarray, masses: np.ndarray,
 
     The factor B is recovered from the eigendecomposition of A (columns
     scaled by sqrt of the nonzero eigenvalues), so B B^T = A still holds;
-    it is stored as a CSC array like the assembled factors.
+    A and B are stored as CSR and CSC arrays like the assembled ones.
     Intended for hand-built test systems and control problems.
     """
     K = np.asarray(K, dtype=float)
@@ -214,7 +219,8 @@ def model_from_matrices(K: np.ndarray, masses: np.ndarray,
         raise NumericalError(f"K is not positive semidefinite (min eig {evals[0]:g})")
     keep = evals > ZERO_MODE_RTOL * max(evals[-1], 0.0)
     B = scipy.sparse.csc_array(vecs[:, keep] * np.sqrt(evals[keep]))
-    return NetworkModel(kind=kind, K=K, masses=masses, A=A, B=B,
+    return NetworkModel(kind=kind, K=K, masses=masses,
+                        A=scipy.sparse.csr_array(A), B=B,
                         edges=np.empty((0, 2), dtype=np.intp),
                         cutoff=0.0, spring=1.0)
 

@@ -8,10 +8,11 @@ estimator), then resummed with Jackson damping. alpha comes from a
 power-iteration bound so the rescaled spectrum stays inside [-1, 1],
 which also pins |mu_k| <= 1. The bound and the probe recurrence only
 multiply by the matrix, so they take a dense array or a scipy.sparse
-matrix alike; `gnmqsim dos` passes the embedding's sparse H (built from
-the model's sparse B) and takes the exact moments from its spectrum, read
-from A's eigenpairs. Zero modes are those of the model's `zero_modes`
-mask.
+matrix alike, at the cost of its nonzeros per matvec: a model's A is a
+CSR array with the contact graph's sparsity, and `gnmqsim dos` passes the
+embedding's sparse H (built from the model's sparse B) and takes the
+exact moments from its spectrum, read from A's eigenpairs. Zero modes are
+those of the model's `zero_modes` mask.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import NumericalError
 from .network import ZERO_MODE_RTOL, NetworkModel
@@ -162,9 +164,14 @@ class MomentSet:
         return cls(alpha=float(alpha), moments=moments, method="exact")
 
 
-def chebyshev_moments_exact(matrix: np.ndarray, alpha: float,
-                            order: int) -> MomentSet:
-    """mu_k = Tr(T_k(matrix/alpha))/N of a symmetric matrix, from eigvalsh."""
+def chebyshev_moments_exact(matrix, alpha: float, order: int) -> MomentSet:
+    """mu_k = Tr(T_k(matrix/alpha))/N of a symmetric matrix, from eigvalsh.
+
+    matrix is a dense array or a scipy.sparse matrix; eigvalsh needs it
+    dense, so sparse input (such as a model's A) is densified here.
+    """
+    if scipy.sparse.issparse(matrix):
+        matrix = matrix.toarray()
     return MomentSet.from_spectrum(np.linalg.eigvalsh(matrix), alpha, order)
 
 

@@ -22,15 +22,21 @@ from gnmqsim.network import build_gnm, model_from_matrices
 from gnmqsim.structure import ProteinStructure, synthetic_chain
 
 
-def _run_address(circ, abits, addr):
-    bits = [0] * circ.n_qubits
-    for pos, b in enumerate(qc.bits_of(addr, abits)):
-        bits[pos] = b
+def _run_addresses(circ, abits):
+    """apply_basis on every abits-bit address at once, one row per address
+    (address bits big-endian on wires 0..abits-1, every other wire 0)."""
+    bits = np.zeros((2 ** abits, circ.n_qubits), dtype=np.uint8)
+    bits[:, :abits] = [qc.bits_of(addr, abits) for addr in range(2 ** abits)]
     return qc.apply_basis(circ, bits)
 
 
-def _word(out, wires):
-    return sum(out[w] << t for t, w in enumerate(wires))
+def _words(out, wires):
+    """Per row, the word held on wires (wires[t] is bit t)."""
+    return out[:, wires].astype(np.int64) @ (1 << np.arange(len(wires)))
+
+
+def _addresses_read_back(out, abits):
+    return [qc.value_of(row) for row in out[:, :abits]] == list(range(len(out)))
 
 
 def test_criterion_01_moments_match_eigenvalue_sums(crambin_gnm):
@@ -38,7 +44,7 @@ def test_criterion_01_moments_match_eigenvalue_sums(crambin_gnm):
     A = crambin_gnm.A
     alpha = obs.spectral_bound(A)
     exact = obs.chebyshev_moments_exact(A, alpha, 100)
-    lam = np.linalg.eigvalsh(A)
+    lam = np.linalg.eigvalsh(A.toarray())
     scaled = np.clip(lam / alpha, -1.0, 1.0)
     oracle = np.array([np.mean(np.cos(k * np.arccos(scaled)))
                        for k in range(101)])
@@ -57,7 +63,7 @@ def test_criterion_02_kpm_histogram_l1(crambin_gnm):
     A = crambin_gnm.A
     alpha = obs.spectral_bound(A)
     moments = obs.chebyshev_moments_exact(A, alpha, 8192)
-    lam = np.linalg.eigvalsh(A)
+    lam = np.linalg.eigvalsh(A.toarray())
     report = obs.dos_histogram_l1(lam, moments, bins=40)
     assert report["l1"] <= 0.05
     assert time.perf_counter() - t0 < 10.0
@@ -65,25 +71,26 @@ def test_criterion_02_kpm_histogram_l1(crambin_gnm):
 
 def test_criterion_03_circuits_exhaustive_basis_equivalence():
     t0 = time.perf_counter()
-    # one-hot decoders: every address at every width up to 256 outputs
+    # one-hot decoders: every address at every width up to 256 outputs,
+    # each circuit's addresses run as one batch, one row per address
     for n in range(1, 9):
         circ = qc.build_decoder(n)
         pi = circ.meta["pi"]
         hot_wires = circ.meta["onehot_wires"]
         scratch = circ.meta.get("scratch_wires", [])
         copies = circ.meta.get("copy_wires", [])
-        for addr in range(2 ** n):
-            out = _run_address(circ, n, addr)
-            hot = [out[w] for w in hot_wires]
-            assert sum(hot) == 1 and hot.index(1) == pi[addr]
-            assert qc.value_of(out[:n]) == addr
-            # fanout ancillas restored; routing tree holds one hot
-            # wire per interior level (uncomputed inside a QROM)
-            assert all(out[w] == 0 for w in copies)
-            assert sum(out[w] for w in scratch) == n - 1
+        out = _run_addresses(circ, n)
+        hot = out[:, hot_wires]
+        assert np.all(hot.sum(axis=1) == 1)
+        assert np.array_equal(hot.argmax(axis=1), pi)
+        assert _addresses_read_back(out, n)
+        # fanout ancillas restored; routing tree holds one hot
+        # wire per interior level (uncomputed inside a QROM)
+        assert not out[:, copies].any()
+        assert np.all(out[:, scratch].sum(axis=1) == n - 1)
 
     # data loaders: the companion dictionary, then random tables, driven
-    # by every single-hot input and the all-cold input
+    # by the all-cold input (row 0) and every single-hot input (row h + 1)
     rng = np.random.default_rng(303)
     dictionaries = [({1: 0b10, 2: 0b11, 3: 0b01}, 4, 2)]
     for n_onehot in (16, 64, 256):
@@ -96,14 +103,12 @@ def test_criterion_03_circuits_exhaustive_basis_equivalence():
                                     word_width=width)
         hot_wires = circ.meta["onehot_wires"]
         out_wires = circ.meta["output_wires"]
-        for hot in range(-1, n_onehot):  # -1 drives the all-cold input
-            bits = [0] * circ.n_qubits
-            if hot >= 0:
-                bits[hot_wires[hot]] = 1
-            out = qc.apply_basis(circ, bits)
-            assert _word(out, out_wires) == (table.get(hot, 0)
-                                             if hot >= 0 else 0)
-            assert [out[w] for w in hot_wires] == [bits[w] for w in hot_wires]
+        bits = np.zeros((n_onehot + 1, circ.n_qubits), dtype=np.uint8)
+        bits[np.arange(1, n_onehot + 1), hot_wires] = 1
+        out = qc.apply_basis(circ, bits)
+        expect = [0] + [table.get(hot, 0) for hot in range(n_onehot)]
+        assert _words(out, out_wires).tolist() == expect
+        assert np.array_equal(out[:, hot_wires], bits[:, hot_wires])
 
     # QROMs: exhaustive address sweeps over a size ladder to N = 256,
     # powers of two plus ragged sizes that exercise the padding branches
@@ -114,14 +119,12 @@ def test_criterion_03_circuits_exhaustive_basis_equivalence():
         abits = circ.meta["n_address_bits"]
         out_wires = circ.meta["output_wires"]
         touched = set(circ.meta["address_wires"]) | set(out_wires)
-        for addr in range(2 ** abits):
-            out = _run_address(circ, abits, addr)
-            expect = table[addr] if addr < n_items else 0
-            assert _word(out, out_wires) == expect
-            assert qc.value_of(out[:abits]) == addr
-            for w in range(circ.n_qubits):
-                if w not in touched:
-                    assert out[w] == 0
+        untouched = [w for w in range(circ.n_qubits) if w not in touched]
+        out = _run_addresses(circ, abits)
+        expect = table + [0] * (2 ** abits - n_items)
+        assert _words(out, out_wires).tolist() == expect
+        assert _addresses_read_back(out, abits)
+        assert not out[:, untouched].any()
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -199,7 +202,7 @@ def test_criterion_07_harmonic_energy_and_analytic_trajectory():
     sqm = np.sqrt(chain.masses)
 
     # independent analytic route: eigenmode coefficients in closed form
-    lam, modes = np.linalg.eigh(chain.A)
+    lam, modes = np.linalg.eigh(chain.A.toarray())
     zero = lam <= 1e-10 * lam[-1]
     y0, yd0 = sqm * u0, sqm * v0
     a0, ad0 = modes.T @ y0, modes.T @ yd0
@@ -217,7 +220,7 @@ def test_criterion_07_harmonic_energy_and_analytic_trajectory():
         psi = dyn.evolve_harmonic(emb, st.psi, float(t))
         u, v = dyn.decode_state(chain, psi, st.energy)
         y, yd = sqm * u, sqm * v
-        E = 0.5 * (yd @ yd + y @ chain.A @ y)
+        E = 0.5 * (yd @ yd + y @ (chain.A @ y))
         assert abs(E - st.energy) <= 1e-10 * st.energy
         u_ref, v_ref = analytic(float(t))
         assert np.abs(u - u_ref).max() <= 1e-8

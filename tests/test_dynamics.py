@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from gnmqsim import dynamics as dyn
 from gnmqsim.errors import EncodingError, NumericalError
@@ -27,7 +29,7 @@ def test_embedding_spectrum_is_plus_minus_pairs(chain5_gnm):
     emb = dyn.embed(chain5_gnm)
     H = emb.operator.toarray()
     w = np.linalg.eigh(H)[0]
-    lam = np.linalg.eigvalsh(chain5_gnm.A)
+    lam = np.linalg.eigvalsh(chain5_gnm.A.toarray())
     nz = lam[lam > 1e-10 * lam[-1]]
     paired = np.sort(np.concatenate([np.sqrt(nz), -np.sqrt(nz),
                                      np.zeros(emb.dim - 2 * len(nz))]))
@@ -75,12 +77,12 @@ def test_energy_conserved_to_ten_digits_over_long_window(chain5_gnm):
                                 dyn.evolve_harmonic(emb, st.psi, float(t)),
                                 st.energy)
         y, yd = sqm * u, sqm * v
-        E = 0.5 * (yd @ yd + y @ chain5_gnm.A @ y)
+        E = 0.5 * (yd @ yd + y @ (chain5_gnm.A @ y))
         assert abs(E - st.energy) / st.energy <= 1e-10
 
 
 def test_decode_round_trip_drops_only_rigid_motion(chain5_gnm):
-    lam, modes = np.linalg.eigh(chain5_gnm.A)
+    lam, modes = np.linalg.eigh(chain5_gnm.A.toarray())
     null = modes[:, lam <= 1e-10 * lam[-1]]
     sqm = np.sqrt(chain5_gnm.masses)
     rng = np.random.default_rng(5)
@@ -212,7 +214,7 @@ def oracle_evolve_inhomogeneous(model, u0, v0, force, T, n_steps):
     times = np.linspace(0.0, T, n_steps + 1)
     forces = oracle_force_table(force, times, model.n_dof)
     sqrt_m = np.sqrt(model.masses)
-    lam, modes = np.linalg.eigh(model.A)
+    lam, modes = np.linalg.eigh(model.A.toarray())
     lam = np.clip(lam, 0.0, None)
     zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 1.0)
     omega = np.sqrt(np.where(zero, 1.0, lam))  # placeholder on zero modes
@@ -346,7 +348,7 @@ def test_eigenpairs_are_computed_once_and_read_only(chain5_gnm):
     assert not lam.flags.writeable and not vecs.flags.writeable
     with pytest.raises(ValueError):
         vecs[0, 0] = 1.0
-    assert np.array_equal(lam, np.linalg.eigh(chain5_gnm.A)[0])
+    assert np.array_equal(lam, np.linalg.eigh(chain5_gnm.A.toarray())[0])
 
 
 OPERATOR_MODELS = {
@@ -404,7 +406,8 @@ def test_sparse_operator_and_spectrum_come_from_b_and_a(key):
 
 def test_spectrum_refuses_more_nonzero_modes_than_h_can_hold():
     model = NetworkModel(kind="custom", K=np.eye(3), masses=np.ones(3),
-                         A=np.eye(3), B=np.ones((3, 1)),
+                         A=scipy.sparse.csr_array(np.eye(3)),
+                         B=scipy.sparse.csc_array(np.ones((3, 1))),
                          edges=np.empty((0, 2), dtype=np.intp))
     with pytest.raises(NumericalError, match=r"3 nonzero modes.*dimension 4"):
         dyn.embed(model).spectrum
@@ -464,9 +467,10 @@ def test_langevin_zero_hamiltonian_integral():
 
 
 def _covariance_quadrature(embedded, params, rho0, t, nodes):
-    J = params.generator(embedded)
+    H = embedded.operator.toarray()
+    J = params.generator(H, embedded.n_dof)
     # enough nodes to resolve oscillation at the spectral frequency
-    w = np.linalg.eigvalsh(embedded.operator.toarray())
+    w = np.linalg.eigvalsh(H)
     freq = float(np.max(np.abs(w))) + params.gamma
     n_nodes = int(min(max(nodes, 64, math.ceil(1.5 * freq * t) + 16), 4096))
     x, wt = np.polynomial.legendre.leggauss(n_nodes)
@@ -596,6 +600,73 @@ def test_monte_carlo_seed_and_prefix_stability(chain2, emb2):
         small = finals(60, 11)
         assert np.array_equal(a[:60], small)
         assert not np.array_equal(small, finals(60, 12))
+
+
+def oracle_encoded_moments(finals):
+    """The one-array formula monte_carlo_encoded used before it went
+    blockwise: every path's outer product at once, then numpy's mean and
+    two-pass std."""
+    outer = finals[:, :, None] * finals[:, None, :].conj()
+    root_n = math.sqrt(len(finals))
+    return (outer.mean(axis=0), outer.real.std(axis=0, ddof=1) / root_n,
+            outer.imag.std(axis=0, ddof=1) / root_n)
+
+
+def _encoded_start(model):
+    st = encode_initial_conditions(model, np.linspace(-0.5, 0.5, model.n_dof),
+                                   np.zeros(model.n_dof))
+    return st.psi * np.sqrt(2 * st.energy)
+
+
+def test_blocked_encoded_moments_match_the_one_array_oracle(chain2):
+    bundled = build_gnm(load_bundled_structure())
+    # dim 3 fits one block; dim 199 takes 26 paths per block, 4 blocks
+    for model, n_paths, t in ((chain2, 500, 0.5), (bundled, 100, 0.05)):
+        emb = dyn.embed(model)
+        for damping in ("scalar", "velocity"):
+            p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping)
+            res = dyn.monte_carlo_encoded(emb, p, _encoded_start(model), t,
+                                          n_paths=n_paths, seed=9)
+            got = (res["second_moment"], res["stderr_real"], res["stderr_imag"])
+            for value, ref in zip(got, oracle_encoded_moments(res["finals"])):
+                assert value.shape == ref.shape
+                # summation order only: 1e-13 of the largest entry
+                assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_encoded_monte_carlo_memory_does_not_grow_with_paths():
+    model = build_gnm(load_bundled_structure())
+    emb = dyn.embed(model)
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    x0 = _encoded_start(model)
+    emb.operator, emb.spectrum  # cached before tracing
+    tracemalloc.start()
+    try:
+        res = dyn.monte_carlo_encoded(emb, p, x0, 0.05, n_paths=1000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emb.dim == 199 and res["n_steps"] == 19
+    # 37 MiB measured; the (n_paths, dim, dim) outer-product array alone
+    # would be 604 MiB
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("damping", ["scalar", "velocity"])
+def test_langevin_covariance_densifies_the_operator_once(chain2, emb2,
+                                                         monkeypatch, damping):
+    calls = []
+    toarray = scipy.sparse.csr_array.toarray
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.shape)
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", counted)
+    x0 = _encoded_start(chain2)
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping)
+    dyn.evolve_langevin_covariance(emb2, p, np.outer(x0, x0.conj()), 1.0)
+    assert calls == [(emb2.dim, emb2.dim)]
 
 
 def test_noiseless_damped_path_matches_analytic():

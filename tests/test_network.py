@@ -63,14 +63,14 @@ def test_anm_two_atom_block():
 
 
 def test_anm_zero_mode_counts():
-    ev_line = np.linalg.eigvalsh(build_anm(synthetic_chain(3)).A)
+    ev_line = np.linalg.eigvalsh(build_anm(synthetic_chain(3)).A.toarray())
     # collinear chain: 2 stretch modes carry the only restoring forces
     assert int((ev_line <= 1e-8 * ev_line[-1]).sum()) == 7
     pos = synthetic_chain(3).positions.copy()
     pos[2] = [1.9, 3.3, 0.0]
     bent = ProteinStructure(positions=pos, masses=np.ones(3),
                             labels=["A1", "A2", "A3"])
-    ev_bent = np.linalg.eigvalsh(build_anm(bent).A)
+    ev_bent = np.linalg.eigvalsh(build_anm(bent).A.toarray())
     # non-collinear: exactly the six rigid-body motions
     assert int((ev_bent <= 1e-8 * ev_bent[-1]).sum()) == 6
 
@@ -89,7 +89,7 @@ def test_mass_weighting():
 def test_incidence_factorization(builder, crambin):
     model = builder(crambin)
     B = model.B.toarray()
-    assert np.allclose(B @ B.T, model.A, atol=1e-10)
+    assert np.allclose(B @ B.T, model.A.toarray(), atol=1e-10)
 
 
 def test_factor_column_count_matches_edges(crambin_gnm):
@@ -106,6 +106,39 @@ def test_factor_is_csc_without_explicit_zeros():
         assert isinstance(model.B, scipy.sparse.csc_array)
         assert model.B.nnz == np.count_nonzero(model.B.toarray())
     assert chain_anm.B.nnz == 2 * chain_anm.n_edges
+
+
+def _stiffness_models():
+    crambin = load_bundled_structure()
+    heavy = ProteinStructure(
+        positions=crambin.positions,
+        masses=np.random.default_rng(8).uniform(0.5, 4.0, crambin.n_atoms),
+        labels=crambin.labels)
+    return {"bundled-gnm": build_gnm(crambin), "bundled-anm": build_anm(crambin),
+            "nonunit-mass-anm": build_anm(heavy),
+            "matrices": model_from_matrices(build_gnm(synthetic_chain(7)).K,
+                                            np.linspace(1.0, 3.0, 7))}
+
+
+STIFFNESS_MODELS = _stiffness_models()
+
+
+@pytest.mark.parametrize("key", sorted(STIFFNESS_MODELS))
+def test_stiffness_is_csr_without_explicit_zeros_and_equals_mass_weight(key):
+    model = STIFFNESS_MODELS[key]
+    dense = mass_weight(model.K, model.masses)
+    assert isinstance(model.A, scipy.sparse.csr_array)
+    assert model.A.has_canonical_format and np.all(model.A.data != 0.0)
+    assert model.A.nnz == np.count_nonzero(dense)
+    assert model.A.toarray().tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("key", sorted(STIFFNESS_MODELS))
+def test_eigenpairs_are_bit_identical_to_eigh_of_the_dense_a(key):
+    model = STIFFNESS_MODELS[key]
+    lam, vecs = np.linalg.eigh(mass_weight(model.K, model.masses))
+    assert model.eigenpairs[0].tobytes() == lam.tobytes()
+    assert model.eigenpairs[1].tobytes() == vecs.tobytes()
 
 
 def test_model_from_matrices_rejects_indefinite():
@@ -253,7 +286,7 @@ def test_assembly_matches_contact_loops(build, loop_build, make, spring):
     structure = make()
     new, old = build(structure, spring=spring), loop_build(structure, spring=spring)
     assert np.array_equal(new.K, old.K)
-    assert np.array_equal(new.A, old.A)
+    assert np.array_equal(new.A.toarray(), old.A)
     assert np.array_equal(new.B.toarray(), old.B)
     assert np.array_equal(new.edges,
                           np.array([(i, j) for i, j, _ in old.edges]).reshape(-1, 2))

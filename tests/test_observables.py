@@ -88,7 +88,7 @@ def test_zero_modes_count_graph_components():
     split = ProteinStructure(positions=far, masses=np.ones(6),
                              labels=["X"] * 6, source_id="t")
     m = build_gnm(split, cutoff=4.0)
-    lam = np.linalg.eigvalsh(m.A)
+    lam = np.linalg.eigvalsh(m.A.toarray())
     assert np.sum(lam <= 1e-8 * lam[-1]) == 2
 
 
@@ -119,7 +119,7 @@ def test_every_zero_mode_reader_uses_the_one_cached_mask():
 
 
 def test_spectral_bound_is_tight_upper_bound(crambin_gnm):
-    cases = [crambin_gnm.A, dyn.embed(crambin_gnm).operator.toarray(),
+    cases = [crambin_gnm.A.toarray(), dyn.embed(crambin_gnm).operator.toarray(),
              np.diag([1.0, -1.0]), np.zeros((3, 3))]
     for M in cases:
         true = float(np.max(np.abs(np.linalg.eigvalsh(M)))) if M.size else 0.0
@@ -131,7 +131,7 @@ def test_spectral_bound_is_tight_upper_bound(crambin_gnm):
 
 def test_exact_moments_match_eigenvalue_sums(crambin_gnm, crambin_alpha,
                                              crambin_exact_moments):
-    lam = np.linalg.eigvalsh(crambin_gnm.A)
+    lam = np.linalg.eigvalsh(crambin_gnm.A.toarray())
     scaled = np.clip(lam / crambin_alpha, -1.0, 1.0)
     oracle = np.array([np.mean(np.cos(k * np.arccos(scaled)))
                        for k in range(101)])
@@ -139,7 +139,7 @@ def test_exact_moments_match_eigenvalue_sums(crambin_gnm, crambin_alpha,
 
 
 def test_exact_moments_match_dense_recurrence(crambin, crambin_gnm):
-    cases = [crambin_gnm.A, dyn.embed(crambin_gnm).operator.toarray(),
+    cases = [crambin_gnm.A.toarray(), dyn.embed(crambin_gnm).operator.toarray(),
              dyn.embed(build_anm(crambin)).operator.toarray()]
     for M in cases:
         alpha = obs.spectral_bound(M)
@@ -180,7 +180,7 @@ def test_moment_set_rejects_inconsistent_values(crambin_gnm):
         obs.MomentSet(alpha=1.0, moments=np.array([0.9, 0.1]), method="exact")
     with pytest.raises(NumericalError):
         obs.MomentSet(alpha=1.0, moments=np.array([1.0, 1.4]), method="exact")
-    lam_max = np.linalg.eigvalsh(crambin_gnm.A)[-1]
+    lam_max = np.linalg.eigvalsh(crambin_gnm.A.toarray())[-1]
     with pytest.raises(NumericalError, match="alpha too small"):
         obs.chebyshev_moments_exact(crambin_gnm.A, 0.5 * lam_max, 10)
 
@@ -235,7 +235,7 @@ def test_bin_masses_integrate_the_series(crambin_gnm, crambin_alpha):
 
 
 def test_histogram_l1_shrinks_with_order(crambin_gnm, crambin_alpha):
-    lam = np.linalg.eigvalsh(crambin_gnm.A)
+    lam = np.linalg.eigvalsh(crambin_gnm.A.toarray())
     l1 = {}
     for K in (10, 100, 1024):
         mom = obs.chebyshev_moments_exact(crambin_gnm.A, crambin_alpha, K)
@@ -356,8 +356,10 @@ def test_mode_space_dos_matches_the_dense_oracle(key):
 
 
 def test_bound_and_probe_moments_take_dense_or_sparse_input(crambin_gnm):
-    for dense in (dyn.embed(crambin_gnm).operator.toarray(), crambin_gnm.A):
-        sparse = scipy.sparse.csr_array(dense)
+    # the sparse operator and the models' CSR A against their dense forms
+    for sparse in (dyn.embed(crambin_gnm).operator,
+                   *(model.A for model in DOS_MODELS.values())):
+        dense = sparse.toarray()
         alpha = obs.spectral_bound(dense)
         assert abs(obs.spectral_bound(sparse) - alpha) <= 1e-14 * alpha
         ref = obs.chebyshev_moments_stochastic(dense, alpha, 60, 20, 5)
@@ -366,14 +368,32 @@ def test_bound_and_probe_moments_take_dense_or_sparse_input(crambin_gnm):
         assert np.abs(got.stderr - ref.stderr).max() <= 1e-13
 
 
+def test_bound_and_probe_moments_on_a_never_densify_it(crambin, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the read-out densified a sparse matrix")
+
+    models = (build_gnm(crambin), build_anm(crambin))
+    for name in ("toarray", "todense"):
+        monkeypatch.setattr(scipy.sparse.csr_array, name, refuse)
+    for model in models:
+        alpha = obs.spectral_bound(model.A)
+        obs.chebyshev_moments_stochastic(model.A, alpha, 40, 8, 3)
+
+
 @pytest.mark.parametrize("model_flag", ["gnm", "anm"])
 def test_dos_cli_never_builds_dense_h_and_matches_the_dense_oracle(
         tmp_path, monkeypatch, model_flag):
     model = DOS_MODELS[f"bundled-{model_flag}"]
     alpha, eigenvalues, exact, stoch = dense_dos_oracle(model, 100, 50, 0x2A)
 
+    dim = model.n_dof + model.n_edges
+    toarray = scipy.sparse.csr_array.toarray
+
     def refuse(self, *args, **kwargs):
-        raise AssertionError("gnmqsim dos built the dense H")
+        # eigenpairs densifies the n x n A; only H has H's shape
+        if self.shape == (dim, dim):
+            raise AssertionError("gnmqsim dos built the dense H")
+        return toarray(self, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
     out = tmp_path / "out"
