@@ -1,4 +1,4 @@
-"""Gate-level circuit construction and simulation.
+"""Gate-level circuit construction and classical simulation.
 
 A circuit is one columnar table, a row per gate, grouped by layer:
 `kinds` holds int8 kind codes; `wires` the wires each gate acts on,
@@ -12,10 +12,12 @@ the given row order within a layer.
 Wire convention: wire 0 carries the most significant bit of a basis index,
 so a register listed as wires (w0, w1, ...) reads its value big-endian.
 
-`apply` propagates a full statevector gate by gate. `apply_basis`
-propagates basis states through the classical (permutation) kinds only,
-one vectorised update per layer: what the one-hot decoder, data loader
-and QROM need for exhaustive checks far beyond dense simulation.
+`apply_basis` propagates basis states through the classical (permutation)
+kinds only, one vectorised update per layer: what the one-hot decoder,
+data loader and QROM need for exhaustive checks far beyond dense
+simulation. The circuits with non-classical gates, the Gaussian
+state-prep tree and the ensemble purification, are not simulated:
+`stateprep` gives their states in closed form.
 """
 from __future__ import annotations
 
@@ -34,7 +36,8 @@ _WIRE_RANGE = np.array([(1, 1), (2, 2), (2, np.inf), (1, 1), (1, np.inf),
 
 
 class RowError(ValueError):
-    """A gate row failed validation; `row` is its index in the input."""
+    """A gate row failed validation; `row` is its index in the input rows,
+    or in the layer-ordered table when the input is a built `Circuit`."""
 
     def __init__(self, row: int, reason: str):
         super().__init__(f"row {row}: {reason}")
@@ -46,7 +49,7 @@ class Circuit:
     """A layered gate table on `n_qubits` wires (see the module docstring).
 
     meta carries builder bookkeeping (register wire lists, ancilla counts,
-    reported permutations); it does not affect simulation.
+    reported permutations); no gate reads it.
     """
 
     n_qubits: int
@@ -139,62 +142,6 @@ def value_of(bits) -> int:
     return out
 
 
-def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
-    psi = np.zeros(2 ** n_qubits, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
-def _controlled_view(tensor, controls):
-    idx = [slice(None)] * tensor.ndim
-    for c in controls:
-        idx[c] = 1
-    return tensor[tuple(idx)], [c for c in range(tensor.ndim) if c not in controls]
-
-
-def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Propagate a statevector through the circuit, returning a new array."""
-    n = circuit.n_qubits
-    if state.shape != (2 ** n,):
-        raise ValueError(f"state length {state.shape} does not match {n} qubits")
-    psi = np.array(state, dtype=complex).reshape([2] * n)
-    for kind, wires, param in circuit.rows():
-        _apply_gate(psi, kind, wires, param, n)
-    return psi.reshape(-1)
-
-
-def _apply_gate(psi, kind: int, wires: tuple, param, n: int) -> None:
-    if kind in (X, CNOT, CCX):
-        *controls, target = wires
-        view, free = _controlled_view(psi, controls)
-        t = free.index(target)
-        lo = view[(slice(None),) * t + (0,)].copy()
-        view[(slice(None),) * t + (0,)] = view[(slice(None),) * t + (1,)]
-        view[(slice(None),) * t + (1,)] = lo
-    elif kind == H:
-        t = wires[0]
-        a = psi[(slice(None),) * t + (0,)].copy()
-        b = psi[(slice(None),) * t + (1,)].copy()
-        inv = 1.0 / math.sqrt(2.0)
-        psi[(slice(None),) * t + (0,)] = (a + b) * inv
-        psi[(slice(None),) * t + (1,)] = (a - b) * inv
-    elif kind == CRY:
-        *controls, target = wires
-        view, free = _controlled_view(psi, controls)
-        t = free.index(target)
-        a = view[(slice(None),) * t + (0,)].copy()
-        b = view[(slice(None),) * t + (1,)].copy()
-        c, s = math.cos(param / 2.0), math.sin(param / 2.0)
-        view[(slice(None),) * t + (0,)] = c * a - s * b
-        view[(slice(None),) * t + (1,)] = s * a + c * b
-    else:  # DIAG_SIGN
-        k = len(wires)
-        signs = np.asarray(param).reshape([2] * k)
-        signs = signs.transpose(np.argsort(wires))
-        shape = [2 if w in set(wires) else 1 for w in range(n)]
-        psi *= signs.reshape(shape)
-
-
 def apply_basis(circuit: Circuit, bits):
     """Propagate basis states through classical gates (X, CNOT, CCX only).
 
@@ -202,15 +149,17 @@ def apply_basis(circuit: Circuit, bits):
     n_qubits) array, returned as a uint8 array of that shape. The state is
     one bit-plane per wire, across the batch, plus an always-1 plane that
     the -1 padding reads; each layer is one vectorised update
-    target ^= AND(controls), so a call takes O(depth) numpy steps.
+    target ^= AND(controls), so a call takes O(depth) numpy steps. Any
+    other gate kind raises RowError naming its row in the table.
     """
     state = np.asarray(bits)
     n = circuit.n_qubits
     if state.ndim not in (1, 2) or state.shape[-1] != n:
         raise ValueError("bit string length does not match circuit")
     if circuit.kinds.size and circuit.kinds.max() > CCX:
-        kind = KIND_NAMES[circuit.kinds[np.argmax(circuit.kinds > CCX)]]
-        raise ValueError(f"{kind} gate is not classical; use apply()")
+        row = int(np.argmax(circuit.kinds > CCX))
+        raise RowError(row, f"{KIND_NAMES[circuit.kinds[row]]} gate is not "
+                            "classical; only X, CNOT and CCX are accepted")
     planes = np.ones((n + 1, *state.shape[:-1]), dtype=bool)
     planes[:n] = state.T
     *controls, targets = circuit.wires.T
@@ -222,17 +171,6 @@ def apply_basis(circuit: Circuit, bits):
         planes[targets[a:b]] ^= flip
     out = planes[:n].T.astype(np.uint8)
     return out.tolist() if state.ndim == 1 else out
-
-
-def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n matrix of the circuit (intended for n_qubits <= 10)."""
-    dim = 2 ** circuit.n_qubits
-    if circuit.n_qubits > 14:
-        raise ValueError("dense matrix requested for more than 14 qubits")
-    U = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        U[:, col] = apply(circuit, basis_state(circuit.n_qubits, col))
-    return U
 
 
 def resources(circuit: Circuit) -> dict:

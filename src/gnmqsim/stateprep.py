@@ -190,20 +190,29 @@ def prepare_gaussian_state(n: int, seed: int,
                            audit: list | None = None):
     """Pseudo-random Gaussian state on n qubits: (circuit, statevector).
 
-    Levels l = 1..n apply branch rotations RY(2 theta) on wire l-1,
-    multiplexed over the control pattern of wires 0..l-2 (patterns visited
-    in Gray-code order so consecutive branches differ by one X flip). A
-    final DIAG_SIGN layer applies the per-basis-index sign of 2r - max_r.
+    The circuit is a Grover-Rudolph angle tree. Levels l = 1..n apply
+    branch rotations RY(2 theta) on wire l-1, multiplexed over the control
+    pattern of wires 0..l-2 (patterns visited in Gray-code order so
+    consecutive branches differ by one X flip). A final DIAG_SIGN layer
+    applies the per-basis-index sign s_j of 2r - max_r.
+
+    The state is read off the tree rather than simulated: with j_1..j_n
+    the bits of j (wire 0 first) and theta_{l,b} the angle of level l at
+    prefix b = j_1..j_{l-1}, amplitude j is s_j times the product over l
+    of cos theta_{l,b} (j_l = 0) or sin theta_{l,b} (j_l = 1). It is
+    complex128 with every imaginary part +0.0, as a gate walk gives.
     Deterministic in (n, seed): repeated calls are bit-identical.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
     rows = []
+    amp = np.ones(1)
     for level in range(1, n + 1):
         target = level - 1
         controls = list(range(level - 1))
         flipped: set[int] = set()
         n_branch = 2 ** len(controls)
+        cos, sin = np.empty((2, n_branch))
         for k in range(n_branch):
             branch = k ^ (k >> 1)  # Gray code
             want = {controls[b] for b in range(len(controls))
@@ -213,8 +222,10 @@ def prepare_gaussian_state(n: int, seed: int,
             flipped = want
             theta = sample_angle(n, level, branch, seed, audit)
             rows.append((qc.CRY, (*controls, target), 2.0 * theta))
+            cos[branch], sin[branch] = math.cos(theta), math.sin(theta)
         for w in sorted(flipped):
             rows.append((qc.X, (w,)))
+        amp = np.stack([amp * cos, amp * sin], 1).ravel()
 
     signs = np.where(
         2 * cbrng_array(seed, sign_counter_base(n, 0)
@@ -225,7 +236,8 @@ def prepare_gaussian_state(n: int, seed: int,
             audit.append((sign_counter_base(n, j), 1))
     rows.append((qc.DIAG_SIGN, tuple(range(n)), signs))
     circuit = qc.Circuit.from_gates(n, rows, {"n_ancillas": 0, "seed": seed})
-    state = qc.apply(circuit, qc.basis_state(n, 0))
+    state = amp.astype(complex)
+    state *= signs
     return circuit, state
 
 
@@ -233,25 +245,16 @@ def prepare_ensemble_state(n: int):
     """Maximally mixed n-qubit ensemble from a depth-2 purification.
 
     Circuit: one Hadamard layer on register 1, one transversal CNOT layer
-    onto register 2 (2n qubits, depth exactly 2). Tracing out register 2
-    of the resulting uniform pair state gives exactly I / 2^n, which is
-    returned in that analytic form; the simulated statevector is checked
-    against the pair-state pattern first.
+    onto register 2 (2n qubits, depth exactly 2). It prepares the uniform
+    pair state sum_i |i>|i> / 2^(n/2); tracing out register 2 gives
+    exactly I / 2^n, which is returned in that analytic form.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
     rows = [(qc.H, (w,)) for w in range(n)]
     rows += [(qc.CNOT, (w, w + n)) for w in range(n)]
     circuit = qc.Circuit.from_gates(2 * n, rows, {"n_ancillas": 0})
-    state = qc.apply(circuit, qc.basis_state(2 * n, 0))
-    dim = 2 ** n
-    pattern = state.reshape(dim, dim)
-    offdiag = pattern - np.diag(np.diag(pattern))
-    if np.any(offdiag != 0) or not np.allclose(np.diag(pattern).real,
-                                               dim ** -0.5, rtol=1e-12):
-        raise NumericalError("purification state deviates from the pair form")
-    rho = np.eye(dim) / dim
-    return circuit, rho
+    return circuit, np.eye(2 ** n) / 2 ** n
 
 
 @dataclass(frozen=True)

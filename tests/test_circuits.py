@@ -6,6 +6,7 @@ from gnmqsim import stateprep as sp
 from gnmqsim.connectivity import ConnectivityStore
 from gnmqsim.errors import ParseError
 from gnmqsim.structure import synthetic_chain
+from statevector_oracle import basis_state, dense_unitary
 
 
 def run_basis(circuit, n_address_bits, address, extra_zero=None):
@@ -86,11 +87,11 @@ def test_qrom_rejects_wide_values():
 
 def test_dense_unitary_matches_basis_walk():
     circ = qc.build_decoder(2)      # 9 qubits, small enough to densify
-    U = qc.dense_unitary(circ)
+    U = dense_unitary(circ)
     assert np.allclose(U @ U.conj().T, np.eye(U.shape[0]), atol=1e-12)
     for addr in range(4):
         out_bits = run_basis(circ, 2, addr)
-        col = qc.basis_state(circ.n_qubits, qc.value_of(
+        col = basis_state(circ.n_qubits, qc.value_of(
             qc.bits_of(addr, 2) + [0] * (circ.n_qubits - 2)))
         mapped = U @ col
         idx = int(np.argmax(np.abs(mapped)))
@@ -228,13 +229,15 @@ def test_batched_basis_matches_single_calls(build):
         assert isinstance(single, list) and single == got
 
 
-@pytest.mark.parametrize("circ", [
-    qc.Circuit.from_gates(2, [(qc.H, (0,)), (qc.CNOT, (0, 1))]),
-    qc.Circuit.from_gates(2, [(qc.X, (0,)), (qc.CRY, (0, 1), 0.3)]),
-    qc.Circuit.from_gates(1, [(qc.DIAG_SIGN, (0,), [1.0, -1.0])]),
+@pytest.mark.parametrize("circ,row,kind", [
+    (qc.Circuit.from_gates(2, [(qc.H, (0,)), (qc.CNOT, (0, 1))]), 0, "H"),
+    (qc.Circuit.from_gates(2, [(qc.X, (0,)), (qc.CRY, (0, 1), 0.3)]), 1, "CRY"),
+    (qc.Circuit.from_gates(1, [(qc.DIAG_SIGN, (0,), [1.0, -1.0])]), 0, "DIAG_SIGN"),
 ], ids=["H", "CRY", "DIAG_SIGN"])
-def test_basis_walk_rejects_non_classical_gates(circ):
-    with pytest.raises(ValueError, match="not classical"):
-        qc.apply_basis(circ, [0] * circ.n_qubits)
-    with pytest.raises(ValueError, match="not classical"):
-        qc.apply_basis(circ, np.zeros((3, circ.n_qubits), dtype=np.uint8))
+def test_basis_walk_rejects_non_classical_gates(circ, row, kind):
+    for bits in ([0] * circ.n_qubits, np.zeros((3, circ.n_qubits), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="not classical") as info:
+            qc.apply_basis(circ, bits)
+        assert str(info.value).startswith(f"row {row}: {kind} gate ")
+        assert "X, CNOT and CCX" in str(info.value)
+        assert info.value.row == row

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -118,6 +119,15 @@ def test_stateprep_is_byte_reproducible(tmp_path):
     assert main(["stateprep", "--n", "6", "--seed", "beef",
                  "--out", str(tmp_path / "c")]) == 0
     assert (tmp_path / "c" / "state.csv").read_bytes() != a
+
+
+def test_stateprep_n12_state_csv_digest_is_pinned(tmp_path):
+    # the digest perfbench's stateprep check pins: a moved byte fails here too
+    code, out = run(tmp_path, "stateprep", "--n", "12")
+    assert code == 0
+    digest = hashlib.sha256((out / "state.csv").read_bytes()).hexdigest()
+    assert digest == ("236ca2c7626f9456eaa1131931223cb2"
+                      "e969d0e5ef014fa912af0164967797be")
 
 
 def test_seed_is_parsed_as_hex(tmp_path):

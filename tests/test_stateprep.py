@@ -5,6 +5,7 @@ import pytest
 
 from gnmqsim import circuits as qc
 from gnmqsim import stateprep as sp
+from statevector_oracle import apply, basis_state
 
 # first draws of the keyed generator, frozen as regression anchors
 CBRNG_SEED0 = [0, 2537880150861722, 7228738252910261, 4337494104106618]
@@ -149,9 +150,20 @@ def test_prepare_gaussian_state_is_normalized_real():
 
 
 def test_prepare_gaussian_state_circuit_simulates_to_vector():
-    circ, vec = sp.prepare_gaussian_state(4, seed=9)
-    state = qc.apply(circ, qc.basis_state(circ.n_qubits))
-    assert np.allclose(state, np.asarray(vec), atol=1e-12)
+    # the closed-form state is the gate walk of its own circuit, byte for byte
+    for seed in (0x2A, 1, 0xDEADBEEF, 0xBEEF):
+        for n in range(1, 13):
+            audit = []
+            circ, vec = sp.prepare_gaussian_state(n, seed, audit)
+            walked = apply(circ, basis_state(n))
+            assert vec.dtype == np.complex128 and vec.shape == (2 ** n,)
+            assert vec.tobytes() == walked.tobytes(), (n, seed)
+            assert np.all(vec.imag == 0.0) and not np.any(np.signbit(vec.imag))
+            # angles are drawn level by level, Gray-code branch order within
+            bases = [sp.counter_base(n, level, k ^ (k >> 1))
+                     for level in range(1, n + 1) for k in range(2 ** (level - 1))]
+            bases += [sp.sign_counter_base(n, j) for j in range(2 ** n)]
+            assert [base for base, _ in audit] == bases
 
 
 def test_gaussian_amplitudes_look_normal():
@@ -169,6 +181,16 @@ def test_prepare_ensemble_state_depth_two_identity():
         circ, rho = sp.prepare_ensemble_state(n)
         assert circ.depth == 2
         assert np.array_equal(rho, np.eye(2 ** n) / 2 ** n)
+
+
+def test_prepare_ensemble_state_circuit_walks_to_pair_pattern():
+    for n in range(1, 7):
+        circ, _ = sp.prepare_ensemble_state(n)
+        dim = 2 ** n
+        pattern = apply(circ, basis_state(2 * n)).reshape(dim, dim)
+        assert np.all(pattern - np.diag(np.diag(pattern)) == 0)
+        assert np.allclose(np.diag(pattern).real, dim ** -0.5, rtol=1e-12, atol=0)
+        assert np.all(np.diag(pattern).imag == 0)
 
 
 def test_encode_initial_conditions(chain5_gnm):
