@@ -9,6 +9,16 @@ target last; `params` CRY's angle, DIAG_SIGN's read-only +/-1 vector
 placing each gate in the earliest layer whose wires are free, and keeps
 the given row order within a layer.
 
+Builders emit their rows (the data loader as column blocks, the others as
+tuples through `Circuit.from_gates`); `Circuit._from_columns` alone
+validates and layers, with one greedy Python loop. A vectorised wavefront
+takes one numpy pass per layer: faster on the wide QROMs, far slower on
+the Gaussian tree, whose depth is close to its row count. A QROM
+concatenates the layered tables of the decoder, the loader and the
+decoder reversed, so the parts' order within their layers sets the
+QROM's row order within each of its layers: composed in build order they
+give the same layers and resources but other text.
+
 Wire convention: wire 0 carries the most significant bit of a basis index,
 so a register listed as wires (w0, w1, ...) reads its value big-endian.
 
@@ -22,6 +32,7 @@ state-prep tree and the ensemble purification, are not simulated:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,9 +117,10 @@ class Circuit:
             params[row] = signs
 
         next_free = [0] * (n_qubits + 1)   # the last slot is read by padding
+        free_at = next_free.__getitem__
         layer = []
-        for row in wires.tolist():
-            at = max([next_free[w] for w in row])
+        for row in zip(*wires.T.tolist()):
+            at = max(map(free_at, row))
             for w in row:
                 next_free[w] = at + 1
             next_free[-1] = 0
@@ -275,12 +287,6 @@ def build_decoder(n_address: int) -> Circuit:
     onehot = list(range(n, n + N))
     meta = {"address_wires": address, "onehot_wires": onehot,
             "pi": decoder_permutation(n)}
-    if n == 1:
-        rows = [(CNOT, (0, onehot[0])), (X, (0,)),
-                (CNOT, (0, onehot[1])), (X, (0,))]
-        meta["n_ancillas"] = 0
-        return Circuit.from_gates(1 + N, rows, meta)
-
     next_wire = n + N
     # interior routing levels j = 1..n-1 hold 2^j path wires
     levels = []
@@ -292,7 +298,8 @@ def build_decoder(n_address: int) -> Circuit:
     rows = []
     copy_pool_start = next_wire
 
-    v0, v1 = levels[0]
+    # the root level; with one address bit it is the leaf level, flipped
+    v0, v1 = levels[0] if n > 1 else onehot[::-1]
     rows += [(CNOT, (address[0], v1)), (X, (address[0],)),
              (CNOT, (address[0], v0)), (X, (address[0],))]
 
@@ -301,23 +308,13 @@ def build_decoder(n_address: int) -> Circuit:
         children = levels[j - 1]
         bit_wire = address[j - 1]
         n_parents = len(parents)
-        copies = list(range(next_wire, next_wire + n_parents - 1))
+        controls = [bit_wire, *range(next_wire, next_wire + n_parents - 1)]
         next_wire += n_parents - 1
-        # fanout the level's address bit: sources double each round
-        fanout = []
-        sources = [bit_wire]
-        remaining = list(copies)
-        while remaining:
-            new_sources = []
-            for s in sources:
-                if not remaining:
-                    break
-                t = remaining.pop(0)
-                fanout.append((CNOT, (s, t)))
-                new_sources.append(t)
-            sources += new_sources
+        # fan the level's address bit out, the sources doubling each round:
+        # control q > 0 copies control q - 2^floor(log2 q)
+        fanout = [(CNOT, (controls[q - (1 << (q.bit_length() - 1))], controls[q]))
+                  for q in range(1, n_parents)]
         rows += fanout
-        controls = [bit_wire] + copies
         leaf = j == n
         for p in range(n_parents):
             P, c = parents[p], controls[p]
@@ -343,9 +340,12 @@ def build_data_loader(dictionary: dict[int, int], n_onehot: int,
 
     dictionary maps one-hot wire index (0-based, < n_onehot) to a word in
     [0, 2**word_width); bit t of a word drives output wire t. Per output
-    bit, the hot wires carrying that bit feed an OR tree (OR realized as an
-    X-conjugated Toffoli computing NOR, then flipped) whose root feeds one
-    CNOT; the tree is uncomputed afterwards, so all OR ancillas return to 0.
+    bit, the hot wires carrying that bit, in ascending order, feed an OR
+    tree built one level at a time: consecutive pairs (a, b) each OR into a
+    fresh ancilla z through the rows X a, X b, CCX a b z, X a, X b, X z (a
+    NOR, then flipped), and an unpaired last wire moves up unchanged. The
+    rows for one bit are the tree, one CNOT from its root to the output,
+    then the tree reversed, so all OR ancillas return to 0.
 
     meta: onehot_wires, output_wires, n_ancillas.
     """
@@ -354,36 +354,34 @@ def build_data_loader(dictionary: dict[int, int], n_onehot: int,
             raise ValueError(f"one-hot index {idx} outside [0, {n_onehot})")
         if not 0 <= word < 2 ** word_width:
             raise ValueError(f"word {word} does not fit in {word_width} bits")
-    onehot = list(range(n_onehot))
-    outputs = list(range(n_onehot, n_onehot + word_width))
+    hot = sorted(dictionary)
     next_wire = n_onehot + word_width
-    rows = []
+    blocks = [np.empty((0, 3), dtype=np.int64)]   # padded wires, 3 wide
     for t in range(word_width):
-        sources = sorted(i for i, w in dictionary.items() if (w >> t) & 1)
-        if not sources:
+        current = np.array([i for i in hot if (dictionary[i] >> t) & 1], np.int64)
+        if not current.size:
             continue
-        if len(sources) == 1:
-            rows.append((CNOT, (sources[0], outputs[t])))
-            continue
-        tree = []
-        current = list(sources)
+        tree = blocks[:1]   # the empty block, for a bit on one hot wire
         while len(current) > 1:
-            merged = []
-            for a, b in zip(current[0::2], current[1::2]):
-                z = next_wire
-                next_wire += 1
-                tree += [(X, (a,)), (X, (b,)), (CCX, (a, b, z)),
-                         (X, (a,)), (X, (b,)), (X, (z,))]
-                merged.append(z)
-            if len(current) % 2:
-                merged.append(current[-1])
-            current = merged
-        rows += tree
-        rows.append((CNOT, (current[0], outputs[t])))
-        rows += tree[::-1]
-    meta = {"onehot_wires": onehot, "output_wires": outputs,
+            a, b = current[0:-1:2], current[1::2]
+            z = np.arange(next_wire, next_wire + len(b))
+            next_wire += len(b)
+            # per pair: X a, X b, CCX a b z, X a, X b, X z
+            level = np.full((len(b), 6, 3), -1)
+            level[:, :, 2] = np.stack([a, b, z, a, b, z], axis=1)
+            level[:, 2, :2] = np.stack([a, b], axis=1)
+            tree.append(level.reshape(-1, 3))
+            current = np.concatenate([z, current[2 * len(b):]])
+        tree = np.concatenate(tree)
+        blocks += [tree, [[-1, current[0], n_onehot + t]], tree[::-1]]
+    wires = np.concatenate(blocks)
+    kinds = (wires >= 0).sum(axis=1) - 1   # X, CNOT, CCX act on 1, 2, 3 wires
+    meta = {"onehot_wires": list(range(n_onehot)),
+            "output_wires": list(range(n_onehot, n_onehot + word_width)),
             "n_ancillas": next_wire - n_onehot - word_width}
-    return Circuit.from_gates(next_wire, rows, meta)
+    # without a CCX row the table is 2 wide, as `from_gates` would build it
+    return Circuit._from_columns(next_wire, kinds, wires[:, int(CCX not in kinds):],
+                                 [None] * len(kinds), meta)
 
 
 # -- QROM and oracles --------------------------------------------------------
@@ -393,23 +391,28 @@ def build_qrom(table, word_width: int) -> Circuit:
 
     The table is padded with zero words to the next power of two; reading a
     padded address returns 0. All routing wires and OR ancillas are restored
-    to |0> for every basis input.
+    to |0> for every basis input. A word that is not an integer or does not
+    fit in word_width bits raises ValueError naming its index.
 
     meta: address_wires, output_wires, n_address_bits, n_ancillas.
     """
-    table = [int(v) for v in table]
+    table = list(table)
     if not table:
         raise ValueError("empty table")
-    for v in table:
-        if not 0 <= v < 2 ** word_width:
-            raise ValueError(f"table value {v} does not fit in {word_width} bits")
+    for i, v in enumerate(table):
+        try:
+            table[i] = operator.index(v)   # numpy integers pass, floats do not
+        except TypeError:
+            raise ValueError(f"table[{i}] = {v} is not an integer") from None
+        if not 0 <= table[i] < 2 ** word_width:
+            raise ValueError(f"table[{i}] = {v} does not fit in {word_width} bits")
     n = max(1, math.ceil(math.log2(len(table))))
     N = 2 ** n
-    padded = table + [0] * (N - len(table))
 
     dec = build_decoder(n)
     pi = dec.meta["pi"]
-    dictionary = {pi[i]: padded[i] for i in range(N) if padded[i] != 0}
+    # padded addresses hold the word 0, which loads nothing
+    dictionary = {pi[i]: v for i, v in enumerate(table) if v}
     loader = build_data_loader(dictionary, N, word_width)
     # loader wires map to the decoder's one-hot block, then outputs and OR
     # ancillas after the decoder's wires; the -1 padding reads the last entry

@@ -190,11 +190,14 @@ def prepare_gaussian_state(n: int, seed: int,
                            audit: list | None = None):
     """Pseudo-random Gaussian state on n qubits: (circuit, statevector).
 
-    The circuit is a Grover-Rudolph angle tree. Levels l = 1..n apply
-    branch rotations RY(2 theta) on wire l-1, multiplexed over the control
-    pattern of wires 0..l-2 (patterns visited in Gray-code order so
-    consecutive branches differ by one X flip). A final DIAG_SIGN layer
-    applies the per-basis-index sign s_j of 2r - max_r.
+    The circuit is a Grover-Rudolph angle tree. Level l = 1..n applies
+    RY(2 theta) to wire m = l-1 once per branch b in [0, 2^m), controlled
+    on wires 0..m-1 (read big-endian as b), each control whose bit of b is
+    0 conjugated by X. Branches run in Gray-code order b_k = k XOR (k >> 1),
+    so the X flips are: every control before b_0; before b_k, k > 0, the
+    one control whose bit changed, m - bitlen(k & -k); after the last
+    branch, b = 2^(m-1), controls 1..m-1. A final DIAG_SIGN layer applies
+    the per-basis-index sign s_j of 2r - max_r.
 
     The state is read off the tree rather than simulated: with j_1..j_n
     the bits of j (wire 0 first) and theta_{l,b} the angle of level l at
@@ -208,23 +211,16 @@ def prepare_gaussian_state(n: int, seed: int,
     rows = []
     amp = np.ones(1)
     for level in range(1, n + 1):
-        target = level - 1
-        controls = list(range(level - 1))
-        flipped: set[int] = set()
-        n_branch = 2 ** len(controls)
-        cos, sin = np.empty((2, n_branch))
-        for k in range(n_branch):
+        m = level - 1   # controls 0..m-1, target m
+        cos, sin = np.empty((2, 2 ** m))
+        for k in range(2 ** m):
             branch = k ^ (k >> 1)  # Gray code
-            want = {controls[b] for b in range(len(controls))
-                    if not (branch >> (len(controls) - 1 - b)) & 1}
-            for w in sorted(want ^ flipped):
-                rows.append((qc.X, (w,)))
-            flipped = want
+            flips = range(m) if k == 0 else (m - (k & -k).bit_length(),)
+            rows += [(qc.X, (w,)) for w in flips]
             theta = sample_angle(n, level, branch, seed, audit)
-            rows.append((qc.CRY, (*controls, target), 2.0 * theta))
+            rows.append((qc.CRY, (*range(m), m), 2.0 * theta))
             cos[branch], sin[branch] = math.cos(theta), math.sin(theta)
-        for w in sorted(flipped):
-            rows.append((qc.X, (w,)))
+        rows += [(qc.X, (w,)) for w in range(1, m)]
         amp = np.stack([amp * cos, amp * sin], 1).ravel()
 
     signs = np.where(
@@ -232,8 +228,7 @@ def prepare_gaussian_state(n: int, seed: int,
                         + COUNTER_WINDOW * np.arange(2 ** n, dtype=np.uint64))
         > MAX_R, 1.0, -1.0)
     if audit is not None:
-        for j in range(2 ** n):
-            audit.append((sign_counter_base(n, j), 1))
+        audit.extend((sign_counter_base(n, j), 1) for j in range(2 ** n))
     rows.append((qc.DIAG_SIGN, tuple(range(n)), signs))
     circuit = qc.Circuit.from_gates(n, rows, {"n_ancillas": 0, "seed": seed})
     state = amp.astype(complex)

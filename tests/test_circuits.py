@@ -83,6 +83,13 @@ def test_qrom_rejects_wide_values():
         qc.build_qrom([7], word_width=2)
     with pytest.raises(ValueError):
         qc.build_qrom([], word_width=2)
+    with pytest.raises(ValueError, match=r"^table\[1\] = 9 does not fit in 2 bits$"):
+        qc.build_qrom([1, 9], word_width=2)
+    # a float word is refused, not truncated; numpy integers still pass
+    with pytest.raises(ValueError, match=r"^table\[0\] = 1.7 is not an integer$"):
+        qc.build_qrom([1.7, 2], word_width=2)
+    assert np.array_equal(qc.build_qrom(np.array([1, 2]), 2).wires,
+                          qc.build_qrom([1, 2], 2).wires)
 
 
 def test_dense_unitary_matches_basis_walk():
@@ -145,8 +152,13 @@ def test_sparse_oracle_rejects_overflow():
         qc.build_sparse_index_oracle(bad, n_sites=7)
 
 
-def test_serialize_parse_round_trip():
-    circ = qc.build_qrom([3, 0, 2, 1], 2)
+@pytest.mark.parametrize("build", [
+    lambda: qc.build_qrom([3, 0, 2, 1], 2),
+    # CNOT rows only: the table stays 2 wide, as parsing builds it
+    lambda: qc.build_data_loader({1: 0b01, 2: 0b10}, 4, 2),
+], ids=["qrom", "cnot-loader"])
+def test_serialize_parse_round_trip(build):
+    circ = build()
     text = qc.serialize_circuit(circ)
     back = qc.parse_circuit(text)
     assert back.n_qubits == circ.n_qubits
