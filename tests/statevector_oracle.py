@@ -1,10 +1,13 @@
-"""Gate-by-gate statevector simulator: the test oracle for circuits.
+"""Gate-by-gate statevector simulator and layer-by-layer basis walk: the
+test oracles for circuits.
 
 `apply` propagates a full statevector through every row of a `Circuit`,
 one gate at a time, on a (2,)*n tensor; `dense_unitary` stacks its columns.
 `gnmqsim` itself never simulates a full statevector: the Gaussian state
 comes from its angle tree in closed form and the classical circuits from
 the bit-plane walk `apply_basis`. Both are checked against this walk.
+`apply_basis_layers` is the bit-plane walk over the table's layers, every
+X row included, that `apply_basis`'s folded, levelled schedule must match.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from gnmqsim.circuits import CCX, CNOT, CRY, H, X, Circuit
+from gnmqsim.circuits import CCX, CNOT, CRY, H, KIND_NAMES, X, Circuit, RowError
 
 
 def basis_state(n_qubits: int, index: int = 0) -> np.ndarray:
@@ -80,3 +83,34 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     for col in range(dim):
         U[:, col] = apply(circuit, basis_state(circuit.n_qubits, col))
     return U
+
+
+def apply_basis_layers(circuit: Circuit, bits):
+    """Propagate basis states through classical gates (X, CNOT, CCX only).
+
+    `bits` is one bit string, returned as a list[int], or a (batch,
+    n_qubits) array, returned as a uint8 array of that shape. The state is
+    one bit-plane per wire, across the batch, plus an always-1 plane that
+    the -1 padding reads; each layer is one vectorised update
+    target ^= AND(controls), so a call takes O(depth) numpy steps. Any
+    other gate kind raises RowError naming its row in the table.
+    """
+    state = np.asarray(bits)
+    n = circuit.n_qubits
+    if state.ndim not in (1, 2) or state.shape[-1] != n:
+        raise ValueError("bit string length does not match circuit")
+    if circuit.kinds.size and circuit.kinds.max() > CCX:
+        row = int(np.argmax(circuit.kinds > CCX))
+        raise RowError(row, f"{KIND_NAMES[circuit.kinds[row]]} gate is not "
+                            "classical; only X, CNOT and CCX are accepted")
+    planes = np.ones((n + 1, *state.shape[:-1]), dtype=bool)
+    planes[:n] = state.T
+    *controls, targets = circuit.wires.T
+    starts = circuit.layer_starts.tolist()
+    for a, b in zip(starts, starts[1:]):
+        flip = planes[controls[0][a:b]]
+        for column in controls[1:]:
+            flip &= planes[column[a:b]]
+        planes[targets[a:b]] ^= flip
+    out = planes[:n].T.astype(np.uint8)
+    return out.tolist() if state.ndim == 1 else out

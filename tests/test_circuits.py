@@ -5,8 +5,8 @@ from gnmqsim import circuits as qc
 from gnmqsim import stateprep as sp
 from gnmqsim.connectivity import ConnectivityStore
 from gnmqsim.errors import ParseError
-from gnmqsim.structure import synthetic_chain
-from statevector_oracle import basis_state, dense_unitary
+from gnmqsim.structure import load_bundled_structure, synthetic_chain
+from statevector_oracle import apply_basis_layers, basis_state, dense_unitary
 
 
 def run_basis(circuit, n_address_bits, address, extra_zero=None):
@@ -253,3 +253,129 @@ def test_basis_walk_rejects_non_classical_gates(circ, row, kind):
         assert str(info.value).startswith(f"row {row}: {kind} gate ")
         assert "X, CNOT and CCX" in str(info.value)
         assert info.value.row == row
+        # the same row and text as the layer walk gives
+        with pytest.raises(qc.RowError) as layers:
+            apply_basis_layers(circ, bits)
+        assert (str(info.value), info.value.row) == (str(layers.value), layers.value.row)
+
+
+HAND_TEXT = """# qubits 7
+X 0
+CCX 0,1,2
+X 2
+X 1
+CCX 2,1,3
+X 3
+CCX 0,1,2,3,4
+X 0
+X 4
+CNOT 4,5
+X 5
+CCX 5,3,0,1
+CNOT 1,6
+X 1
+CCX 6,2,1,5,0
+X 6
+"""
+
+
+def random_classical(n_qubits, n_rows, seed):
+    """Seeded X, CNOT and CCX rows (CCX up to 5 wires) on distinct wires."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_rows):
+        k = int(rng.choice([1, 2, 3, 4, 5], p=[0.4, 0.2, 0.25, 0.1, 0.05]))
+        rows.append(((qc.X, qc.CNOT, qc.CCX)[min(k, 3) - 1],
+                     tuple(rng.choice(n_qubits, k, replace=False).tolist())))
+    return qc.Circuit.from_gates(n_qubits, rows)
+
+
+def bundled_sparse():
+    struct = load_bundled_structure()
+    j_table = ConnectivityStore(struct).export_tables()["j_table"]
+    return qc.build_sparse_index_oracle(j_table, struct.n_atoms)
+
+
+ORACLE_CASES = {
+    **{f"decoder{n}": (lambda n=n: qc.build_decoder(n)) for n in range(1, 8)},
+    "loader3": lambda: qc.build_data_loader({1: 0b10, 2: 0b11, 3: 0b01}, 4, 2),
+    "loader4": lambda: qc.build_data_loader({1: 0b10, 2: 0b11, 3: 0b01, 6: 0b01},
+                                            8, 2),
+    "loader_cnot": lambda: qc.build_data_loader({1: 0b01, 2: 0b10}, 4, 2),
+    "qrom13": lambda: qc.build_qrom(list(range(13)), 4),
+    "qrom201": lambda: qc.build_qrom([(7 * v) % 64 for v in range(201)], 6),
+    "qrom256": lambda: qc.build_qrom([(37 * i + 11) % 256 for i in range(256)], 8),
+    "qrom1000": lambda: qc.build_qrom([(37 * i + 11) % 256 for i in range(1000)], 8),
+    "position": lambda: qc.build_position_oracle(load_bundled_structure()),
+    "sparse": bundled_sparse,
+    "hand": lambda: qc.parse_circuit(HAND_TEXT),
+    "all_x": lambda: qc.parse_circuit("# qubits 3\nX 0\nX 1\nX 0\nX 2\nX 1\n"),
+    "random": lambda: random_classical(9, 400, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_basis_walk_matches_layer_oracle(name):
+    # random full bit strings: ancilla and output wires set too
+    circ = ORACLE_CASES[name]()
+    rng = np.random.default_rng(len(name))
+    bits = rng.integers(0, 2, size=(64, circ.n_qubits), dtype=np.uint8)
+    expect = apply_basis_layers(circ, bits)
+    assert np.array_equal(qc.apply_basis(circ, bits), expect)
+    for row, want in zip(bits[:4].tolist(), expect[:4].tolist()):
+        assert qc.apply_basis(circ, row) == want
+
+
+def test_basis_walk_names_bad_input():
+    circ = qc.build_decoder(2)      # 9 qubits
+    with pytest.raises(ValueError, match=r"^bits has shape \(7,\), circuit has 9 qubits$"):
+        qc.apply_basis(circ, [0] * 7)
+    with pytest.raises(ValueError, match=r"^bits has shape \(2, 8\), circuit has 9 qubits$"):
+        qc.apply_basis(circ, np.zeros((2, 8), dtype=np.uint8))
+    for value in (2, 0.5, -1):
+        bits = [0] * 9
+        bits[4] = value
+        with pytest.raises(ValueError, match=rf"^bits\[4\] = {value} is not 0 or 1$"):
+            qc.apply_basis(circ, bits)
+    batch = np.zeros((3, 9))
+    batch[2, 6] = 0.5
+    with pytest.raises(ValueError, match=r"^bits\[2, 6\] = 0.5 is not 0 or 1$"):
+        qc.apply_basis(circ, batch)
+    # bools and other integer dtypes holding 0 and 1 still pass
+    assert qc.apply_basis(circ, np.zeros(9, dtype=bool)) == qc.apply_basis(circ, [0] * 9)
+
+
+def test_loader_rejects_bad_words_naming_the_index():
+    with pytest.raises(ValueError, match=r"^dictionary\[1\] = 1.5 is not an integer$"):
+        qc.build_data_loader({1: 1.5}, 4, 2)
+    with pytest.raises(ValueError, match=r"^dictionary\[1\] = 9 does not fit in 2 bits$"):
+        qc.build_data_loader({0: 1, 1: 9}, 4, 2)
+    assert np.array_equal(qc.build_data_loader({1: np.int64(2)}, 4, 2).wires,
+                          qc.build_data_loader({1: 2}, 4, 2).wires)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qc.build_qrom([3, 0, 2, 1], 2),
+    lambda: qc.parse_circuit(HAND_TEXT),
+], ids=["qrom", "parsed"])
+def test_circuit_table_is_read_only(build):
+    circ = build()
+    for arr in (circ.kinds, circ.wires, circ.layer_starts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_basis_schedule_is_built_once(monkeypatch):
+    built = []
+
+    def counting(circuit):
+        built.append(circuit)
+        return schedule(circuit)
+
+    schedule = qc._build_schedule
+    monkeypatch.setattr(qc, "_build_schedule", counting)
+    circ = qc.build_qrom([3, 0, 2, 1], 2)
+    first = qc.apply_basis(circ, [1, 0] + [0] * (circ.n_qubits - 2))
+    assert qc.apply_basis(circ, [1, 0] + [0] * (circ.n_qubits - 2)) == first
+    qc.apply_basis(circ, np.zeros((2, circ.n_qubits), dtype=np.uint8))
+    assert len(built) == 1 and built[0] is circ
