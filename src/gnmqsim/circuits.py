@@ -214,7 +214,11 @@ def apply_basis(circuit: Circuit, bits):
     so a call takes O(levels) numpy steps. Any other gate kind raises
     RowError naming its row in the table.
     """
-    state = np.asarray(bits)
+    try:  # a list of ints in 0..255 converts fastest through bytes
+        state = (np.frombuffer(bytes(bits), np.uint8) if isinstance(bits, list)
+                 else np.asarray(bits))
+    except (TypeError, ValueError):  # floats, nested lists, -1, 256, ...
+        state = np.asarray(bits)
     n = circuit.n_qubits
     if state.ndim not in (1, 2) or state.shape[-1] != n:
         raise ValueError(f"bits has shape {state.shape}, circuit has {n} qubits")

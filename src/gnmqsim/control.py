@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .errors import NumericalError
@@ -352,6 +351,33 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
                        closed_loop=A - B @ G)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples y at increasing x, bit for bit
+    scipy >= 1.11's `integrate.simpson(y, x=x)`: parabolic panels over
+    pairs of intervals and, for an even point count, Cartwright's
+    correction for the last interval (two points: the trapezoid). The
+    `0.0 +` terms are scipy's accumulator: they turn -0.0 into 0.0."""
+    n = len(y)
+    if n == 2:
+        return 0.0 + 0.5 * (x[1] - x[0]) * (y[1] + y[0])
+    h = np.diff(x)
+    m = n - 1 if n % 2 else n - 2  # intervals the panels cover
+    h0, h1 = h[0:m:2], h[1:m:2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:m:2] * (2.0 - 1.0 / ratio)
+                                 + y[1:m:2] * (hsum * (hsum / hprod))
+                                 + y[2:m + 1:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        # 0-d arrays, as scipy has them: `**` on a numpy float64 scalar
+        # can round differently
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+        beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+        eta = b ** 3 / (6 * a * (a + b))
+        total = total + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
+    return total
+
+
 def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
                         u0: np.ndarray, v0: np.ndarray,
                         T: float, n_steps: int = 2000) -> dict:
@@ -364,7 +390,8 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
     Returns times, displacements, velocities, forces, the energy series
     u^T Q u, the value series z^T P z, and the accumulated cost
     J = 1/2 int (u^T Q u + f^T R f) dt (plus the terminal S term when
-    the problem is finite-horizon and the simulation reaches it).
+    the problem is finite-horizon and the simulation reaches it), the
+    integral taken by composite Simpson over the n_steps + 1 samples.
     """
     n = problem.n_dof
     u0 = np.asarray(u0, dtype=float).reshape(n)
@@ -396,7 +423,7 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
     vel = states[:, n:]
     energy = np.einsum("ti,ij,tj->t", disp, problem.Q, disp)
     effort = np.einsum("ti,ij,tj->t", forces, problem.R, forces)
-    cost = 0.5 * float(scipy.integrate.simpson(energy + effort, x=times))
+    cost = 0.5 * float(_simpson(energy + effort, times))
     if problem.is_finite_horizon and T >= problem.horizon * (1 - 1e-12):
         u_end = disp[-1]
         cost += 0.5 * float(u_end @ problem.S @ u_end)

@@ -8,9 +8,13 @@ Two flavors are built from a structure and a distance cutoff:
   rank-one super-elements -spring * (d d^T) / |d|^2 per contact.
 
 `within_cutoff` is the one contact test (the connectivity store uses it
-too). One vectorised assembly builds K, the mass-weighted stiffness
-A = M^{-1/2} K M^{-1/2} and its incidence-style factor B with B B^T = A
-for both flavors, which downstream modules embed into a Hamiltonian.
+too): the squares of the x, y and z differences summed in that order,
+then the square root, so a pair at the cutoff boundary is decided alike
+everywhere. The network build takes its candidate pairs from a cell grid
+and decides each with the same kernel. One vectorised assembly builds K,
+the mass-weighted stiffness A = M^{-1/2} K M^{-1/2} and its
+incidence-style factor B with B B^T = A for both flavors, which
+downstream modules embed into a Hamiltonian.
 K is dense. A is stored only as a sparse CSR array with the contact
 graph's sparsity (`eigenpairs`, the one eigensolve, densifies it; every
 other reader multiplies by it), and B only as a sparse CSC array, filled
@@ -24,9 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse
-from scipy.spatial.distance import cdist
 
 from .errors import NumericalError
 from .structure import DEFAULT_ANM_CUTOFF, DEFAULT_GNM_CUTOFF, ProteinStructure
@@ -89,21 +91,71 @@ class NetworkModel:
         return zero
 
 
+def _distance(d: np.ndarray) -> np.ndarray:
+    """|d| over the last axis of (..., 3) differences: squares added in x, y,
+    z order, then the square root. This is scipy cdist's arithmetic, bit for
+    bit; a dot product (np.linalg.norm of one vector) can round a boundary
+    pair apart."""
+    return np.sqrt((d[..., 0] ** 2 + d[..., 1] ** 2) + d[..., 2] ** 2)
+
+
 def within_cutoff(a: np.ndarray, b: np.ndarray, cutoff: float) -> np.ndarray:
     """Contact test: (len(a), len(b)) mask of |a_i - b_j| <= cutoff.
 
-    Distances come from scipy's Euclidean kernel (shared by cdist and
-    pdist), so every caller decides a pair at the cutoff boundary alike.
+    a and b are (n, 3) coordinate arrays; distances come from `_distance`,
+    so every caller decides a pair at the cutoff boundary alike.
     """
-    return cdist(a, b) <= cutoff
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _distance(a[:, None, :] - b[None, :, :]) <= cutoff
+
+
+# a cell's key packs its three integer coordinates, each below 2**20 in
+# magnitude, at strides of 2**21: distinct cells get distinct keys, and a
+# neighbour is a fixed step away. _FORWARD holds (0, 0, 0) and the 13 cell
+# offsets after it in lexicographic order, as key steps: together they
+# visit each pair of neighbouring cells once.
+_STRIDES = np.array([1 << 42, 1 << 21, 1], dtype=np.int64)
+_FORWARD = (np.array([o for o in np.ndindex(3, 3, 3) if o >= (1, 1, 1)]) - 1
+            ) @ _STRIDES
+
+
+def _candidate_pairs(pos: np.ndarray, cutoff: float):
+    """Pairs (i, j), i != j, each unordered pair once, that contain every
+    pair within `cutoff`: each atom with the later atoms of its own cell
+    and every atom of its 13 forward neighbour cells.
+
+    The cell side is `cutoff` widened by 2**-19 of (cutoff + the largest
+    coordinate). That is far more than the rounding of the difference,
+    the distance and the division, so a pair at the boundary never lands
+    two cells apart; and no atom is 2**19 cells from the origin, so every
+    cell and its neighbours fit the packed key.
+    """
+    n = len(pos)
+    side = cutoff + (cutoff + np.abs(pos).max(initial=0.0)) / 2**19
+    key = np.floor(pos / side).astype(np.int64) @ _STRIDES
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    cells = key[:, None] + _FORWARD
+    lo = np.searchsorted(key, cells, side="left")
+    lo[:, 0] = np.arange(1, n + 1)  # own cell: the atoms after this one
+    counts = np.searchsorted(key, cells, side="right") - lo
+    flat = counts.ravel()
+    start = np.repeat(lo.ravel() - np.cumsum(flat) + flat, flat)
+    return (np.repeat(order, counts.sum(axis=1)),
+            order[start + np.arange(flat.sum())])
 
 
 def _contact_edges(structure: ProteinStructure, cutoff: float,
                    allow_coincident: bool):
     """Contacts i < j in lexicographic order, d = x_i - x_j and d . d."""
-    pos = structure.positions
-    i, j = np.nonzero(np.triu(within_cutoff(pos, pos, cutoff), 1))
-    d = pos[i] - pos[j]
+    if not cutoff > 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    pos, n = structure.positions, structure.n_atoms
+    a, b = _candidate_pairs(pos, cutoff)
+    near = _distance(np.take(pos, a, axis=0) - np.take(pos, b, axis=0)) <= cutoff
+    a, b = a[near], b[near]
+    i, j = np.divmod(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n)
+    d = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
     dd = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
     same = np.flatnonzero(dd == 0.0)
     if same.size:
@@ -227,9 +279,11 @@ def model_from_matrices(K: np.ndarray, masses: np.ndarray,
 
 def export_matrix_market(matrix: np.ndarray, path, comment: str = "") -> None:
     """Write a matrix to Matrix Market format (sparse coordinate layout)."""
+    import scipy.io  # only the Matrix Market functions need it
     scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(matrix), comment=comment)
 
 
 def import_matrix_market(path) -> np.ndarray:
+    import scipy.io
     mat = scipy.io.mmread(str(path))
     return np.asarray(mat.todense() if scipy.sparse.issparse(mat) else mat, dtype=float)

@@ -51,22 +51,28 @@ def cbrng(seed: int, counter: int) -> int:
     return z >> 11
 
 
-def _finalize_array(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
+def _finalize_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """`_finalize` over a uint64 array, in place; scratch has z's shape."""
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
 def cbrng_array(seed: int, counters: np.ndarray) -> np.ndarray:
     """Vectorized cbrng over a uint64 counter array."""
     s = np.uint64(seed & _MASK)
-    z = _finalize_array((counters.astype(np.uint64) * np.uint64(_GOLDEN)) ^ s)
-    z = _finalize_array(z + s)
-    return (z >> np.uint64(11)).astype(np.int64)
+    z = counters.astype(np.uint64)  # a copy: the counters stay untouched
+    z *= np.uint64(_GOLDEN)
+    z ^= s
+    scratch = np.empty_like(z)
+    _finalize_array(z, scratch)
+    z += s
+    _finalize_array(z, scratch)
+    z >>= np.uint64(11)
+    return z.view(np.int64)  # below 2**53, so the same values
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
@@ -87,12 +93,16 @@ def standard_normals(seed: int, start, count: int) -> np.ndarray:
     counters = np.add.outer(np.asarray(start, dtype=np.uint64),
                             np.arange(2 * pairs, dtype=np.uint64))
     u = cbrng_array(seed, counters).reshape(*counters.shape[:-1], pairs, 2)
-    u1 = (u[..., 0] + 1.0) / (MAX_R + 1.0)  # in (0, 1], log-safe
-    u2 = u[..., 1] / MAX_R
-    radius = np.sqrt(-2.0 * np.log(u1))
+    radius = u[..., 0] + 1.0
+    radius /= MAX_R + 1.0  # u1 in (0, 1], log-safe
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = u[..., 1] / MAX_R
+    angle *= 2.0 * np.pi
     out = np.empty((*counters.shape[:-1], 2 * pairs))
-    out[..., 0::2] = radius * np.cos(2.0 * np.pi * u2)
-    out[..., 1::2] = radius * np.sin(2.0 * np.pi * u2)
+    np.multiply(radius, np.cos(angle), out=out[..., 0::2])
+    np.multiply(radius, np.sin(angle, out=angle), out=out[..., 1::2])
     return out[..., :count]
 
 

@@ -332,7 +332,7 @@ def test_basis_walk_names_bad_input():
         qc.apply_basis(circ, [0] * 7)
     with pytest.raises(ValueError, match=r"^bits has shape \(2, 8\), circuit has 9 qubits$"):
         qc.apply_basis(circ, np.zeros((2, 8), dtype=np.uint8))
-    for value in (2, 0.5, -1):
+    for value in (2, 0.5, -1, 256):
         bits = [0] * 9
         bits[4] = value
         with pytest.raises(ValueError, match=rf"^bits\[4\] = {value} is not 0 or 1$"):
@@ -341,8 +341,22 @@ def test_basis_walk_names_bad_input():
     batch[2, 6] = 0.5
     with pytest.raises(ValueError, match=r"^bits\[2, 6\] = 0.5 is not 0 or 1$"):
         qc.apply_basis(circ, batch)
+    with pytest.raises(ValueError, match=r"^bits\[1, 3\] = 256 is not 0 or 1$"):
+        qc.apply_basis(circ, [[0] * 9, [0, 0, 0, 256, 0, 0, 0, 0, 0]])
     # bools and other integer dtypes holding 0 and 1 still pass
     assert qc.apply_basis(circ, np.zeros(9, dtype=bool)) == qc.apply_basis(circ, [0] * 9)
+
+
+def test_basis_walk_takes_any_list_of_zeros_and_ones():
+    circ = qc.build_decoder(2)      # 9 qubits
+    rows = np.random.default_rng(2).integers(0, 2, size=(5, 9), dtype=np.uint8)
+    want = qc.apply_basis(circ, rows)
+    for row, expect in zip(rows.tolist(), want.tolist()):
+        for bits in (row, [float(b) for b in row], [bool(b) for b in row],
+                     [np.int64(b) for b in row]):
+            assert qc.apply_basis(circ, bits) == expect
+    batch = qc.apply_basis(circ, rows.tolist())    # a 2-D list is a batch
+    assert batch.dtype == np.uint8 and np.array_equal(batch, want)
 
 
 def test_loader_rejects_bad_words_naming_the_index():

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+import scipy.integrate
 import scipy.linalg
 
-from gnmqsim.control import (RESIDUAL_RTOL, ControlProblem, simulate_controlled,
-                             solve_lqr)
+from gnmqsim.control import (RESIDUAL_RTOL, ControlProblem, _simpson,
+                             simulate_controlled, solve_lqr)
 from gnmqsim.errors import NumericalError
 from gnmqsim.network import build_gnm, model_from_matrices
 from gnmqsim.structure import synthetic_chain
@@ -151,6 +153,22 @@ def test_finite_horizon_terminal_condition_and_convergence(scalar_problem):
     z0 = np.concatenate([z0u, z0v])
     J_pred = 0.5 * z0 @ law.riccati @ z0
     assert abs(sim["cost"] - J_pred) / J_pred < 1e-4
+
+
+# scipy before 1.11 averaged the first- and last-interval rules for an even
+# point count; _simpson follows the Cartwright correction that replaced it
+OLD_EVEN_RULE = tuple(map(int, scipy.__version__.split(".")[:2])) < (1, 11)
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_simpson_equals_scipy_bit_for_bit(n):
+    if n % 2 == 0 and OLD_EVEN_RULE:
+        pytest.skip("scipy < 1.11 uses the averaged even-count rule")
+    rng = np.random.default_rng(n)
+    for span in (1e-3, 0.37, 10.0, 30.0, 1234.5):
+        for x in (np.linspace(0.0, span, n), np.sort(rng.uniform(0.0, span, n))):
+            y = rng.normal(size=n) * rng.uniform(0.1, 100.0)
+            assert _simpson(y, x) == scipy.integrate.simpson(y, x=x)
 
 
 def test_gain_schedule_interpolates_between_grid_points(scalar_problem):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
+from gnmqsim import network
 from gnmqsim.connectivity import ConnectivityStore
 from gnmqsim.errors import NumericalError
 from gnmqsim.network import (DEFAULT_ANM_CUTOFF, DEFAULT_GNM_CUTOFF,
@@ -168,13 +169,106 @@ def pair_structure(a, b):
                             masses=np.ones(2), labels=["A1", "A2"])
 
 
+BOUNDARY_PAIR = ([36.88542943473193, 13.406997934744325, -0.34283062011469667],
+                 [32.615175161474895, 17.87107337178247, -3.6347842853661865])
+
+
 def test_gnm_and_store_agree_at_the_cutoff_boundary():
-    # 7.000000000000001 apart by scipy's kernel, 7.0 by np.linalg.norm
-    pair = pair_structure(
-        [36.88542943473193, 13.406997934744325, -0.34283062011469667],
-        [32.615175161474895, 17.87107337178247, -3.6347842853661865])
+    # 7.000000000000001 apart by cdist's kernel, 7.0 by np.linalg.norm
+    pair = pair_structure(*BOUNDARY_PAIR)
     store = ConnectivityStore(pair, cutoff=7.0)
     assert build_gnm(pair, cutoff=7.0).n_edges == store.degree(0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 7.0, 1e3, 1e6])
+def test_distance_kernel_equals_cdist_bit_for_bit(scale):
+    rng = np.random.default_rng(int(scale * 1000) % 2**32)
+    a = rng.normal(size=(40, 3)) * scale + rng.normal(size=3) * scale
+    b = rng.uniform(-scale, scale, size=(30, 3))
+    assert np.array_equal(network._distance(a[:, None, :] - b[None, :, :]), cdist(a, b))
+    assert np.array_equal(network.within_cutoff(a, b, scale), cdist(a, b) <= scale)
+    a, b = np.array(BOUNDARY_PAIR)
+    assert network._distance(a - b) == cdist([a], [b])[0, 0] == 7.000000000000001
+    assert not network.within_cutoff([a], [b], 7.0)[0, 0]
+
+
+def compact_walk(n: int, seed: int) -> np.ndarray:
+    """3.8 A steps in random directions inside a sphere of 180 A^3 per site,
+    on the PDB's 0.001 A grid."""
+    rng = np.random.default_rng(seed)
+    radius = (3.0 * n * 180.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
+    pos = np.zeros((n, 3))
+    for k in range(1, n):
+        step = rng.normal(size=3)
+        while np.linalg.norm(pos[k - 1] + 3.8 * step / np.linalg.norm(step)) > radius:
+            step = rng.normal(size=3)
+        pos[k] = pos[k - 1] + 3.8 * step / np.linalg.norm(step)
+    return np.round(pos, 3)
+
+
+def on_cell_faces(cutoff: float) -> np.ndarray:
+    """Atoms on the faces of cutoff-sided cells, each one ulp either side,
+    and pairs exactly one cutoff apart along an axis."""
+    rng = np.random.default_rng(int(cutoff))
+    faces = rng.integers(-6, 6, size=(80, 3)) * cutoff
+    return np.vstack([faces, faces + [cutoff, 0.0, 0.0], faces + [0.0, 0.0, cutoff],
+                      np.nextafter(faces, -np.inf), np.nextafter(faces, np.inf)])
+
+
+def scattered_pairs(n: int, reach: float) -> np.ndarray:
+    """n atoms up to `reach` from the origin along each axis (hundreds of
+    thousands of cells), each with a partner 2-8 A away."""
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-reach, reach, size=(n, 3))
+    step = rng.normal(size=(n, 3))
+    step *= rng.uniform(2.0, 8.0, size=(n, 1)) / np.linalg.norm(step, axis=1, keepdims=True)
+    return np.vstack([a, a + step])
+
+
+CONTACT_CLOUDS = {  # each built for a cutoff
+    "compact400": lambda cutoff: compact_walk(400, 1),
+    "compact1000": lambda cutoff: compact_walk(1000, 2),
+    "faces": on_cell_faces,
+    "negative": lambda cutoff: np.random.default_rng(4).uniform(-60.0, -1.0, size=(300, 3)),
+    "one_atom": lambda cutoff: np.array([[1.0, -2.0, 3.0]]),
+    "wide": lambda cutoff: scattered_pairs(500, 3e6),
+    "far_apart": lambda cutoff: np.vstack([compact_walk(150, 5),
+                                           compact_walk(150, 6) + 3e8]),
+    # 7.0 apart, but floor(x / 7) puts them two cells apart: found only
+    # because the cells are widened past the cutoff
+    "two_cells_apart": lambda cutoff: np.array([[-1e-17, 0.0, 0.0], [7.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("cutoff", [7.0, 13.0])
+@pytest.mark.parametrize("cloud", CONTACT_CLOUDS)
+def test_contact_search_matches_cdist_oracle(cloud, cutoff):
+    pos = CONTACT_CLOUDS[cloud](cutoff)
+    structure = ProteinStructure(positions=pos, masses=np.ones(len(pos)),
+                                 labels=["X"] * len(pos))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the face lattice has coincident atoms
+        i, j, d, _ = network._contact_edges(structure, cutoff, allow_coincident=True)
+    want_i, want_j = np.nonzero(np.triu(cdist(pos, pos) <= cutoff, 1))
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    assert np.array_equal(d, pos[i] - pos[j])
+
+
+def test_contact_search_warns_for_the_first_coincident_pair_in_order():
+    pos = compact_walk(200, 3)
+    pos[[150, 90, 40]] = pos[[12, 33, 7]]   # three coincident pairs
+    structure = ProteinStructure(positions=pos, masses=np.ones(200),
+                                 labels=["X"] * 200)
+    with pytest.warns(UserWarning, match=r"^atoms 7 and 40 coincide \(and 2 more pairs\); "):
+        build_gnm(structure)
+    with pytest.raises(NumericalError, match=r"^atoms 7 and 40 coincide \(and 2 more"):
+        build_anm(structure)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
+def test_contact_search_rejects_a_cutoff_that_is_not_positive(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        build_gnm(synthetic_chain(3), cutoff=cutoff)
 
 
 def test_gnm_keeps_coincident_atoms_connected_with_a_warning():

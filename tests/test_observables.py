@@ -199,12 +199,22 @@ def test_dos_positivity_normalization_and_peak(crambin_gnm, crambin_alpha):
         curve = obs.reconstruct_dos(mom)
         assert np.all(curve.values >= 0)
         assert 0.995 <= curve.integral() <= 1.005
+        assert curve.integral() == trapezoid(curve.values, curve.grid)
     one = obs.chebyshev_moments_exact(np.array([[0.7]]), 1.0, 200)
     curve1 = obs.reconstruct_dos(one)
     assert abs(curve1.grid[np.argmax(curve1.values)] - 0.7) < 2e-3
     # undamped truncation rings: negative lobes appear around the peak
     ringing = obs.reconstruct_dos(one, kernel="dirichlet")
     assert ringing.values.min() < -1e-3
+
+
+def test_dos_integral_is_scipys_trapezoid_on_uneven_grids(crambin_gnm, crambin_alpha):
+    mom = obs.chebyshev_moments_exact(crambin_gnm.A, crambin_alpha, 80)
+    rng = np.random.default_rng(8)
+    for size in (2, 3, 50, 777):
+        grid = np.sort(rng.uniform(0.0, crambin_alpha, size))
+        curve = obs.reconstruct_dos(mom, grid=grid)
+        assert curve.integral() == trapezoid(curve.values, curve.grid)
 
 
 def test_reconstruct_dos_validates_inputs():

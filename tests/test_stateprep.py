@@ -22,6 +22,7 @@ def test_cbrng_array_matches_scalar():
     counters = np.arange(17, dtype=np.uint64)
     arr = sp.cbrng_array(9, counters)
     assert arr.tolist() == [sp.cbrng(9, int(c)) for c in counters]
+    assert counters.tolist() == list(range(17))   # mixed in a copy
 
 
 def test_cbrng_range_and_spread():
@@ -64,6 +65,28 @@ def test_standard_normals_array_starts_match_per_start_calls():
         assert block.shape == (len(starts), count)
         for row, start in zip(block, starts.tolist()):
             assert np.array_equal(row, sp.standard_normals(3, start, count))
+
+
+def box_muller_reference(seed: int, start: int, count: int) -> np.ndarray:
+    """Box-Muller on scalar cbrng draws, one temporary per step."""
+    pairs = (count + 1) // 2
+    r = np.array([sp.cbrng(seed, start + k) for k in range(2 * pairs)])
+    u1 = (r[0::2] + 1.0) / (sp.MAX_R + 1.0)
+    u2 = r[1::2] / sp.MAX_R
+    radius = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(2.0 * np.pi * u2)
+    out[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return out[:count]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
+def test_standard_normals_equal_the_reference_bit_for_bit(seed):
+    starts = np.array([0, 7, 2 ** 40 + 3], dtype=np.uint64)
+    for count in (1, 6, 45, 300):
+        block = sp.standard_normals(seed, starts, count)
+        for row, start in zip(block, starts.tolist()):
+            assert np.array_equal(row, box_muller_reference(seed, start, count))
 
 
 def test_standard_normals_moments():
