@@ -1,9 +1,8 @@
 """Modifiable contact-network store with write-cost accounting.
 
 Holds the cutoff graph of a structure in per-row ordered binary search
-trees (plus a uniform spatial grid at cell edge = cutoff for neighbor
-discovery), and supports local edits: moving, adding, and removing atoms
-and changing a mass. Every edit reports `changed_values`, the number of
+trees and supports local edits: moving, adding, and removing atoms and
+changing a mass. Every edit reports `changed_values`, the number of
 logical stored words the edit rewrote, which is the quantity a table
 resynthesis downstream would have to touch. The accounting is:
 
@@ -19,8 +18,12 @@ Each edit's total is asserted against the contract bound
 words because only leaf attachment and splice pointers are written, never
 whole search paths.
 
-Contacts are decided by `network.within_cutoff`, the test the network
-builders apply, so the store and `build_gnm` agree on every pair.
+Contacts come from `network`, so the store and `build_gnm` agree on every
+pair: a build takes them from its contact search (coincident sites stay
+connected, with a warning); an edit tests with `within_cutoff` the sites
+of a cell grid whose side `_cell_side` fixes once, from the sites built
+from. `restore` builds from a snapshot's slots and rejects a file that is
+truncated, has bytes after its labels or lists other contacts.
 
 The GNM convention holds throughout: row i enumerates exactly the
 neighbors within the cutoff (never i itself); the self-term is implicit
@@ -36,13 +39,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParseError
-from .network import within_cutoff
+from .network import _cell_side, _contact_edges, within_cutoff
 from .structure import DEFAULT_GNM_CUTOFF, ProteinStructure
 
 SENTINEL = -1
 _MAGIC = b"GQKP"
 _VERSION = 1
 _COST_C0 = 8
+_SLOT = np.dtype([("active", "u1"), ("pos", "<f8", 3), ("mass", "<f8")])
+
+
+def _position(name: str, pos) -> np.ndarray:
+    """`pos` as 3 finite coordinates; ValueError naming `name` otherwise."""
+    p = np.asarray(pos, dtype=float)
+    if p.shape != (3,) or not np.isfinite(p).all():
+        raise ValueError(f"{name} must be 3 finite coordinates, got {pos!r}")
+    return p
+
+
+def _mass(mass) -> float:
+    m = float(mass)
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"mass must be finite and positive, got {mass!r}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -67,26 +86,35 @@ class ConnectivityStore:
 
     def __init__(self, structure: ProteinStructure,
                  cutoff: float = DEFAULT_GNM_CUTOFF, spring: float = 1.0):
-        self.cutoff = float(cutoff)
-        self.spring = float(spring)
-        self.source_id = structure.source_id
+        self._build(structure, [True] * structure.n_atoms, cutoff, spring)
+
+    def _build(self, structure: ProteinStructure, active, cutoff: float,
+               spring: float) -> np.ndarray:
+        """Set every field: a slot per site, flagged by `active`, and the
+        contacts among active sites, inserted and returned as (e, 2) slot
+        ids i < j in lexicographic order, so rows get their keys ascending."""
+        self.cutoff, self.spring, self.source_id = float(cutoff), float(spring), structure.source_id
         self._positions: list[np.ndarray] = [p.copy() for p in structure.positions]
-        self._masses: list[float] = [float(m) for m in structure.masses]
+        self._masses: list[float] = structure.masses.tolist()
         self._labels: list[str] = list(structure.labels)
-        self._active: list[bool] = [True] * structure.n_atoms
+        self._active: list[bool] = [bool(a) for a in active]
         self._roots: list[int | None] = [None] * structure.n_atoms
         self._nodes: list[dict[int, list]] = [dict() for _ in range(structure.n_atoms)]
         self._degrees: list[int] = [0] * structure.n_atoms
+        ids = np.flatnonzero(self._active)
+        sites = ProteinStructure(structure.positions[ids], structure.masses[ids],
+                                 [structure.labels[k] for k in ids])
+        i, j, _, _ = _contact_edges(sites, self.cutoff, allow_coincident=True, stacklevel=4)
+        self._side = _cell_side(self.cutoff, sites.positions)
         self._grid: dict[tuple, set[int]] = {}
-        self._writes = 0
-        for i in range(structure.n_atoms):
-            self._grid.setdefault(self._cell(self._positions[i]), set()).add(i)
-        for i in range(structure.n_atoms):
-            for j in self._grid_neighbors(self._positions[i], exclude=i):
-                if j < i:
-                    self._tree_insert(i, j)
-                    self._tree_insert(j, i)
+        for k in ids.tolist():
+            self._grid.setdefault(self._cell(self._positions[k]), set()).add(k)
+        edges, self._writes = ids[np.column_stack([i, j])], 0
+        for a, b in edges.tolist():
+            self._tree_insert(a, b)
+            self._tree_insert(b, a)
         self._writes = 0  # construction cost is not a modification cost
+        return edges
 
     # -- basic properties ---------------------------------------------------
 
@@ -115,13 +143,13 @@ class ConnectivityStore:
             raise KeyError(f"no active site with id {i}")
 
     def _cell(self, pos) -> tuple:
-        return tuple(int(math.floor(c / self.cutoff)) for c in pos)
+        return tuple(int(math.floor(c / self._side)) for c in pos)
 
-    def _grid_neighbors(self, pos, exclude: int | None = None) -> list[int]:
+    def _grid_neighbors(self, pos, exclude: int) -> list[int]:
         cx, cy, cz = self._cell(pos)
         cand = sorted(j for dx, dy, dz in itertools.product((-1, 0, 1), repeat=3)
                       for j in self._grid.get((cx + dx, cy + dy, cz + dz), ())
-                      if j != exclude and self._active[j])
+                      if j != exclude)
         near = within_cutoff(np.reshape(pos, (1, 3)),
                              np.reshape([self._positions[j] for j in cand], (-1, 3)),
                              self.cutoff)[0]
@@ -258,7 +286,7 @@ class ConnectivityStore:
     def move_atom(self, i: int, new_pos) -> ModificationReport:
         """Move a site; only rows whose contact set changed are touched."""
         self._check_active(i)
-        new_pos = np.asarray(new_pos, dtype=float)
+        new_pos = _position("new_pos", new_pos)
         d_old = self._degrees[i]
         old_nbrs = set(self.neighbors(i))
         new_nbrs = set(self._grid_neighbors(new_pos, exclude=i))
@@ -275,12 +303,10 @@ class ConnectivityStore:
         return self._finish("move", d_old, len(new_nbrs), affected)
 
     def add_atom(self, pos, mass: float = 1.0, label: str = "X") -> tuple[int, ModificationReport]:
-        pos = np.asarray(pos, dtype=float)
-        if mass <= 0:
-            raise ValueError("mass must be positive")
+        pos, mass = _position("pos", pos), _mass(mass)
         i = self.n_slots
         self._positions.append(pos.copy())
-        self._masses.append(float(mass))
+        self._masses.append(mass)
         self._labels.append(label)
         self._active.append(True)
         self._roots.append(None)
@@ -310,9 +336,7 @@ class ConnectivityStore:
 
     def set_mass(self, i: int, mass: float) -> ModificationReport:
         self._check_active(i)
-        if mass <= 0:
-            raise ValueError("mass must be positive")
-        self._masses[i] = float(mass)
+        self._masses[i] = _mass(mass)
         self._writes += 1
         return self._finish("set_mass", self._degrees[i], self._degrees[i], 1)
 
@@ -369,65 +393,52 @@ class ConnectivityStore:
         return self.state_tuple() == other.state_tuple()
 
     def snapshot(self, path) -> None:
-        """Binary dump: versioned header, little-endian fixed-width words."""
-        chunks = [_MAGIC, struct.pack("<II", _VERSION, self.n_slots),
-                  struct.pack("<dd", self.cutoff, self.spring)]
-        for i in range(self.n_slots):
-            chunks.append(struct.pack(
-                "<B3dd", int(self._active[i]), *self._positions[i],
-                self._masses[i]))
-        edges = [(i, j) for i in self.active_ids for j in self.neighbors(i)
-                 if j > i]
-        chunks.append(struct.pack("<Q", len(edges)))
-        chunks += [struct.pack("<II", i, j) for i, j in edges]
+        """Binary dump (v1), little-endian fixed-width words: header, slots,
+        contacts i < j, then the NUL-joined labels, each list counted."""
+        slots = np.array(list(zip(self._active, self._positions, self._masses)), _SLOT)
+        edges = np.array([(i, j) for i in self.active_ids for j in self.neighbors(i)
+                          if j > i], dtype="<u4")
         labels = "\x00".join(self._labels).encode()
-        chunks.append(struct.pack("<Q", len(labels)))
-        chunks.append(labels)
         with open(path, "wb") as fh:
-            fh.write(b"".join(chunks))
+            fh.write(b"".join([_MAGIC, struct.pack("<IIdd", _VERSION, self.n_slots,
+                                                   self.cutoff, self.spring),
+                               slots.tobytes(), struct.pack("<Q", len(edges)),
+                               edges.tobytes(), struct.pack("<Q", len(labels)), labels]))
 
     @classmethod
     def restore(cls, path) -> "ConnectivityStore":
+        """Rebuild a v1 `snapshot`; ParseError if the file is malformed."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:4] != _MAGIC:
             raise ParseError("not a connectivity snapshot (bad magic)")
-        version, n_slots = struct.unpack_from("<II", blob, 4)
+        off = 4
+
+        def read(dtype, count: int) -> np.ndarray:
+            nonlocal off
+            size = np.dtype(dtype).itemsize * count
+            if len(blob) - off < size:
+                raise ParseError(f"connectivity snapshot truncated at byte {len(blob)}")
+            off += size
+            return np.frombuffer(blob, dtype, count, off - size)
+
+        version, n_slots = read("<u4", 2).tolist()
         if version != _VERSION:
             raise ParseError(f"unsupported snapshot version {version}")
-        off = 12
-        cutoff, spring = struct.unpack_from("<dd", blob, off)
-        off += 16
+        cutoff, spring = read("<f8", 2).tolist()
+        slots = read(_SLOT, n_slots)
+        edges = read("<u4", 2 * int(read("<u8", 1)[0])).reshape(-1, 2)
+        raw = read("u1", int(read("<u8", 1)[0])).tobytes()
+        if off != len(blob):
+            raise ParseError(f"{len(blob) - off} bytes after the snapshot's labels")
         store = cls.__new__(cls)
-        store.cutoff, store.spring = cutoff, spring
-        store.source_id = "snapshot"
-        store._positions, store._masses, store._active = [], [], []
-        store._labels = []
-        for _ in range(n_slots):
-            vals = struct.unpack_from("<B3dd", blob, off)
-            off += struct.calcsize("<B3dd")
-            store._active.append(bool(vals[0]))
-            store._positions.append(np.array(vals[1:4]))
-            store._masses.append(vals[4])
-        (n_edges,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        store._roots = [None] * n_slots
-        store._nodes = [dict() for _ in range(n_slots)]
-        store._degrees = [0] * n_slots
-        store._grid = {}
-        store._writes = 0
-        for i in range(n_slots):
-            if store._active[i]:
-                store._grid.setdefault(store._cell(store._positions[i]),
-                                       set()).add(i)
-        for _ in range(n_edges):
-            i, j = struct.unpack_from("<II", blob, off)
-            off += 8
-            store._tree_insert(i, j)
-            store._tree_insert(j, i)
-        (label_len,) = struct.unpack_from("<Q", blob, off)
-        off += 8
-        raw = blob[off:off + label_len].decode()
-        store._labels = raw.split("\x00") if raw else [""] * n_slots
-        store._writes = 0
+        try:
+            labels = raw.decode().split("\x00") if raw else [""] * n_slots
+            structure = ProteinStructure(positions=slots["pos"], masses=slots["mass"],
+                                         labels=labels, source_id="snapshot")
+            built = store._build(structure, slots["active"], cutoff, spring)
+        except ValueError as exc:
+            raise ParseError(f"bad connectivity snapshot: {exc}") from None
+        if not np.array_equal(built, edges):
+            raise ParseError("the snapshot's contacts disagree with its positions")
         return store

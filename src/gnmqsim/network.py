@@ -7,14 +7,14 @@ Two flavors are built from a structure and a distance cutoff:
 * vector per-site model ("anm"): K is the 3N x 3N Hessian assembled from
   rank-one super-elements -spring * (d d^T) / |d|^2 per contact.
 
-`within_cutoff` is the one contact test (the connectivity store uses it
-too): the squares of the x, y and z differences summed in that order,
-then the square root, so a pair at the cutoff boundary is decided alike
-everywhere. The network build takes its candidate pairs from a cell grid
-and decides each with the same kernel. One vectorised assembly builds K,
-the mass-weighted stiffness A = M^{-1/2} K M^{-1/2} and its
-incidence-style factor B with B B^T = A for both flavors, which
-downstream modules embed into a Hamiltonian.
+`within_cutoff` is the one contact test: the squares of the x, y and z
+differences summed in that order, then the square root, so a pair at the
+cutoff boundary is decided alike everywhere. The network build takes its
+candidate pairs from a cell grid and decides each with the same kernel;
+the connectivity store builds from that search and edits on that grid's
+cell side. One vectorised assembly builds K, the mass-weighted stiffness
+A = M^{-1/2} K M^{-1/2} and its incidence-style factor B with B B^T = A
+for both flavors, which downstream modules embed into a Hamiltonian.
 K is dense. A is stored only as a sparse CSR array with the contact
 graph's sparsity (`eigenpairs`, the one eigensolve, densifies it; every
 other reader multiplies by it), and B only as a sparse CSC array, filled
@@ -119,20 +119,23 @@ _FORWARD = (np.array([o for o in np.ndindex(3, 3, 3) if o >= (1, 1, 1)]) - 1
             ) @ _STRIDES
 
 
+def _cell_side(cutoff: float, pos: np.ndarray) -> float:
+    """Grid cell side for a contact search: `cutoff` widened by 2**-19 of
+    (cutoff + the largest coordinate), far more than the rounding of the
+    difference, distance and division, so no contact lands two cells apart."""
+    return cutoff + (cutoff + np.abs(pos).max(initial=0.0)) / 2**19
+
+
 def _candidate_pairs(pos: np.ndarray, cutoff: float):
     """Pairs (i, j), i != j, each unordered pair once, that contain every
     pair within `cutoff`: each atom with the later atoms of its own cell
     and every atom of its 13 forward neighbour cells.
 
-    The cell side is `cutoff` widened by 2**-19 of (cutoff + the largest
-    coordinate). That is far more than the rounding of the difference,
-    the distance and the division, so a pair at the boundary never lands
-    two cells apart; and no atom is 2**19 cells from the origin, so every
-    cell and its neighbours fit the packed key.
+    Cells have side `_cell_side(cutoff, pos)`; no atom is 2**19 cells from
+    the origin, so every cell and its neighbours fit the packed key.
     """
     n = len(pos)
-    side = cutoff + (cutoff + np.abs(pos).max(initial=0.0)) / 2**19
-    key = np.floor(pos / side).astype(np.int64) @ _STRIDES
+    key = np.floor(pos / _cell_side(cutoff, pos)).astype(np.int64) @ _STRIDES
     order = np.argsort(key, kind="stable")
     key = key[order]
     cells = key[:, None] + _FORWARD
@@ -146,8 +149,9 @@ def _candidate_pairs(pos: np.ndarray, cutoff: float):
 
 
 def _contact_edges(structure: ProteinStructure, cutoff: float,
-                   allow_coincident: bool):
-    """Contacts i < j in lexicographic order, d = x_i - x_j and d . d."""
+                   allow_coincident: bool, stacklevel: int = 3):
+    """Contacts i < j in lexicographic order, d = x_i - x_j and d . d; a
+    coincident pair warns `stacklevel` frames up, at the public caller."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     pos, n = structure.positions, structure.n_atoms
@@ -164,7 +168,7 @@ def _contact_edges(structure: ProteinStructure, cutoff: float,
             pair += f" (and {same.size - 1} more pairs)"
         if not allow_coincident:
             raise NumericalError(f"{pair}; contact direction undefined")
-        warnings.warn(f"{pair}; treated as connected", stacklevel=3)
+        warnings.warn(f"{pair}; treated as connected", stacklevel=stacklevel)
     return i, j, d, dd
 
 

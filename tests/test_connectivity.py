@@ -1,5 +1,14 @@
+import base64
+import dataclasses
+import hashlib
+import json
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from test_network import (BOUNDARY_PAIR, CONTACT_CLOUDS, TWO_CELLS_APART,
+                          compact_walk, pair_structure)
 
 from gnmqsim.circuits import (apply_basis, bits_of, build_sparse_index_oracle,
                               value_of)
@@ -198,3 +207,169 @@ def test_degenerate_chain_matches_path_graph():
     assert lists[8] == [7]
     for i in range(1, 8):
         assert lists[i] == [i - 1, i + 1]
+
+
+def gnm_rows(structure, cutoff):
+    rows = {i: [] for i in range(structure.n_atoms)}
+    for i, j in build_gnm(structure, cutoff=cutoff).edges.tolist():
+        rows[i].append(j)
+        rows[j].append(i)
+    return {i: sorted(r) for i, r in rows.items()}
+
+
+@pytest.mark.parametrize("cutoff", [7.0, 13.0])
+@pytest.mark.parametrize("cloud", CONTACT_CLOUDS)
+def test_construction_matches_gnm_on_every_contact_cloud(cloud, cutoff):
+    pos = CONTACT_CLOUDS[cloud](cutoff)
+    structure = ProteinStructure(positions=pos, masses=np.ones(len(pos)),
+                                 labels=["X"] * len(pos))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the face lattice has coincident atoms
+        rows = gnm_rows(structure, cutoff)
+        assert ConnectivityStore(structure, cutoff=cutoff).neighbor_lists() == rows
+
+
+def test_build_move_and_add_find_boundary_pairs_as_gnm_does():
+    for pair in (BOUNDARY_PAIR, TWO_CELLS_APART):
+        a, b = np.array(pair)
+        want = gnm_rows(pair_structure(a, b), 7.0)
+        built = ConnectivityStore(pair_structure(a, b), cutoff=7.0)
+        moved = ConnectivityStore(pair_structure(a, b + [30.0, 0.0, 0.0]), cutoff=7.0)
+        moved.move_atom(1, b)
+        added = ConnectivityStore(ProteinStructure(positions=[a], masses=[1.0],
+                                                   labels=["A1"]), cutoff=7.0)
+        added.add_atom(b)
+        for store in (built, moved, added):
+            assert store.neighbor_lists() == want, pair
+    assert want == {0: [1], 1: [0]}  # the two-cells pair is a contact
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda st: st.add_atom([np.inf, 0, 0]), r"^pos must be 3 finite coordinates, got \[inf, 0, 0\]$"),
+    (lambda st: st.add_atom([1.0, 2.0]), r"^pos must be 3 finite coordinates, got \[1.0, 2.0\]$"),
+    (lambda st: st.add_atom([1.0, 2.0, 3.0], mass=float("nan")),
+     r"^mass must be finite and positive, got nan$"),
+    (lambda st: st.move_atom(1, [0.0, float("nan"), 0.0]),
+     r"^new_pos must be 3 finite coordinates, got \[0.0, nan, 0.0\]$"),
+    (lambda st: st.set_mass(1, float("nan")), r"^mass must be finite and positive, got nan$"),
+    (lambda st: st.set_mass(1, float("inf")), r"^mass must be finite and positive, got inf$"),
+], ids=["add_inf", "add_short", "add_nan_mass", "move_nan", "mass_nan", "mass_inf"])
+def test_bad_edit_inputs_raise_before_any_write(edit, match):
+    st = ConnectivityStore(synthetic_chain(5), cutoff=7.0)
+    before = st.state_tuple(), st.n_slots
+    with pytest.raises(ValueError, match=match):
+        edit(st)
+    assert (st.state_tuple(), st.n_slots) == before
+    assert st.to_structure().n_atoms == 5
+
+
+def test_coincident_sites_stay_connected_with_a_warning_at_the_caller(tmp_path):
+    pair = pair_structure([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.warns(UserWarning, match="^atoms 0 and 1 coincide; treated as connected") as record:
+        store = ConnectivityStore(pair)
+    assert record[0].filename == __file__
+    assert store.neighbor_lists() == {0: [1], 1: [0]}
+    store.snapshot(tmp_path / "pair.gqkp")
+    with pytest.warns(UserWarning, match="^atoms 0 and 1 coincide") as record:
+        assert ConnectivityStore.restore(tmp_path / "pair.gqkp") == store
+    assert record[0].filename == __file__
+
+
+def edited_chain():
+    st = ConnectivityStore(synthetic_chain(6), cutoff=7.0, spring=1.5)
+    st.remove_atom(2)
+    st.add_atom([1.0, 4.0, 0.5], mass=2.0, label="Y")
+    st.move_atom(5, [11.0, 3.0, -1.0])
+    return st
+
+
+def snapshot_bytes(store, tmp_path):
+    path = tmp_path / "store.gqkp"
+    store.snapshot(path)
+    return path.read_bytes()
+
+
+# edited_chain()'s snapshot as written before restore recomputed contacts
+PARENT_SNAPSHOT = base64.b64decode("""
+R1FLUAEAAAAHAAAAAAAAAAAAHEAAAAAAAAD4PwEAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA
+AADwPwFmZmZmZmYOQAAAAAAAAAAAAAAAAAAAAAAAAAAAAADwPwBmZmZmZmYeQAAAAAAAAAAAAAAA
+AAAAAAAAAAAAAADwPwHMzMzMzMwmQAAAAAAAAAAAAAAAAAAAAAAAAAAAAADwPwFmZmZmZmYuQAAA
+AAAAAAAAAAAAAAAAAAAAAAAAAADwPwEAAAAAAAAmQAAAAAAAAAhAAAAAAAAA8L8AAAAAAADwPwEA
+AAAAAADwPwAAAAAAABBAAAAAAAAA4D8AAAAAAAAAQAYAAAAAAAAAAAAAAAEAAAAAAAAABgAAAAEA
+AAAGAAAAAwAAAAQAAAADAAAABQAAAAQAAAAFAAAAHwAAAAAAAABHTFkxAEdMWTIAR0xZMwBHTFk0
+AEdMWTUAR0xZNgBZ
+""")
+
+
+def test_snapshot_written_by_the_earlier_store_restores_equal(tmp_path):
+    path = tmp_path / "old.gqkp"
+    path.write_bytes(PARENT_SNAPSHOT)
+    restored, want = ConnectivityStore.restore(path), edited_chain()
+    assert restored == want
+    assert restored.to_structure().labels == want.to_structure().labels
+    assert snapshot_bytes(want, tmp_path) == PARENT_SNAPSHOT
+
+
+# edited_chain() has 7 slots of 33 bytes after the 28-byte header, so its
+# contact list starts at byte 267 (after the 8-byte count)
+EDGES_AT = 28 + 7 * 33 + 8
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob[:-1],                      # labels cut short
+    lambda blob: blob[:EDGES_AT + 4],            # inside a contact
+    lambda blob: blob[:28 + 3 * 33],             # inside the slots
+    lambda blob: blob[:20],                      # inside the header
+    lambda blob: blob + b"\x00",                 # bytes after the labels
+    lambda blob: blob[:EDGES_AT] + struct.pack("<II", 1, 2) + blob[EDGES_AT + 8:],
+    lambda blob: blob[:EDGES_AT] + struct.pack("<II", 0, 99) + blob[EDGES_AT + 8:],
+], ids=["labels", "contact", "slots", "header", "trailing", "removed_slot",
+        "past_slot_count"])
+def test_restore_rejects_corrupt_snapshots(tmp_path, corrupt):
+    blob = snapshot_bytes(edited_chain(), tmp_path)
+    assert struct.unpack_from("<II", blob, EDGES_AT) == (0, 1)
+    path = tmp_path / "bad.gqkp"
+    path.write_bytes(corrupt(blob))
+    with pytest.raises(ParseError):
+        ConnectivityStore.restore(path)
+
+
+def edit_log(tmp_path):
+    """Every report and answer of a seeded edit script on a compact walk,
+    restored from a snapshot halfway, and the final state."""
+    pos = compact_walk(120, 5)
+    st = ConnectivityStore(ProteinStructure(positions=pos, masses=np.ones(120),
+                                            labels=["X"] * 120), cutoff=7.0)
+    rng = np.random.default_rng(2024)
+    log = []
+    for step in range(400):
+        if step == 200:
+            st.snapshot(tmp_path / "half.gqkp")
+            st = ConnectivityStore.restore(tmp_path / "half.gqkp")
+        ids = st.active_ids
+        i = ids[rng.integers(len(ids))]
+        op = int(rng.integers(6))
+        if op == 0:
+            log.append(st.move_atom(i, np.round(st.position(i) + rng.uniform(-3, 3, 3), 3)))
+        elif op == 1:
+            log += st.add_atom(np.round(st.position(i) + rng.uniform(-4, 4, 3), 3),
+                               mass=round(float(rng.uniform(0.5, 2.0)), 3))
+        elif op == 2 and len(ids) > 90:
+            log.append(st.remove_atom(i))
+        elif op == 3:
+            log.append(st.set_mass(i, round(float(rng.uniform(0.5, 2.0)), 3)))
+        elif op == 4:
+            log.append(st.query_sparse(i, int(rng.integers(0, 12))))
+        else:
+            log.append(st.query_entry(i, ids[rng.integers(len(ids))]))
+    return log, st.state_tuple()
+
+
+EDIT_LOG_DIGEST = "b41574a4d66c6afac0498c50a9ef740eab12241d41de9a47d986021d11fba926"
+
+
+def test_edit_script_reports_answers_and_state_are_pinned(tmp_path):
+    log, state = edit_log(tmp_path)
+    text = json.dumps([[dataclasses.astuple(x) if dataclasses.is_dataclass(x) else x
+                        for x in log], state], default=int)
+    assert hashlib.sha256(text.encode()).hexdigest() == EDIT_LOG_DIGEST

@@ -171,6 +171,9 @@ def pair_structure(a, b):
 
 BOUNDARY_PAIR = ([36.88542943473193, 13.406997934744325, -0.34283062011469667],
                  [32.615175161474895, 17.87107337178247, -3.6347842853661865])
+# 7.0 apart, but floor(x / 7) puts them two cells apart: found only because
+# the cells are widened past the cutoff
+TWO_CELLS_APART = ([-1e-17, 0.0, 0.0], [7.0, 0.0, 0.0])
 
 
 def test_gnm_and_store_agree_at_the_cutoff_boundary():
@@ -234,9 +237,7 @@ CONTACT_CLOUDS = {  # each built for a cutoff
     "wide": lambda cutoff: scattered_pairs(500, 3e6),
     "far_apart": lambda cutoff: np.vstack([compact_walk(150, 5),
                                            compact_walk(150, 6) + 3e8]),
-    # 7.0 apart, but floor(x / 7) puts them two cells apart: found only
-    # because the cells are widened past the cutoff
-    "two_cells_apart": lambda cutoff: np.array([[-1e-17, 0.0, 0.0], [7.0, 0.0, 0.0]]),
+    "two_cells_apart": lambda cutoff: np.array(TWO_CELLS_APART),
 }
 
 
