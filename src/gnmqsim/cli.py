@@ -93,6 +93,11 @@ class RunConfig:
     out: str = "gnmqsim-out"
 
     def validate(self):
+        # --horizon is exempt: infinity there asks for the stationary law
+        for name in ("cutoff", "spring", "gamma", "kt", "rweight", "tmax", "alpha"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"--{name} must be finite, got {value!r}")
         if self.input is not None and self.n is not None:
             raise UsageError("give either --input or --n, not both")
         if self.input is not None and not Path(self.input).is_file():

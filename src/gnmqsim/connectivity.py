@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,6 +155,15 @@ class ConnectivityStore:
                              np.reshape([self._positions[j] for j in cand], (-1, 3)),
                              self.cutoff)[0]
         return [j for j, hit in zip(cand, near) if hit]
+
+    def _warn_coincident(self, i: int, pos, nbrs) -> None:
+        """Warn at the public caller, as a build does, when site i at `pos`
+        sits exactly on any of its neighbours `nbrs`."""
+        same = sorted(j for j in nbrs if (d := pos - self._positions[j]) @ d == 0.0)
+        if same:
+            more = f" (and {len(same) - 1} more pairs)" if len(same) > 1 else ""
+            warnings.warn("atoms %d and %d coincide%s; treated as connected"
+                          % (*sorted((i, same[0])), more), stacklevel=3)
 
     # -- counted primitive writes -------------------------------------------
 
@@ -290,6 +300,7 @@ class ConnectivityStore:
         d_old = self._degrees[i]
         old_nbrs = set(self.neighbors(i))
         new_nbrs = set(self._grid_neighbors(new_pos, exclude=i))
+        self._warn_coincident(i, new_pos, new_nbrs)
         for j in sorted(old_nbrs - new_nbrs):
             self._tree_delete(i, j)
             self._tree_delete(j, i)
@@ -316,6 +327,7 @@ class ConnectivityStore:
         self._grid.setdefault(self._cell(pos), set()).add(i)
         self._writes += 1
         nbrs = self._grid_neighbors(pos, exclude=i)
+        self._warn_coincident(i, pos, nbrs)
         for j in nbrs:
             self._tree_insert(i, j)
             self._tree_insert(j, i)

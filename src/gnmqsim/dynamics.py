@@ -7,15 +7,15 @@ H^2 = diag(A, B^T B); H itself is stored only as a sparse operator.
 Forced motion steps A's mode coefficients exactly per grid step (forces
 held constant over each step) and rebuilds the history afterwards.
 Langevin damping evolves rho(t) = e^{tJ} rho0 e^{tJ+} + int_0^t e^{sJ} S S+
-e^{sJ+} ds under the dense dim x dim generator J: in closed form in the
-eigenbasis of the densified operator for scalar damping (J normal), by
-Van Loan's block exponential for velocity damping (J possibly
-defective). The Lyapunov identity J N + N J+ = E S S+ E+ - S S+, for
-the propagator E and noise integral N over the interval a route
-integrates, certifies the result to 1e-8 relative residual. Monte Carlo
-oracles integrate the matching SDEs with Euler-Maruyama and counter-based
-noise so ensembles are reproducible and paths are independent of
-execution order.
+e^{sJ+} ds. J = -iH - damping is block diagonal in A's modes: on the pair
+([u_k; 0], [0; v_k]), s_k = sqrt(lam_k) and v_k = B^T u_k / s_k, it acts as
+[[-gamma, i s_k], [i s_k, -g]], g = gamma (scalar damping) or 0 (velocity);
+A's zero modes and ker(B) take the diagonal block at s = 0. One batched
+4 x 4 exponential per step gives every block's propagator E and noise
+integral N; lifted to dense form, they must satisfy the Lyapunov identity
+J N + N J+ = E S S+ E+ - S S+ to 1e-8 relative residual. Monte Carlo oracles
+integrate the matching SDEs with Euler-Maruyama and counter-based noise, so
+ensembles are reproducible and paths are independent of execution order.
 """
 from __future__ import annotations
 
@@ -266,8 +266,10 @@ class LangevinParams:
     noise: str = "velocity"
 
     def __post_init__(self):
-        if self.gamma < 0 or self.kT < 0:
-            raise ValueError("gamma and kT must be nonnegative")
+        for name in ("gamma", "kT"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.damping not in ("scalar", "velocity"):
             raise ValueError("damping must be 'scalar' or 'velocity'")
         if self.noise not in ("velocity", "isotropic"):
@@ -296,48 +298,13 @@ class LangevinParams:
         return sig
 
 
-def _taylor_safe_ratio(denom: np.ndarray, t: float) -> np.ndarray:
-    """(1 - exp(-denom*t)) / denom with the denom -> 0 limit t."""
-    small = np.abs(denom) * t < 1e-8
-    safe = np.where(small, 1.0, denom)
-    out = (1.0 - np.exp(-safe * t)) / safe
-    return np.where(small, t * (1.0 - denom * t / 2.0), out)
-
-
-def _scalar_covariance(H, gamma, QQ, rho0, t):
-    """Closed form in H's eigenbasis, exact because J = -iH - gamma*I is normal.
-
-    The eigenbasis comes from eigh of the densified operator H (dim x dim).
-    Returns rho(t), e^{Jt} and the noise integral over [0, t].
-    """
-    w, vecs = np.linalg.eigh(H)
-    decay = np.exp((-1j * w - gamma) * t)
-    r0 = vecs.conj().T @ rho0 @ vecs
-    first = vecs @ (np.outer(decay, decay.conj()) * r0) @ vecs.conj().T
-    Qt = vecs.conj().T @ QQ @ vecs
-    denom = 2.0 * gamma + 1j * (w[:, None] - w[None, :])
-    integral = vecs @ (Qt * _taylor_safe_ratio(denom, t)) @ vecs.conj().T
-    prop = (vecs * decay) @ vecs.conj().T
-    return first + integral, prop, integral
-
-
-def _velocity_covariance(J, gamma, QQ, rho0, t):
-    """Van Loan's block exponential (IEEE TAC 23(3), 1978) in equal steps h.
-
-    expm([[J, QQ], [0, -J+]] h) = [[e^{Jh}, F12], [0, e^{-J+h}]] with
-    F12 e^{J+h} = int_0^h e^{Js} QQ e^{J+s} ds; h = t / ceil(gamma t) keeps
-    |e^{-J+h}| <= e^{gamma h} below e. Returns rho(t), e^{Jh} and that integral.
-    """
-    dim = J.shape[0]
-    steps = max(1, math.ceil(gamma * t))
-    block = np.block([[J, QQ], [np.zeros_like(J), -J.conj().T]])
-    F = scipy.linalg.expm(block * (t / steps))
-    prop = F[:dim, :dim]
-    noise = F[:dim, dim:] @ prop.conj().T
-    rho = rho0
-    for _ in range(steps):
-        rho = prop @ rho @ prop.conj().T + noise
-    return rho, prop, noise
+def _lift(X: np.ndarray, Ur, U0, Vr) -> np.ndarray:
+    """Dense form of 2 x 2 blocks X[k] on ([Ur[:, k]; 0], [0; Vr[:, k]]);
+    the diagonal X[-1] acts on A's zero modes U0 and on ker(B)."""
+    Xr, (za, zb) = X[:-1], X[-1].diagonal()
+    return np.block([[(Ur * Xr[:, 0, 0]) @ Ur.T + za * (U0 @ U0.T), (Ur * Xr[:, 0, 1]) @ Vr.T],
+                     [(Vr * Xr[:, 1, 0]) @ Ur.T,
+                      (Vr * Xr[:, 1, 1]) @ Vr.T + zb * (np.eye(len(Vr)) - Vr @ Vr.T)]])
 
 
 def _lyapunov_residual(J, QQ, prop, noise) -> float:
@@ -352,31 +319,47 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
                                t: float) -> np.ndarray:
     """Second-moment matrix at time t under the damped generator.
 
-    Scalar damping uses the closed form in H's eigenbasis, velocity damping
-    Van Loan's block exponential; NumericalError is raised when the
-    Lyapunov residual over the interval the route integrates exceeds 1e-8.
+    Each 2 x 2 block J_k of J (see the module docstring), with noise Q_k
+    read off the diagonal of S S+, takes Van Loan's exponential (IEEE TAC
+    23(3), 1978) expm([[J_k, Q_k], [0, -J_k+]] h) = [[e^{J_k h}, F12],
+    [0, e^{-J_k+ h}]], batched over k; F12 e^{J_k+ h} is the step's noise
+    integral, and h = t / ceil(gamma t) keeps |e^{-J_k+ h}| <= e. Steps
+    accumulate per block; NumericalError is raised when the lifted E and N
+    miss the Lyapunov identity by more than 1e-8 relative residual.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (embedded.dim, embedded.dim):
         raise ValueError("rho0 shape does not match the embedding")
-    if np.linalg.norm(rho0 - rho0.conj().T) > 1e-10 * max(np.linalg.norm(rho0), 1e-300):
-        raise ValueError("rho0 must be Hermitian")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    H = embedded.operator.toarray()  # densified once, for J and the eigenbasis
-    J = params.generator(H, embedded.n_dof)
+    if not (np.isfinite(rho0).all() and np.linalg.norm(rho0 - rho0.conj().T)
+            <= 1e-10 * max(np.linalg.norm(rho0), 1e-300)):
+        raise ValueError("rho0 must be finite and Hermitian")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    J = params.generator(embedded.operator.toarray(), embedded.n_dof)
     Q = params.noise_matrix(embedded)
     QQ = Q @ Q.conj().T
-    if params.damping == "scalar":
-        rho, prop, noise = _scalar_covariance(H, params.gamma, QQ, rho0, t)
-    else:
-        rho, prop, noise = _velocity_covariance(J, params.gamma, QQ, rho0, t)
-    resid = _lyapunov_residual(J, QQ, prop, noise)
-    if resid > LYAPUNOV_RTOL:
+    (lam, U), zero = embedded.model.eigenpairs, embedded.model.zero_modes
+    s = np.append(np.sqrt(lam[~zero]), 0.0)
+    Ur, U0 = U[:, ~zero], U[:, zero]
+    Vr = (embedded.model.B.T @ Ur) / s[:-1]
+    block = np.zeros((len(s), 4, 4), dtype=complex)
+    block[:, [0, 1], [0, 1]] = J.diagonal()[[0, -1]]  # velocity and edge damping
+    block[:, 0, 1] = block[:, 1, 0] = 1j * s
+    block[:, [0, 1], [2, 3]] = QQ.diagonal()[[0, -1]]
+    block[:, 2:, 2:] = -block[:, :2, :2].conj().swapaxes(1, 2)
+    steps = max(1, math.ceil(params.gamma * t))
+    F = scipy.linalg.expm(block * (t / steps))
+    E = prop = F[:, :2, :2]
+    N = noise = F[:, :2, 2:] @ prop.conj().swapaxes(1, 2)
+    for _ in range(steps - 1):
+        E, N = prop @ E, prop @ N @ prop.conj().swapaxes(1, 2) + noise
+    E, N = _lift(E, Ur, U0, Vr), _lift(N, Ur, U0, Vr)
+    resid = _lyapunov_residual(J, QQ, E, N)
+    if not resid <= LYAPUNOV_RTOL:
         raise NumericalError(f"Langevin covariance ({params.damping} damping): "
                              f"Lyapunov relative residual {resid:.3e} exceeds "
                              f"tolerance {LYAPUNOV_RTOL:.0e}")
-    return rho
+    return E @ rho0 @ E.conj().T + N
 
 
 # -- Monte Carlo oracles ---------------------------------------------------------

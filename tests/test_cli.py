@@ -236,6 +236,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--tmax", "inf"],
+    ["evolve", "--dynamics", "langevin", "--gamma", "nan"],
+    ["evolve", "--dynamics", "langevin", "--kt", "nan"],
+    ["control", "--rweight", "inf"],
+    ["model", "--spring", "inf"],
+    ["model", "--cutoff", "inf"],
+    ["dos", "--alpha", "nan"],
+], ids=lambda argv: argv[-2])
+def test_non_finite_floats_exit_two(tmp_path, capsys, argv):
+    assert main([*argv[:1], "--n", "4", *argv[1:], "--out", str(tmp_path / "never")]) == 2
+    assert f"{argv[-2]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_unknown_command_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify", "--out", str(tmp_path / "never")])

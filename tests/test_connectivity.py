@@ -275,6 +275,20 @@ def test_coincident_sites_stay_connected_with_a_warning_at_the_caller(tmp_path):
     assert record[0].filename == __file__
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda st: st.move_atom(3, st.position(1)), "^atoms 1 and 3 coincide; treated as connected$"),
+    (lambda st: st.add_atom(st.position(2)), "^atoms 2 and 5 coincide; treated as connected$"),
+], ids=["move", "add"])
+def test_an_edit_onto_another_site_warns_at_the_caller(edit, match):
+    st = ConnectivityStore(synthetic_chain(5), cutoff=7.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # edits onto free space stay silent
+        st.move_atom(4, [1.0, 2.0, 3.0])
+    with pytest.warns(UserWarning, match=match) as record:
+        edit(st)
+    assert len(record) == 1 and record[0].filename == __file__
+
+
 def edited_chain():
     st = ConnectivityStore(synthetic_chain(6), cutoff=7.0, spring=1.5)
     st.remove_atom(2)

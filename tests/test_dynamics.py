@@ -13,6 +13,7 @@ from gnmqsim.network import (ZERO_MODE_RTOL, NetworkModel, build_anm,
                              build_gnm, model_from_matrices)
 from gnmqsim.stateprep import encode_initial_conditions
 from gnmqsim.structure import load_bundled_structure, synthetic_chain
+import langevin_oracle
 
 
 @pytest.fixture(scope="module")
@@ -520,14 +521,80 @@ def test_velocity_damping_at_critical_point_matches_quadrature():
         assert _relative_frobenius(rho, ref) <= 1e-8, gamma
 
 
-def test_covariance_certificate_rejects_a_wrong_noise_integral(emb2,
-                                                              monkeypatch):
-    exact = dyn._taylor_safe_ratio
-    monkeypatch.setattr(dyn, "_taylor_safe_ratio",
-                        lambda denom, t: 1.001 * exact(denom, t))
-    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+LANGEVIN_ORACLE_MODELS = {
+    "bundled-gnm": OPERATOR_MODELS["bundled-gnm"],
+    "bundled-anm": ORACLE_MODELS["bundled-anm"],
+    "bead": model_from_matrices(np.array([[1.0]]), np.ones(1)),
+}
+LANGEVIN_ORACLE_CASES = {
+    **{f"gnm-{d}-{q}": ("bundled-gnm", d, q, 0.5, 1.3)
+       for d in ("scalar", "velocity") for q in ("velocity", "isotropic")},
+    "anm-scalar": ("bundled-anm", "scalar", "velocity", 0.5, 1.3),
+    "gnm-steps-scalar": ("bundled-gnm", "scalar", "isotropic", 20.0, 30.0),
+    "gnm-steps-velocity": ("bundled-gnm", "velocity", "velocity", 20.0, 30.0),
+    "bead-critical": ("bead", "velocity", "velocity", 2.0, 3.0),
+    "bead-near-critical": ("bead", "velocity", "velocity", 2.0 - 1e-12, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", LANGEVIN_ORACLE_CASES)
+def test_mode_block_covariance_matches_the_dense_routes(case):
+    key, damping, noise, gamma, t = LANGEVIN_ORACLE_CASES[case]
+    emb = dyn.embed(LANGEVIN_ORACLE_MODELS[key])
+    # a generic rank-3 start: complex, with content along A's zero modes
+    # and ker(B)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(emb.dim, 3)) + 1j * rng.normal(size=(emb.dim, 3))
+    rho0 = X @ X.conj().T
+    p = dyn.LangevinParams(gamma=gamma, kT=0.4, damping=damping, noise=noise)
+    rho = dyn.evolve_langevin_covariance(emb, p, rho0, t)
+    assert _relative_frobenius(rho, langevin_oracle.covariance(emb, p, rho0, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("damping", ["scalar", "velocity"])
+def test_covariance_certificate_rejects_a_wrong_noise_integral(emb2, monkeypatch,
+                                                              damping):
+    exact = scipy.linalg.expm
+
+    def skewed(M):
+        F = exact(M)
+        k = M.shape[-1] // 2
+        F[..., :k, k:] *= 1.001  # the noise block of Van Loan's exponential
+        return F
+
+    monkeypatch.setattr(scipy.linalg, "expm", skewed)
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping)
     with pytest.raises(NumericalError, match="Lyapunov relative residual"):
         dyn.evolve_langevin_covariance(emb2, p, np.eye(emb2.dim), 1.0)
+
+
+def test_covariance_certificate_rejects_a_nan_residual(emb2, monkeypatch):
+    exact = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda M: exact(M) * np.nan)
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    with pytest.raises(NumericalError, match="residual nan exceeds"):
+        dyn.evolve_langevin_covariance(emb2, p, np.eye(emb2.dim), 1.0)
+
+
+@pytest.mark.parametrize("damping", ["scalar", "velocity"])
+@pytest.mark.parametrize("name, value", [("t", np.nan), ("t", np.inf),
+                                         ("rho0", np.nan)])
+def test_langevin_covariance_inputs_must_be_finite(emb2, damping, name, value):
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping)
+    rho0, t = np.eye(emb2.dim), 1.0
+    if name == "t":
+        t = value
+    else:
+        rho0[0, 0] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dyn.evolve_langevin_covariance(emb2, p, rho0, t)
+
+
+@pytest.mark.parametrize("name", ["gamma", "kT"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_langevin_params_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        dyn.LangevinParams(**{"gamma": 0.5, "kT": 0.3, name: value})
 
 
 def test_covariance_input_validation(emb2):
