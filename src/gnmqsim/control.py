@@ -20,6 +20,10 @@ imaginary axis and no full-dimension stable subspace exists; in that case
 the solve is deflated onto the non-rigid subspace (exact when the mass
 and damping operators preserve it) and the resulting P is zero on the
 rigid modes.  The computed residual is always the final arbiter.
+
+Finite horizons step the Riccati differential equation back from the
+terminal weight with one exponential of the Hamiltonian matrix and keep
+only the gain at each grid time.
 """
 
 from __future__ import annotations
@@ -152,17 +156,24 @@ class FeedbackLaw:
     times: np.ndarray | None = field(default=None, repr=False)
     gains: np.ndarray | None = field(default=None, repr=False)
 
+    def grid_position(self, t: float):
+        """Where `gain_at(t)` reads the schedule (equal positions give equal
+        gains): None for a stationary law, 0 or -1 where t is clamped to an
+        end, else (idx, frac) between grid points idx and idx + 1."""
+        ts = self.times
+        if ts is None:
+            return None
+        if t <= ts[0] or t >= ts[-1]:
+            return 0 if t <= ts[0] else -1
+        idx = int(np.searchsorted(ts, t)) - 1
+        return idx, (t - ts[idx]) / (ts[idx + 1] - ts[idx])
+
     def gain_at(self, t: float) -> np.ndarray:
         """Gain at time t (linear interpolation on the stored grid)."""
-        if self.times is None:
-            return self.gain
-        ts = self.times
-        if t <= ts[0]:
-            return self.gains[0]
-        if t >= ts[-1]:
-            return self.gains[-1]
-        idx = np.searchsorted(ts, t) - 1
-        frac = (t - ts[idx]) / (ts[idx + 1] - ts[idx])
+        pos = self.grid_position(t)
+        if pos is None or isinstance(pos, int):
+            return self.gain if pos is None else self.gains[pos]
+        idx, frac = pos
         return (1.0 - frac) * self.gains[idx] + frac * self.gains[idx + 1]
 
 
@@ -263,38 +274,16 @@ def _rigid_lift(problem: ControlProblem):
     return lift
 
 
-def _backward_riccati(A, BRB, Qz, Sz, T: float, n_steps: int):
-    """RK4 integration of -dP/dt = A^T P + P A - P BRB P + Q, P(T) = S.
-
-    Integrates in tau = T - t; returns P on the ascending-in-t grid."""
-
-    def rhs(P):
-        P = 0.5 * (P + P.T)
-        return A.T @ P + P @ A - P @ BRB @ P + Qz
-
-    h = T / n_steps
-    P = Sz.copy()
-    out = np.empty((n_steps + 1,) + Sz.shape)
-    out[n_steps] = P
-    for k in range(n_steps, 0, -1):
-        k1 = rhs(P)
-        k2 = rhs(P + 0.5 * h * k1)
-        k3 = rhs(P + 0.5 * h * k2)
-        k4 = rhs(P + h * k3)
-        P = P + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        P = 0.5 * (P + P.T)
-        out[k - 1] = P
-    return out
-
-
 def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     """Solve the Riccati problem and return the feedback law.
 
     Infinite horizon: algebraic equation by the Hamiltonian-Schur method,
     with rigid-mode deflation for free networks (see module docstring).
-    Finite horizon: backward RK4 from the terminal weight, on `n_steps`
-    grid intervals; the returned gain/riccati are the t = 0 values and
-    the full gain schedule is stored on the law.
+    Finite horizon: the Hamiltonian step map (Kenney & Leipnik, IEEE TAC
+    30(10), 1985) back from the terminal weight over `n_steps` intervals h:
+    with E = expm(-Ham h), Ham = [[A, -BRB], [-Qz, -A^T]], [X; Y] =
+    E [I; P(t)] gives P(t - h) = Y X^-1 exactly, up to rounding.  The law
+    keeps the gain at each grid time; gain/riccati are the t = 0 values.
 
     Raises NumericalError when no stable invariant subspace of the state
     dimension exists (an unstabilizable or undetectable-beyond-rigid
@@ -303,20 +292,26 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     A, B = problem.state_matrices()
     Qz = problem.state_cost()
     Rinv = np.linalg.inv(problem.R)
+    RB = Rinv @ B.T
     BRB = B @ Rinv @ B.T
 
     if problem.is_finite_horizon:
-        n = problem.n_dof
-        Sz = np.zeros((2 * n, 2 * n))
-        Sz[:n, :n] = problem.S
-        grid = _backward_riccati(A, BRB, Qz, Sz, problem.horizon, n_steps)
-        times = np.linspace(0.0, problem.horizon, n_steps + 1)
-        gains = (Rinv @ B.T) @ grid
-        P0 = grid[0]
-        return FeedbackLaw(gain=gains[0], riccati=P0,
-                           residual=_care_residual(P0, A, BRB, Qz),
+        m = A.shape[0]
+        P = scipy.linalg.block_diag(problem.S, np.zeros_like(problem.S))
+        gains = np.empty((n_steps + 1,) + RB.shape)
+        gains[n_steps] = RB @ P
+        ham = np.block([[A, -BRB], [-Qz, -A.T]])
+        back = scipy.linalg.expm(-ham * (problem.horizon / n_steps))
+        for k in range(n_steps - 1, -1, -1):
+            XY = back[:, :m] + back[:, m:] @ P
+            P = np.linalg.solve(XY[:m].T, XY[m:].T).T
+            P = 0.5 * (P + P.T)
+            gains[k] = RB @ P
+        return FeedbackLaw(gain=gains[0], riccati=P,
+                           residual=_care_residual(P, A, BRB, Qz),
                            closed_loop=A - B @ gains[0],
-                           times=times, gains=gains)
+                           times=np.linspace(0.0, problem.horizon, n_steps + 1),
+                           gains=gains)
 
     qscale = np.linalg.norm(Qz, "fro")
     # absolute floor keeps the zero-cost case (exact P = 0) acceptable
@@ -346,7 +341,7 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
             "the problem is unstabilizable under the given weights")
 
     residual = _care_residual(P, A, BRB, Qz)
-    G = Rinv @ B.T @ P
+    G = RB @ P
     return FeedbackLaw(gain=G, riccati=P, residual=residual,
                        closed_loop=A - B @ G)
 
@@ -383,15 +378,17 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
                         T: float, n_steps: int = 2000) -> dict:
     """Integrate the closed loop and report energy and accumulated cost.
 
-    Stationary laws use one exact matrix exponential per step size;
-    scheduled (finite-horizon) laws refresh the exponential each step
-    with the gain held at the step midpoint.
+    Each step is the exact expm((A - B G) h), G held at the step midpoint;
+    the exponential is reused while `law.grid_position` of the midpoint
+    stays put: once for a stationary law, once past a finite law's horizon.
 
     Returns times, displacements, velocities, forces, the energy series
-    u^T Q u, the value series z^T P z, and the accumulated cost
-    J = 1/2 int (u^T Q u + f^T R f) dt (plus the terminal S term when
-    the problem is finite-horizon and the simulation reaches it), the
-    integral taken by composite Simpson over the n_steps + 1 samples.
+    u^T Q u, the value series z(t)^T P z(t) with P = law.riccati, and the
+    accumulated cost J = 1/2 int (u^T Q u + f^T R f) dt (plus the terminal
+    S term when the problem is finite-horizon and the simulation reaches
+    it), the integral taken by composite Simpson over the n_steps + 1
+    samples.  A finite law's P is P(0), so its value series is the t = 0
+    value function along the path, not the cost-to-go z(t)^T P(t) z(t).
     """
     n = problem.n_dof
     u0 = np.asarray(u0, dtype=float).reshape(n)
@@ -405,16 +402,17 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
     states = np.empty((n_steps + 1, 2 * n))
     states[0, :n] = u0
     states[0, n:] = v0
+    held, step = object(), None
+    for k in range(n_steps):
+        t_mid = times[k] + 0.5 * h
+        pos = law.grid_position(t_mid)
+        if pos != held:
+            held = pos
+            step = scipy.linalg.expm((A - B @ law.gain_at(t_mid)) * h)
+        states[k + 1] = step @ states[k]
     if law.times is None:
-        step = scipy.linalg.expm(law.closed_loop * h)
-        for k in range(n_steps):
-            states[k + 1] = step @ states[k]
         forces = -(states @ law.gain.T)
     else:
-        for k in range(n_steps):
-            G_mid = law.gain_at(times[k] + 0.5 * h)
-            step = scipy.linalg.expm((A - B @ G_mid) * h)
-            states[k + 1] = step @ states[k]
         forces = np.empty((n_steps + 1, n))
         for k in range(n_steps + 1):
             forces[k] = -(law.gain_at(times[k]) @ states[k])

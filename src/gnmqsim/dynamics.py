@@ -314,6 +314,18 @@ def _lyapunov_residual(J, QQ, prop, noise) -> float:
     return float(resid / max(sum(np.linalg.norm(x) for x in terms), 1e-300))
 
 
+def _step_power(prop: np.ndarray, noise: np.ndarray, steps: int):
+    """(E, N) of `steps` repeats of the batched step (prop, noise), by
+    repeated squaring; (E, N) followed by (E', N') is (E'E, E'NE'+ + N')."""
+    if steps == 1:
+        return prop, noise
+    E, N = _step_power(prop, noise, steps // 2)
+    E, N = E @ E, E @ N @ E.conj().swapaxes(1, 2) + N
+    if steps % 2:
+        E, N = prop @ E, prop @ N @ prop.conj().swapaxes(1, 2) + noise
+    return E, N
+
+
 def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
                                params: LangevinParams, rho0: np.ndarray,
                                t: float) -> np.ndarray:
@@ -323,9 +335,11 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
     read off the diagonal of S S+, takes Van Loan's exponential (IEEE TAC
     23(3), 1978) expm([[J_k, Q_k], [0, -J_k+]] h) = [[e^{J_k h}, F12],
     [0, e^{-J_k+ h}]], batched over k; F12 e^{J_k+ h} is the step's noise
-    integral, and h = t / ceil(gamma t) keeps |e^{-J_k+ h}| <= e. Steps
-    accumulate per block; NumericalError is raised when the lifted E and N
-    miss the Lyapunov identity by more than 1e-8 relative residual.
+    integral, and h = t / ceil(gamma t) keeps |e^{-J_k+ h}| <= e. The
+    ceil(gamma t) steps are combined per block by repeated squaring
+    (`_step_power`), so the cost grows with log(gamma t). NumericalError is
+    raised when the lifted E and N miss the Lyapunov identity by more than
+    1e-8 relative residual.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (embedded.dim, embedded.dim):
@@ -349,10 +363,8 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
     block[:, 2:, 2:] = -block[:, :2, :2].conj().swapaxes(1, 2)
     steps = max(1, math.ceil(params.gamma * t))
     F = scipy.linalg.expm(block * (t / steps))
-    E = prop = F[:, :2, :2]
-    N = noise = F[:, :2, 2:] @ prop.conj().swapaxes(1, 2)
-    for _ in range(steps - 1):
-        E, N = prop @ E, prop @ N @ prop.conj().swapaxes(1, 2) + noise
+    prop = F[:, :2, :2]
+    E, N = _step_power(prop, F[:, :2, 2:] @ prop.conj().swapaxes(1, 2), steps)
     E, N = _lift(E, Ur, U0, Vr), _lift(N, Ur, U0, Vr)
     resid = _lyapunov_residual(J, QQ, E, N)
     if not resid <= LYAPUNOV_RTOL:

@@ -130,6 +130,18 @@ def test_stateprep_n12_state_csv_digest_is_pinned(tmp_path):
                       "e969d0e5ef014fa912af0164967797be")
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("energy.csv", "d40964f0ee57798a944f9688fdacaae7379f85287f28b274e62f29f7921f3711"),
+    ("trajectory.csv", "539160596dc93c8da98f04b55ce20b059c1b6aa67ff1869e260d1675ddb782a1"),
+])
+def test_stationary_control_artifact_digests_are_pinned(tmp_path, name, digest):
+    # the stationary law takes one exponential per run; its artifacts must
+    # not move when the finite-horizon route changes
+    code, out = run(tmp_path, "control")
+    assert code == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_seed_is_parsed_as_hex(tmp_path):
     code, out = run(tmp_path, "stateprep", "--n", "4", "--seed", "deadBEEF")
     assert code == 0

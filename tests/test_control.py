@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from gnmqsim.control import (RESIDUAL_RTOL, ControlProblem, _simpson,
                              simulate_controlled, solve_lqr)
 from gnmqsim.errors import NumericalError
 from gnmqsim.network import build_gnm, model_from_matrices
-from gnmqsim.structure import synthetic_chain
+from gnmqsim.structure import load_bundled_structure, synthetic_chain
+
+import riccati_oracle
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +246,109 @@ def test_state_matrices_shapes_and_content():
     Qz = prob.state_cost()
     assert np.array_equal(Qz[:4, :4], prob.Q)
     assert np.all(Qz[4:, :] == 0) and np.all(Qz[:, 4:] == 0)
+
+
+RICCATI_MODELS = {
+    "chain-20": lambda: build_gnm(synthetic_chain(20)),
+    "bundled-gnm": lambda: build_gnm(load_bundled_structure()),
+}
+
+
+def _relative(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("key", RICCATI_MODELS)
+def test_step_map_matches_rk4_and_the_fine_sweep(key):
+    # the gamma, weights and horizon of `gnmqsim control --horizon 10`
+    prob = ControlProblem(RICCATI_MODELS[key](), gamma=1.0, horizon=10.0)
+    law = solve_lqr(prob, n_steps=2000)
+    A, BRB, Qz, Sz, RB = riccati_oracle.problem_terms(prob)
+    rk4 = riccati_oracle.backward_riccati(A, BRB, Qz, Sz, 10.0, 2000)
+    assert _relative(law.riccati, rk4[0]) <= 1e-12
+    # relative Frobenius over the whole schedule; RK4's O(h^4) truncation
+    # is most of this difference
+    assert _relative(law.gains, RB @ rk4) <= 1e-8
+    # the sweep's 40 quarter-unit steps land on every 50th grid point; the
+    # step map must be at least as close to that exact-flow reference
+    fine = RB @ riccati_oracle.hamiltonian_sweep(A, BRB, Qz, Sz, 10.0)
+    assert (_relative(law.gains[::50], fine)
+            <= _relative((RB @ rk4)[::50], fine))
+
+
+def test_step_map_gains_are_closer_than_rk4_to_rk4_at_eight_times_the_steps():
+    prob = ControlProblem(RICCATI_MODELS["chain-20"](), gamma=1.0, horizon=10.0)
+    law = solve_lqr(prob, n_steps=2000)
+    A, BRB, Qz, Sz, RB = riccati_oracle.problem_terms(prob)
+    rk4 = RB @ riccati_oracle.backward_riccati(A, BRB, Qz, Sz, 10.0, 2000)
+    fine = RB @ riccati_oracle.backward_riccati(A, BRB, Qz, Sz, 10.0, 16000)[::8]
+    assert _relative(law.gains, fine) <= _relative(rk4, fine)
+
+
+def test_finite_horizon_solve_keeps_no_riccati_grid():
+    prob = ControlProblem(build_gnm(synthetic_chain(30)), gamma=1.0,
+                          horizon=10.0)
+    tracemalloc.start()
+    try:
+        law = solve_lqr(prob, n_steps=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (2001, 60, 60) P grid beside the (2001, 30, 60) gains would be 3x
+    assert peak < 1.5 * law.gains.nbytes
+
+
+def _per_step_states(problem, law, z0, T, n_steps):
+    """simulate_controlled's states and forces with an exponential per step
+    for a scheduled law and one for a stationary law, recomputed as the
+    loop did before it reused held-gain steps."""
+    n = problem.n_dof
+    A, B = problem.state_matrices()
+    h = T / n_steps
+    times = np.linspace(0.0, T, n_steps + 1)
+    states = np.empty((n_steps + 1, 2 * n))
+    states[0] = z0
+    if law.times is None:
+        step = scipy.linalg.expm(law.closed_loop * h)
+        for k in range(n_steps):
+            states[k + 1] = step @ states[k]
+        forces = -(states @ law.gain.T)
+    else:
+        for k in range(n_steps):
+            G_mid = law.gain_at(times[k] + 0.5 * h)
+            step = scipy.linalg.expm((A - B @ G_mid) * h)
+            states[k + 1] = step @ states[k]
+        forces = np.empty((n_steps + 1, n))
+        for k in range(n_steps + 1):
+            forces[k] = -(law.gain_at(times[k]) @ states[k])
+    return states, forces
+
+
+@pytest.mark.parametrize("horizon", [4.0, math.inf])
+def test_held_gain_reuse_is_bit_identical_to_a_per_step_exponential(horizon):
+    chain = build_gnm(synthetic_chain(10))
+    prob = ControlProblem(chain, gamma=1.0, S=np.eye(10), horizon=horizon)
+    law = solve_lqr(prob, n_steps=400)
+    idx = np.arange(10, dtype=float)
+    z0 = np.concatenate([0.5 * (idx - idx.mean()), 0.1 * np.cos(idx)])
+    # T = 10 runs 60% of a finite law's steps past its horizon
+    sim = simulate_controlled(prob, law, z0[:10], z0[10:], T=10.0, n_steps=500)
+    states, forces = _per_step_states(prob, law, z0, 10.0, 500)
+    assert np.array_equal(sim["displacements"], states[:, :10])
+    assert np.array_equal(sim["velocities"], states[:, 10:])
+    assert np.array_equal(sim["forces"], forces)
+
+
+def test_held_gain_steps_take_one_exponential_past_the_horizon(monkeypatch):
+    chain = build_gnm(synthetic_chain(6))
+    prob = ControlProblem(chain, gamma=1.0, horizon=2.0)
+    law = solve_lqr(prob, n_steps=100)
+    calls = []
+    exact = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda M: calls.append(1) or exact(M))
+    simulate_controlled(prob, law, np.linspace(-1, 1, 6), np.zeros(6),
+                        T=8.0, n_steps=400)
+    # 100 steps before t = 2 interpolate the schedule, the other 300 hold
+    # the terminal gain
+    assert len(calls) == 101

@@ -534,6 +534,9 @@ LANGEVIN_ORACLE_CASES = {
     "gnm-steps-velocity": ("bundled-gnm", "velocity", "velocity", 20.0, 30.0),
     "bead-critical": ("bead", "velocity", "velocity", 2.0, 3.0),
     "bead-near-critical": ("bead", "velocity", "velocity", 2.0 - 1e-12, 3.0),
+    # gamma t = 1e4: 10^4 steps combined by repeated squaring
+    "gnm-long-scalar": ("bundled-gnm", "scalar", "isotropic", 20.0, 500.0),
+    "bead-long-velocity": ("bead", "velocity", "velocity", 2.0, 5000.0),
 }
 
 
