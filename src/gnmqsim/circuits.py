@@ -6,18 +6,22 @@ right-aligned and padded on the left with -1, controls first and the
 target last; `params` CRY's angle, DIAG_SIGN's read-only +/-1 vector
 (length 2**len(wires), indexed big-endian by the wire bits) or None; and
 `layer_starts` the row offsets of the layers. Layerization is greedy,
-placing each gate in the earliest layer whose wires are free, and keeps
-the given row order within a layer.
+placing each gate in the layer after the last earlier gate on any of its
+wires, and keeps the build order within a layer.
 
-Builders emit their rows (the data loader as column blocks, the others as
-tuples through `Circuit.from_gates`); `Circuit._from_columns` alone
-validates and layers, with one greedy Python loop. A vectorised wavefront
-takes one numpy pass per layer: faster on the wide QROMs, far slower on
-the Gaussian tree, whose depth is close to its row count. A QROM
-concatenates the layered tables of the decoder, the loader and the
-decoder reversed, so the parts' order within their layers sets the
-QROM's row order within each of its layers: composed in build order they
-give the same layers and resources but other text.
+`Circuit._from_columns` alone validates and groups rows by layer; its
+caller supplies the layers. Rows that share no wire do not affect each
+other's layers, so a block of them is placed in one numpy pass. The data
+loader keys each row by its block: one template row across an OR-tree
+level's pairs, the root CNOT, or a mirrored run of the reversed tree. A
+QROM stacks the decoder, the loader and the decoder reversed, each of
+whose layers is such a block. `from_gates` alone keeps the row-by-row
+Python loop: its tuple rows (the decoder, the Gaussian tree, the ensemble
+state, parsed text) carry no blocks, and the Gaussian tree is nearly as
+deep as it is long, so a pass per block would be a numpy pass per row.
+The parts' order within their layers sets the QROM's row order within
+each of its layers: composed in build order they give the same layers
+and resources but other text.
 
 Wire convention: wire 0 carries the most significant bit of a basis index,
 so a register listed as wires (w0, w1, ...) reads its value big-endian.
@@ -26,11 +30,11 @@ so a register listed as wires (w0, w1, ...) reads its value big-endian.
 kinds only: what the one-hot decoder, data loader and QROM need for
 exhaustive checks far beyond dense simulation. It walks a schedule cached
 per circuit (whose table is read-only): the X rows folded into per-wire
-parities, the other rows levelled by true data dependencies, so a call
-takes O(levels) numpy steps, 33-59 where the QROMs are 384-2268 layers
-deep. Circuits with non-classical gates, the Gaussian state-prep tree and
-the ensemble purification, are not simulated: `stateprep` gives their
-states in closed form.
+parities, the other rows levelled by true data dependencies, one numpy
+pass per layer, so a call takes O(levels) numpy steps, 33-59 where the
+QROMs are 384-2268 layers deep. Circuits with non-classical gates, the
+Gaussian state-prep tree and the ensemble purification, are not
+simulated: `stateprep` gives their states in closed form.
 """
 from __future__ import annotations
 
@@ -48,6 +52,8 @@ X, CNOT, CCX, H, CRY, DIAG_SIGN = range(6)
 KIND_NAMES = ("X", "CNOT", "CCX", "H", "CRY", "DIAG_SIGN")
 _WIRE_RANGE = np.array([(1, 1), (2, 2), (2, np.inf), (1, 1), (1, np.inf),
                         (1, np.inf)])   # fewest and most wires, by kind code
+_row_max = np.maximum.reduce   # skips `ndarray.max`'s Python wrapper
+_RUNS = np.array([0, 0, 1, 2, 2, 2])   # a loader pair's rows, by shared-wire run
 
 
 class RowError(ValueError):
@@ -87,11 +93,18 @@ class Circuit:
             raise RowError(int(np.argmax(negative)), "has a negative wire")
         kinds = np.array([r[0] for r in rows], dtype=np.int64)
         params = [r[2] if len(r) > 2 else None for r in rows]
-        return cls._from_columns(n_qubits, kinds, wires, params, meta)
+        return cls._from_columns(n_qubits, kinds, wires, params, meta,
+                                 lambda w: _greedy_layers(w, n_qubits))
 
     @classmethod
-    def _from_columns(cls, n_qubits, kinds, wires, params, meta) -> "Circuit":
-        """Validate all rows at once, then layerize and group rows by layer."""
+    def _from_columns(cls, n_qubits, kinds, wires, params, meta,
+                      layering) -> "Circuit":
+        """Validate all rows at once, then group them by layer.
+
+        `layering(wires)` gives each validated row's layer, in input order;
+        rows keep their input order within a layer. `params` None means no
+        row takes a parameter.
+        """
         unknown = (kinds < 0) | (kinds >= len(KIND_NAMES))
         if np.any(unknown):
             raise RowError(int(np.argmax(unknown)), "unknown gate kind")
@@ -99,7 +112,8 @@ class Circuit:
         lo, hi = _WIRE_RANGE[kinds].T
         ordered = np.sort(wires, axis=1)
         takes = np.isin(kinds, (CRY, DIAG_SIGN))
-        has = np.array([p is not None for p in params], dtype=bool)
+        has = (np.zeros(len(kinds), dtype=bool) if params is None
+               else np.array([p is not None for p in params], dtype=bool))
         for bad, reason in (
                 (widths < lo, "has too few wires"), (widths > hi, "has too many wires"),
                 (wires.max(axis=1) >= n_qubits, f"has a wire beyond {n_qubits} qubits"),
@@ -120,22 +134,15 @@ class Circuit:
             signs.setflags(write=False)
             params[row] = signs
 
-        next_free = [0] * (n_qubits + 1)   # the last slot is read by padding
-        free_at = next_free.__getitem__
-        layer = []
-        for row in zip(*wires.T.tolist()):
-            at = max(map(free_at, row))
-            for w in row:
-                next_free[w] = at + 1
-            next_free[-1] = 0
-            layer.append(at)
+        layer = layering(wires)
         order = np.argsort(layer, kind="stable")
         kinds, wires = kinds[order].astype(np.int8), np.asfortranarray(wires[order])
         layer_starts = np.cumsum([0, *np.bincount(layer)])
         for arr in (kinds, wires, layer_starts):
             arr.flags.writeable = False   # so the cached `_schedule` holds
-        return cls(n_qubits=n_qubits, kinds=kinds, wires=wires,
-                   params=[params[i] for i in order.tolist()],
+        params = ([params[i] for i in order.tolist()] if takes.any()
+                  else [None] * len(kinds))
+        return cls(n_qubits=n_qubits, kinds=kinds, wires=wires, params=params,
                    layer_starts=layer_starts, meta=meta or {})
 
     @cached_property
@@ -154,12 +161,45 @@ class Circuit:
             yield kind, tuple(wires[wires.count(-1):]), param
 
 
+def _greedy_layers(wires: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Each row's greedy layer, one Python step per row: the layer after
+    the last earlier row on any of its wires."""
+    next_free = [0] * (n_qubits + 1)   # the last slot is read by padding
+    free_at = next_free.__getitem__
+    layer = []
+    for row in zip(*wires.T.tolist()):
+        at = max(map(free_at, row))
+        for w in row:
+            next_free[w] = at + 1
+        next_free[-1] = 0
+        layer.append(at)
+    return np.array(layer, dtype=np.int64)
+
+
+def _block_layers(wires: np.ndarray, starts, n_qubits: int) -> np.ndarray:
+    """`_greedy_layers` of rows handed over block by block, one numpy pass
+    per block; `starts` are the blocks' row offsets. The rows of a block
+    share no wire, and two rows that do share one come in build order, so
+    each row sees the same free layers as in the row-by-row loop."""
+    next_free = np.zeros(n_qubits + 1, dtype=np.int64)   # last slot: padding
+    layer = np.empty(len(wires), dtype=np.int64)
+    starts = starts.tolist()
+    for a, b in zip(starts[:-1], starts[1:]):
+        block = wires[a:b]
+        at = layer[a:b] = _row_max(next_free[block], axis=1)
+        at += 1
+        next_free[block] = at[:, None]
+        next_free[-1] = 0
+    return layer
+
+
 def _build_schedule(circuit: Circuit):
     """`apply_basis`'s (controls, polarities, targets) per level, and each
     wire's X parity. The X rows are folded out: a control's polarity is the
     parity of the X rows on its wire before its row. A row goes one level
     after the last write to each control and after the last write and read
-    of its target, so rows that only read a wire share a level."""
+    of its target, so rows that only read a wire share a level. The rows of
+    one layer share no wire, so each layer is levelled in one numpy pass."""
     kinds, r = circuit.kinds, len(circuit.kinds)
     if r and kinds.max() > CCX:
         row = int(np.argmax(kinds > CCX))
@@ -172,15 +212,23 @@ def _build_schedule(circuit: Circuit):
     keys = wires[:, :-1] * r   # the pad's negative keys precede every flip
     polarity = (np.searchsorted(flips, keys + rows[:, None])
                 - np.searchsorted(flips, keys)) % 2 == 1
-    readable = [0] * (circuit.n_qubits + 1)   # one level past the last write
-    writable = [0] * (circuit.n_qubits + 1)   # ... past the last write and read
-    levels = []
-    for *controls, target in wires.tolist():
-        at = max(writable[target], *map(readable.__getitem__, controls))
-        writable[target] = readable[target] = at + 1
-        for w in controls:
-            writable[w] = max(writable[w], at + 1)
-        levels.append(at)
+    # state slots: `readable` (one level past the last write) of each wire
+    # and of the padding, which stays 0, then `writable` (past the last
+    # write and read); writable >= readable, so a row's update is one
+    # maximum over its controls' writable and its target's two slots
+    n = circuit.n_qubits
+    controls, targets = wires[:, :-1], wires[:, -1:]
+    reads = np.hstack([np.where(controls < 0, n, controls), targets + n + 1])
+    writes = np.hstack([np.where(controls < 0, 2 * n + 1, controls + n + 1),
+                        targets, targets + n + 1])
+    state = np.zeros(2 * n + 2, dtype=np.int64)
+    levels = np.empty(len(rows), dtype=np.int64)
+    starts = np.unique(np.searchsorted(rows, circuit.layer_starts)).tolist()
+    for a, b in zip(starts[:-1], starts[1:]):
+        at = levels[a:b] = _row_max(state[reads[a:b]], axis=1)
+        at += 1
+        block = writes[a:b]
+        state[block] = np.maximum(state[block], at[:, None])
     # by level, one contiguous index array per control column and level
     order = np.argsort(levels, kind="stable")
     cuts = np.cumsum(np.bincount(levels))[:-1]
@@ -423,32 +471,49 @@ def build_data_loader(dictionary: dict[int, int], n_onehot: int,
                   for idx, word in dictionary.items()}
     hot = sorted(dictionary)
     next_wire = n_onehot + word_width
+    # each row's block key: a block is one template row across a tree
+    # level's pairs, in three runs that share no wire (X a and X b; the
+    # CCX; X a, X b and X z), the root CNOT, or a mirrored run of the
+    # reversed tree; keys ascend in build order from block to block
     blocks = [np.empty((0, 3), dtype=np.int64)]   # padded wires, 3 wide
+    keys, n_keys = [np.empty(0, dtype=np.int64)], 0
     for t in range(word_width):
         current = np.array([i for i in hot if (dictionary[i] >> t) & 1], np.int64)
         if not current.size:
             continue
-        tree = blocks[:1]   # the empty block, for a bit on one hot wire
+        tree, tree_keys = blocks[:1], keys[:1]   # empty, for one hot wire
         while len(current) > 1:
             a, b = current[0:-1:2], current[1::2]
             z = np.arange(next_wire, next_wire + len(b))
             next_wire += len(b)
             # per pair: X a, X b, CCX a b z, X a, X b, X z
             level = np.full((len(b), 6, 3), -1)
-            level[:, :, 2] = np.stack([a, b, z, a, b, z], axis=1)
-            level[:, 2, :2] = np.stack([a, b], axis=1)
+            level[:, 0::3, 2] = a[:, None]
+            level[:, 1::3, 2] = b[:, None]
+            level[:, 2::3, 2] = z[:, None]
+            level[:, 2, 0], level[:, 2, 1] = a, b
+            runs = np.full((len(b), 1), 3 * (len(tree) - 1)) + _RUNS
             tree.append(level.reshape(-1, 3))
+            tree_keys.append(runs.ravel())
             current = np.concatenate([z, current[2 * len(b):]])
-        tree = np.concatenate(tree)
+        root = 3 * (len(tree) - 1)   # three runs per level
+        tree, tree_keys = np.concatenate(tree), np.concatenate(tree_keys)
         blocks += [tree, [[-1, current[0], n_onehot + t]], tree[::-1]]
-    wires = np.concatenate(blocks)
+        keys += [n_keys + tree_keys, [n_keys + root],
+                 n_keys + 2 * root - tree_keys[::-1]]
+        n_keys += 2 * root + 1
+    wires, keys = np.concatenate(blocks), np.concatenate(keys)
     kinds = (wires >= 0).sum(axis=1) - 1   # X, CNOT, CCX act on 1, 2, 3 wires
+    by_block = np.argsort(keys, kind="stable")
+    starts = np.cumsum([0, *np.bincount(keys)])
+    layer = np.empty(len(keys), dtype=np.int64)
+    layer[by_block] = _block_layers(wires[by_block], starts, next_wire)
     meta = {"onehot_wires": list(range(n_onehot)),
             "output_wires": list(range(n_onehot, n_onehot + word_width)),
             "n_ancillas": next_wire - n_onehot - word_width}
     # without a CCX row the table is 2 wide, as `from_gates` would build it
     return Circuit._from_columns(next_wire, kinds, wires[:, int(CCX not in kinds):],
-                                 [None] * len(kinds), meta)
+                                 None, meta, lambda _: layer)
 
 
 # -- QROM and oracles --------------------------------------------------------
@@ -487,6 +552,11 @@ def build_qrom(table, word_width: int) -> Circuit:
     width = max(b.shape[1] for b in blocks)
     wires = np.concatenate([np.pad(b, ((0, 0), (width - b.shape[1], 0)),
                                    constant_values=-1) for b in blocks])
+    # each layer of a part is a block of rows that share no wire
+    d, m = len(dec.kinds), len(loader.kinds)
+    starts = np.concatenate([dec.layer_starts, d + loader.layer_starts[1:],
+                             d + m + d - dec.layer_starts[-2::-1]])
+    layer = _block_layers(wires, starts, n_qubits)
     meta = {
         "address_wires": dec.meta["address_wires"],
         "output_wires": list(range(out_base, out_base + word_width)),
@@ -495,7 +565,7 @@ def build_qrom(table, word_width: int) -> Circuit:
         "word_width": word_width,
         "n_ancillas": n_qubits - n - word_width,
     }
-    return Circuit._from_columns(n_qubits, kinds, wires, [None] * len(kinds), meta)
+    return Circuit._from_columns(n_qubits, kinds, wires, None, meta, lambda _: layer)
 
 
 def encode_fixed_point(value: float, bits: int, scale: float) -> int:

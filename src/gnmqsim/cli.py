@@ -329,6 +329,9 @@ def cmd_control(cfg: RunConfig, out_dir: Path):
     z0 = np.concatenate([u0, v0])
     predicted = float(0.5 * z0 @ law.riccati @ z0)
     e0 = float(sim["energy"][0])
+    # riccati_residual is the stationary (CARE) defect of the law's P; with
+    # --horizon that is P(0)'s distance from the stationary solution, not a
+    # check on the backward step map
     return (["energy.csv", "trajectory.csv"],
             {"cost": float(sim["cost"]), "predicted_cost": predicted,
              "riccati_residual": float(law.residual),
