@@ -2,9 +2,12 @@
 
 The density of states is reconstructed with the kernel polynomial method:
 Chebyshev moments mu_k = Tr(T_k(X))/N of the rescaled matrix X = H/alpha,
-by one three-term recurrence run either exactly on the eigenvalues of X
-(spectral sums) or stochastically on Rademacher probes (Hutchinson
-estimator), then resummed with Jackson damping. alpha comes from a
+by one recurrence run either exactly on the eigenvalues of X (spectral
+sums) or stochastically on Rademacher probes (Hutchinson estimator), then
+resummed with Jackson damping. The recurrence builds T_k z only up to
+k = ceil(K/2) and takes the moments up to order K from the doubling
+identities T_{2k} = 2 T_k^2 - T_0 and T_{2k+1} = 2 T_{k+1} T_k - T_1, so
+order K costs ceil(K/2) products of the probe block. alpha comes from a
 power-iteration bound so the rescaled spectrum stays inside [-1, 1],
 which also pins |mu_k| <= 1. The bound and the probe recurrence only
 multiply by the matrix, so they take a dense array or a scipy.sparse
@@ -88,8 +91,12 @@ def low_modes(model: NetworkModel, k: int) -> ModeSet:
         raise ValueError(f"only {len(idx)} nonzero modes available")
     eigenvalues, modes = lam[idx], vecs[:, idx]
     residual = np.linalg.norm(model.A @ modes - modes * eigenvalues, axis=0)
-    if np.any(residual > MODE_RESIDUAL_RTOL * max(a_norm, 1e-300)):
-        raise NumericalError("eigenpair residual above tolerance")
+    tol = MODE_RESIDUAL_RTOL * max(a_norm, 1e-300)
+    worst = int(np.argmax(residual))
+    if not residual[worst] <= tol:  # a NaN residual fails too
+        raise NumericalError(
+            f"eigenpair residual above tolerance: mode {worst} (eigenpair "
+            f"{idx[worst]}) has residual {residual[worst]:.3e} > {tol:.3e}")
     return ModeSet(eigenvalues=eigenvalues, modes=modes, n_zero_modes=n_zero,
                    matrix_norm=a_norm)
 
@@ -120,14 +127,41 @@ def spectral_bound(matrix) -> float:
     return 1.01 * est
 
 
-def _chebyshev_terms(apply, t0, order: int):
-    """Yield T_k(X) t0 for k = 0..order, where apply(v) computes X v."""
-    t_prev, t_cur = None, t0
-    yield t0
-    for k in range(1, order + 1):
-        step = apply(t_cur)  # T_1 = X, T_{k+1} = 2 X T_k - T_{k-1}
-        t_prev, t_cur = t_cur, step if k == 1 else 2.0 * step - t_prev
-        yield t_cur
+def _check_scale(alpha: float, order: int) -> None:
+    """Reject an alpha that is not finite and > 0, or an order that is not
+    a nonnegative integer, before any moment is computed."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or order < 0):
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+
+
+def _moment_estimates(apply, z, order: int) -> np.ndarray:
+    """Per-column estimates z.T_k(X)z/N for k = 0..order, z of shape (N, p).
+
+    apply(v) computes X v. T_j z is built up to j = ceil(order/2), one
+    product each, and the doubling identities (Weisse et al., Rev. Mod.
+    Phys. 78, 275, 2006, sec. II.D) give mu_{2j} = 2<T_j z, T_j z>/N - mu_0
+    and mu_{2j-1} = 2<T_j z, T_{j-1} z>/N - mu_1.
+    """
+    n = z.shape[0]
+    est = np.empty((order + 1, z.shape[1]))
+    est[0] = np.einsum("ip,ip->p", z, z) / n
+    if order == 0:
+        return est
+    t_prev, t_cur = z, apply(z)
+    est[1] = np.einsum("ip,ip->p", z, t_cur) / n
+    for j in range(1, (order + 1) // 2 + 1):
+        if j > 1:
+            step = apply(t_cur)
+            step *= 2.0
+            step -= t_prev
+            t_prev, t_cur = t_cur, step
+            est[2 * j - 1] = 2.0 * np.einsum("ip,ip->p", t_cur, t_prev) / n - est[1]
+        if 2 * j <= order:
+            est[2 * j] = 2.0 * np.einsum("ip,ip->p", t_cur, t_cur) / n - est[0]
+    return est
 
 
 @dataclass(frozen=True)
@@ -141,10 +175,18 @@ class MomentSet:
     probes: int = 0
 
     def __post_init__(self):
+        bad = np.flatnonzero(~np.isfinite(self.moments))
+        if bad.size:
+            k = int(bad[0])
+            raise NumericalError(f"moment mu_{k} = {self.moments[k]} is not "
+                                 f"finite (alpha = {self.alpha!r})")
         if abs(self.moments[0] - 1.0) > 1e-9:
-            raise NumericalError("mu_0 must equal 1")
-        if np.max(np.abs(self.moments)) > 1.0 + 1e-9:
-            raise NumericalError("moments escaped [-1, 1]: alpha too small")
+            raise NumericalError(f"mu_0 = {self.moments[0]!r} must equal 1")
+        k = int(np.argmax(np.abs(self.moments)))
+        if abs(self.moments[k]) > 1.0 + 1e-9:
+            raise NumericalError(
+                f"moments escaped [-1, 1]: alpha too small: |mu_{k}| = "
+                f"{abs(self.moments[k]):.6g} is the largest (alpha = {self.alpha!r})")
 
     @property
     def order(self) -> int:
@@ -155,12 +197,14 @@ class MomentSet:
                       order: int) -> MomentSet:
         """Exact moments mu_k = mean_j T_k(lambda_j/alpha) of a full spectrum.
 
-        An eigenvalue beyond alpha makes T_k grow and is rejected by the
-        |mu_k| <= 1 check as alpha too small.
+        The probe recurrence of `chebyshev_moments_stochastic` with X
+        diagonal: one all-ones column, multiplied elementwise by the
+        eigenvalues. An eigenvalue beyond alpha makes T_k grow and is
+        rejected by the |mu_k| <= 1 check as alpha too small.
         """
-        x = np.asarray(eigenvalues, dtype=float) / alpha
-        terms = _chebyshev_terms(lambda v: x * v, np.ones_like(x), order)
-        moments = np.array([t.mean() for t in terms])
+        _check_scale(alpha, order)
+        x = (np.asarray(eigenvalues, dtype=float) / alpha)[:, None]
+        moments = _moment_estimates(lambda v: x * v, np.ones_like(x), order)[:, 0]
         return cls(alpha=float(alpha), moments=moments, method="exact")
 
 
@@ -183,17 +227,19 @@ def chebyshev_moments_stochastic(matrix, alpha: float, order: int,
     estimates are reproducible and independent of probe batching. matrix
     is a dense array or a scipy.sparse matrix (the recurrence only
     multiplies the probe block by matrix/alpha); a sparse H costs its
-    nonzeros per probe and step, a dense one N^2.
+    nonzeros per probe block product, a dense one N^2, and order K takes
+    ceil(K/2) such products. The mean and stderr are over per-probe
+    estimates.
     """
     n = matrix.shape[0]
+    _check_scale(alpha, order)
     if probes < 1:
         raise ValueError("need at least one probe")
     x = matrix / alpha
     # probe p's entries come from counters [p*n, (p+1)*n): one batched draw
     z = rademacher(seed, 0, probes * n).reshape(probes, n).T
-    terms = _chebyshev_terms(lambda v: x @ v, z, order)
     # row 0 is z.z/n, exactly 1 per probe
-    est = np.array([np.einsum("ip,ip->p", z, t) for t in terms]) / n
+    est = _moment_estimates(lambda v: x @ v, z, order)
     moments = est.mean(axis=1)
     if probes > 1:
         stderr = est.std(axis=1, ddof=1) / math.sqrt(probes)

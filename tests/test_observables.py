@@ -11,7 +11,7 @@ from gnmqsim import observables as obs
 from gnmqsim.errors import NumericalError
 from gnmqsim.network import (ZERO_MODE_RTOL, build_anm, build_gnm,
                              condition_diagnostics, model_from_matrices)
-from gnmqsim.stateprep import encode_initial_conditions
+from gnmqsim.stateprep import encode_initial_conditions, rademacher
 from gnmqsim.structure import (ProteinStructure, load_bundled_structure,
                                synthetic_chain)
 
@@ -32,6 +32,27 @@ def dense_recurrence_moments(matrix: np.ndarray, alpha: float,
         t_prev, t_cur = t_cur, 2.0 * (x @ t_cur) - t_prev
         moments[k] = np.trace(t_cur) / n
     return obs.MomentSet(alpha=float(alpha), moments=moments, method="exact")
+
+
+def probe_recurrence_moments(matrix, alpha: float, order: int, probes: int,
+                             seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hutchinson moments and stderr by the plain three-term recurrence on
+    the probe block: one product per moment, mu_k = z.T_k z / N, with the
+    probe draws of `chebyshev_moments_stochastic`."""
+    n = matrix.shape[0]
+    x = matrix / alpha
+    z = rademacher(seed, 0, probes * n).reshape(probes, n).T
+    est = np.empty((order + 1, probes))
+    t_prev, t_cur = None, z
+    for k in range(order + 1):
+        if k == 1:
+            t_prev, t_cur = t_cur, x @ t_cur
+        elif k > 1:
+            t_prev, t_cur = t_cur, 2.0 * (x @ t_cur) - t_prev
+        est[k] = np.einsum("ip,ip->p", z, t_cur) / n
+    stderr = (est.std(axis=1, ddof=1) / np.sqrt(probes) if probes > 1
+              else np.zeros(order + 1))
+    return est.mean(axis=1), stderr
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +204,61 @@ def test_moment_set_rejects_inconsistent_values(crambin_gnm):
     lam_max = np.linalg.eigvalsh(crambin_gnm.A.toarray())[-1]
     with pytest.raises(NumericalError, match="alpha too small"):
         obs.chebyshev_moments_exact(crambin_gnm.A, 0.5 * lam_max, 10)
+    # the errors name the moment, its value and alpha
+    with pytest.raises(NumericalError, match=r"\|mu_2\| = 2\.5 is the largest "
+                                             r"\(alpha = 1\.5\)"):
+        obs.MomentSet(alpha=1.5, moments=np.array([1.0, 1.4, -2.5]),
+                      method="exact")
+    # NaN and inf used to pass the |mu_k| <= 1 check
+    with pytest.raises(NumericalError, match=r"mu_2 = nan is not finite "
+                                             r"\(alpha = 1\.0\)"):
+        obs.MomentSet(alpha=1.0, moments=np.array([1.0, 0.5, np.nan, np.inf]),
+                      method="exact")
+    with pytest.raises(NumericalError, match=r"mu_1 = inf is not finite"):
+        obs.MomentSet(alpha=1.0, moments=np.array([1.0, np.inf]),
+                      method="stochastic")
+    with pytest.raises(NumericalError, match=r"mu_1 = nan is not finite"):
+        obs.MomentSet.from_spectrum(np.array([0.1, np.nan]), 1.0, 4)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+def test_moment_routines_reject_an_alpha_that_is_not_finite_and_positive(
+        crambin_gnm, alpha):
+    # NaN gave [1, nan, ...] from both routes, 0 gave [1, nan, inf, ...]
+    # from the spectrum and inf silently gave the zero matrix's moments
+    lam = crambin_gnm.eigenpairs[0]
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        obs.MomentSet.from_spectrum(lam, alpha, 6)
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        obs.chebyshev_moments_stochastic(crambin_gnm.A, alpha, 6, 4, 1)
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        obs.chebyshev_moments_exact(crambin_gnm.A, alpha, 6)
+
+
+@pytest.mark.parametrize("order", [-3, 2.0, True, "4"])
+def test_moment_routines_reject_an_order_that_is_not_a_nonnegative_integer(
+        crambin_gnm, crambin_alpha, order):
+    # order=-3 used to return [1.]
+    lam = crambin_gnm.eigenpairs[0]
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        obs.MomentSet.from_spectrum(lam, crambin_alpha, order)
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        obs.chebyshev_moments_stochastic(crambin_gnm.A, crambin_alpha, order, 4, 1)
+    assert obs.MomentSet.from_spectrum(lam, crambin_alpha, np.int64(3)).order == 3
+
+
+def test_low_modes_residual_error_names_the_worst_mode():
+    model = build_gnm(synthetic_chain(8))
+    lam, vecs = model.eigenpairs
+    bad = vecs.copy()
+    bad[:, 3] += 1e-3 * vecs[:, 4]
+    vars(model)["eigenpairs"] = (lam, bad)
+    residual = 1e-3 * (lam[4] - lam[3])
+    tol = obs.MODE_RESIDUAL_RTOL * lam[-1]
+    with pytest.raises(NumericalError,
+                       match=rf"mode 2 \(eigenpair 3\) has residual "
+                             rf"{residual:.3e} > {tol:.3e}"):
+        obs.low_modes(model, 4)
 
 
 def test_jackson_coefficients_shape():
@@ -388,6 +464,46 @@ def test_bound_and_probe_moments_on_a_never_densify_it(crambin, monkeypatch):
     for model in models:
         alpha = obs.spectral_bound(model.A)
         obs.chebyshev_moments_stochastic(model.A, alpha, 40, 8, 3)
+
+
+_PROBE_OPERATORS = {
+    "gnm-A": lambda: DOS_MODELS["bundled-gnm"].A,
+    "anm-A": lambda: DOS_MODELS["bundled-anm"].A,
+    "gnm-H": lambda: dyn.embed(DOS_MODELS["bundled-gnm"]).operator,
+    "anm-H": lambda: dyn.embed(DOS_MODELS["bundled-anm"]).operator,
+}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+@pytest.mark.parametrize("probes", [1, 50])
+@pytest.mark.parametrize("key", _PROBE_OPERATORS)
+def test_doubled_probe_moments_match_the_plain_recurrence(key, probes, dense):
+    matrix = _PROBE_OPERATORS[key]()
+    alpha = obs.spectral_bound(matrix)
+    if dense:
+        matrix = matrix.toarray()
+    for order in (0, 1, 2, 3, 99, 100):
+        ref, ref_err = probe_recurrence_moments(matrix, alpha, order, probes, 11)
+        got = obs.chebyshev_moments_stochastic(matrix, alpha, order, probes, 11)
+        assert got.order == order and got.stderr.shape == (order + 1,)
+        assert np.abs(got.moments - ref).max() <= 1e-13
+        assert np.abs(got.stderr - ref_err).max() <= 1e-13
+
+
+def test_order_k_takes_half_as_many_probe_block_products(monkeypatch):
+    A = DOS_MODELS["bundled-anm"].A
+    alpha = obs.spectral_bound(A)
+    matmul, shapes = scipy.sparse.csr_array.__matmul__, []
+
+    def spy(self, other):
+        shapes.append(np.shape(other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "__matmul__", spy)
+    for order in (0, 1, 2, 3, 4, 99, 100):
+        shapes.clear()
+        obs.chebyshev_moments_stochastic(A, alpha, order, 7, 2)
+        assert shapes == [(A.shape[0], 7)] * ((order + 1) // 2)
 
 
 @pytest.mark.parametrize("model_flag", ["gnm", "anm"])
