@@ -25,7 +25,8 @@ Artifact schemas (fixed column orders):
   resources -> resources.csv        n_items,address_bits,depth,gates,qubits,ancillas
 
 Exit codes: 0 success; 2 usage/validation error; 3 numerical failure,
-with a diagnostic JSON record on stderr and in <out>/error.json.
+with a diagnostic JSON record on stderr and in <out>/error.json (also
+for `dos` without --alpha and `evolve` on a model without contacts).
 
 The environment variable GNMQSIM_THREADS caps BLAS/OpenMP thread pools;
 it is applied before the numerical libraries are first imported (the
@@ -42,6 +43,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+from .errors import NumericalError
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -193,6 +196,13 @@ def _write_manifest(cfg: RunConfig, out_dir: Path, artifacts: list[str],
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
+def _require_contacts(cfg: RunConfig, struct, model, consequence: str) -> None:
+    """NumericalError stating `consequence` when the model has no contact."""
+    if model.n_edges == 0:
+        raise NumericalError(f"0 contacts among {struct.n_atoms} sites at cutoff "
+                             f"{cfg.cutoff} A, so {consequence}")
+
+
 # -- subcommands --------------------------------------------------------------
 
 def cmd_structure(cfg: RunConfig, out_dir: Path):
@@ -211,6 +221,7 @@ def cmd_model(cfg: RunConfig, out_dir: Path):
                [(i, j, model.spring) for i, j in model.edges.tolist()])
     nw.export_matrix_market(model.K, out_dir / "matrix.mtx",
                             comment=f"{cfg.model} stiffness matrix")
+    # values only: eigvalsh costs about half of the cached eigenpairs' eigh
     evals = np.linalg.eigvalsh(model.A.toarray())
     _write_csv(out_dir / "spectrum.csv", ["index", "eigenvalue"],
                list(enumerate(evals)))
@@ -237,6 +248,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path):
     from . import observables as ob
     struct = _load_structure(cfg)
     model = _build_model(cfg, struct)
+    _require_contacts(cfg, struct, model, "A has no nonzero mode to start from")
     modes = ob.low_modes(model, 1)
     sqrt_m = np.sqrt(model.masses)
     u0 = modes.modes[:, 0] / sqrt_m
@@ -248,13 +260,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path):
         _write_csv(out_dir / "trajectory.csv",
                    ["time"] + [f"u_{i}" for i in range(model.n_dof)],
                    np.column_stack([hist.times, hist.displacements]))
-        kinetic = 0.5 * np.einsum("ti,i,ti->t", hist.velocities,
-                                  model.masses, hist.velocities)
-        potential = 0.5 * ((hist.displacements @ model.K)
-                           * hist.displacements).sum(axis=1)
         _write_csv(out_dir / "energies.csv",
                    ["time", "kinetic", "potential", "total"],
-                   np.column_stack([hist.times, kinetic, potential,
+                   np.column_stack([hist.times, hist.kinetic, hist.potential,
                                     hist.energies]))
         drift = float(np.abs(hist.energies - hist.energies[0]).max())
         return (["trajectory.csv", "energies.csv"],
@@ -281,7 +289,11 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
     model = _build_model(cfg, struct)
     emb = dy.embed(model)
     H = emb.operator
-    alpha = cfg.alpha if cfg.alpha is not None else float(ob.spectral_bound(H))
+    alpha = cfg.alpha
+    if alpha is None:
+        _require_contacts(cfg, struct, model, "alpha = 0 and no Chebyshev "
+                          "moments can be formed (--alpha sets a width)")
+        alpha = float(ob.spectral_bound(H))
     eigenvalues = emb.spectrum
     exact = ob.MomentSet.from_spectrum(eigenvalues, alpha, cfg.moments)
     columns, curve_src = {"k": range(cfg.moments + 1), "exact": exact.moments}, exact
@@ -427,7 +439,6 @@ def main(argv=None) -> int:
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .errors import NumericalError
     try:
         artifacts, extra = _COMMANDS[cfg.command](cfg, out_dir)
     except NumericalError as exc:

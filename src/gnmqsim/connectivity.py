@@ -1,10 +1,12 @@
 """Modifiable contact-network store with write-cost accounting.
 
-Holds the cutoff graph of a structure in per-row ordered binary search
-trees and supports local edits: moving, adding, and removing atoms and
-changing a mass. Every edit reports `changed_values`, the number of
-logical stored words the edit rewrote, which is the quantity a table
-resynthesis downstream would have to touch. The accounting is:
+Holds the cutoff graph of a structure as one node table per row, a dict
+keyed by neighbour id, and supports local edits: moving, adding, and
+removing atoms and changing a mass. Reads come straight from a row's node
+table and are not priced. The tables' child pointers thread each row into
+an ordered binary search tree that prices writes: every edit reports
+`changed_values`, the number of logical stored words it rewrote, which a
+table resynthesis downstream would have to touch. The accounting is:
 
     new tree node        3  (key + two child pointers)
     pointer/key update   1
@@ -80,9 +82,10 @@ class ModificationReport:
 class ConnectivityStore:
     """Cutoff graph of point sites under local modification.
 
-    Neighbor sets live in per-row BSTs keyed by site id; queries walk a
-    row in order, edits attach or splice single nodes. Ids are stable:
-    removed sites leave inactive slots behind.
+    Row i's neighbour set is the key set of its node table `_nodes[i]`,
+    which every query reads; only `_tree_insert` and `_tree_delete` walk
+    the per-row BSTs (from `_roots`), attaching or splicing single nodes
+    to price edits. Ids are stable: removed sites leave inactive slots.
     """
 
     def __init__(self, structure: ProteinStructure,
@@ -101,7 +104,6 @@ class ConnectivityStore:
         self._active: list[bool] = [bool(a) for a in active]
         self._roots: list[int | None] = [None] * structure.n_atoms
         self._nodes: list[dict[int, list]] = [dict() for _ in range(structure.n_atoms)]
-        self._degrees: list[int] = [0] * structure.n_atoms
         ids = np.flatnonzero(self._active)
         sites = ProteinStructure(structure.positions[ids], structure.masses[ids],
                                  [structure.labels[k] for k in ids])
@@ -129,7 +131,7 @@ class ConnectivityStore:
 
     def degree(self, i: int) -> int:
         self._check_active(i)
-        return self._degrees[i]
+        return len(self._nodes[i])
 
     def position(self, i: int) -> np.ndarray:
         self._check_active(i)
@@ -185,8 +187,7 @@ class ConnectivityStore:
                     self._writes += 1
                     break
                 cur = nxt
-        self._degrees[row] += 1
-        self._writes += 1
+        self._writes += 1  # row degree counter
 
     def _tree_delete(self, row: int, key: int) -> None:
         nodes = self._nodes[row]
@@ -225,8 +226,7 @@ class ConnectivityStore:
             else:
                 nodes[parent][branch] = child
             self._writes += 1
-        self._degrees[row] -= 1
-        self._writes += 1
+        self._writes += 1  # row degree counter
 
     def _grid_move(self, i: int, new_pos) -> None:
         old_cell = self._cell(self._positions[i])
@@ -239,40 +239,24 @@ class ConnectivityStore:
     # -- queries --------------------------------------------------------------
 
     def neighbors(self, i: int) -> list[int]:
-        """Ascending neighbor ids of row i (in-order tree walk)."""
+        """Ascending neighbor ids of row i."""
         self._check_active(i)
-        out, stack, cur = [], [], self._roots[i]
-        nodes = self._nodes[i]
-        while stack or cur is not None:
-            while cur is not None:
-                stack.append(cur)
-                cur = nodes[cur][0]
-            cur = stack.pop()
-            out.append(cur)
-            cur = nodes[cur][1]
-        return out
+        return sorted(self._nodes[i])
 
     def query_sparse(self, i: int, k: int) -> int:
         """k-th smallest neighbor id of row i; SENTINEL past the degree."""
-        self._check_active(i)
+        nbrs = self.neighbors(i)
         if k < 0:
             raise ValueError("slot index must be nonnegative")
-        if k >= self._degrees[i]:
-            return SENTINEL
-        return self.neighbors(i)[k]
+        return nbrs[k] if k < len(nbrs) else SENTINEL
 
     def query_entry(self, i: int, j: int) -> float:
         """Stiffness entry: degree*spring on the diagonal, -spring per edge."""
         self._check_active(i)
         self._check_active(j)
         if i == j:
-            return self._degrees[i] * self.spring
-        nodes, cur = self._nodes[i], self._roots[i]
-        while cur is not None:
-            if cur == j:
-                return -self.spring
-            cur = nodes[cur][1 if j > cur else 0]
-        return 0.0
+            return len(self._nodes[i]) * self.spring
+        return -self.spring if j in self._nodes[i] else 0.0
 
     # -- modifications ---------------------------------------------------------
 
@@ -297,8 +281,7 @@ class ConnectivityStore:
         """Move a site; only rows whose contact set changed are touched."""
         self._check_active(i)
         new_pos = _position("new_pos", new_pos)
-        d_old = self._degrees[i]
-        old_nbrs = set(self.neighbors(i))
+        old_nbrs = set(self._nodes[i])
         new_nbrs = set(self._grid_neighbors(new_pos, exclude=i))
         self._warn_coincident(i, new_pos, new_nbrs)
         for j in sorted(old_nbrs - new_nbrs):
@@ -311,7 +294,7 @@ class ConnectivityStore:
         self._positions[i] = new_pos.copy()
         self._writes += 3
         affected = 1 + len(old_nbrs ^ new_nbrs)
-        return self._finish("move", d_old, len(new_nbrs), affected)
+        return self._finish("move", len(old_nbrs), len(new_nbrs), affected)
 
     def add_atom(self, pos, mass: float = 1.0, label: str = "X") -> tuple[int, ModificationReport]:
         pos, mass = _position("pos", pos), _mass(mass)
@@ -322,7 +305,6 @@ class ConnectivityStore:
         self._active.append(True)
         self._roots.append(None)
         self._nodes.append(dict())
-        self._degrees.append(0)
         self._writes += 4  # position + mass
         self._grid.setdefault(self._cell(pos), set()).add(i)
         self._writes += 1
@@ -336,7 +318,6 @@ class ConnectivityStore:
     def remove_atom(self, i: int) -> ModificationReport:
         """Deactivate a site; its slot id is never reused."""
         self._check_active(i)
-        d_old = self._degrees[i]
         nbrs = self.neighbors(i)
         for j in nbrs:
             self._tree_delete(j, i)
@@ -344,13 +325,14 @@ class ConnectivityStore:
         self._grid[self._cell(self._positions[i])].discard(i)
         self._active[i] = False
         self._writes += 2
-        return self._finish("remove", d_old, 0, 1 + len(nbrs))
+        return self._finish("remove", len(nbrs), 0, 1 + len(nbrs))
 
     def set_mass(self, i: int, mass: float) -> ModificationReport:
         self._check_active(i)
         self._masses[i] = _mass(mass)
         self._writes += 1
-        return self._finish("set_mass", self._degrees[i], self._degrees[i], 1)
+        d = len(self._nodes[i])
+        return self._finish("set_mass", d, d, 1)
 
     # -- views and export -------------------------------------------------------
 
@@ -377,14 +359,13 @@ class ConnectivityStore:
         """
         ids = self.active_ids
         compact = {atom_id: r for r, atom_id in enumerate(ids)}
-        width = max([self._degrees[i] for i in ids], default=0)
-        width = max(width, 1)
+        width = max([1, *(len(self._nodes[i]) for i in ids)])
         j_table = np.full((len(ids), width), SENTINEL, dtype=np.int64)
         diag = np.zeros(len(ids))
         for r, atom_id in enumerate(ids):
             nbrs = [compact[j] for j in self.neighbors(atom_id)]
             j_table[r, :len(nbrs)] = nbrs
-            diag[r] = self._degrees[atom_id] * self.spring
+            diag[r] = len(nbrs) * self.spring
         return {"j_table": j_table, "diag": diag, "spring": self.spring,
                 "ids": ids}
 

@@ -175,6 +175,8 @@ def decode_state(model: NetworkModel, psi: np.ndarray,
 class HistoryState:
     """Grid displacements, velocities and energies of a trajectory.
 
+    kinetic and potential are each snapshot's (1/2)|y'|^2 and (1/2) y.Ay,
+    y = sqrt(M) u; energies is their sum.
     snapshots[k] is the encoded vector at t_k (the zero vector where the
     snapshot energy vanishes and no encoding exists); composite is
     (1/sqrt(N_t+1)) sum_k |k> (x) snapshots[k], flattened row-major. Both
@@ -184,12 +186,17 @@ class HistoryState:
     times: np.ndarray
     displacements: np.ndarray
     velocities: np.ndarray
-    energies: np.ndarray
+    kinetic: np.ndarray
+    potential: np.ndarray
     model: NetworkModel = field(repr=False)
 
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        return self.kinetic + self.potential
 
     @cached_property
     def snapshots(self) -> np.ndarray:
@@ -239,11 +246,10 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
         coef[0, k + 1] = c * a + s * adot - cosm1 * phis[k]
         coef[1, k + 1] = c * adot - lam * s * a + s * phis[k]
     y, ydot = coef @ U.T
-    energies = 0.5 * (np.einsum("ti,ti->t", ydot, ydot)
-                      + np.einsum("ti,ti->t", (model.A @ y.T).T, y))
     return HistoryState(times=times, displacements=y / sqrt_m,
-                        velocities=ydot / sqrt_m, energies=energies,
-                        model=model)
+                        velocities=ydot / sqrt_m, model=model,
+                        kinetic=0.5 * np.einsum("ti,ti->t", ydot, ydot),
+                        potential=0.5 * np.einsum("ti,ti->t", (model.A @ y.T).T, y))
 
 
 # -- Langevin damping -----------------------------------------------------------

@@ -282,6 +282,39 @@ def test_numerical_failure_exits_three_with_record(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv, sites, cutoff", [
+    (["dos", "--n", "1"], 1, "7.0"),
+    (["evolve", "--n", "1"], 1, "7.0"),
+    (["evolve", "--dynamics", "langevin", "--n", "1"], 1, "7.0"),
+    (["evolve", "--n", "2", "--cutoff", "1"], 2, "1.0"),
+], ids=["dos", "evolve", "evolve_langevin", "evolve_far_pair"])
+def test_contact_free_model_exits_three_naming_contacts_and_cutoff(tmp_path, capsys,
+                                                                 argv, sites, cutoff):
+    code, out = run(tmp_path, *argv)
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "NumericalError"
+    assert record["message"].startswith(f"0 contacts among {sites} sites at cutoff {cutoff} A, so ")
+    assert ("alpha = 0" if argv[0] == "dos" else "no nonzero mode") in record["message"]
+    assert json.loads(capsys.readouterr().err.strip()) == record
+    assert not (out / "manifest.json").exists()
+
+
+def test_contact_free_dos_runs_with_an_explicit_alpha(tmp_path):
+    code, out = run(tmp_path, "dos", "--n", "1", "--alpha", "1")
+    assert code == 0
+    assert manifest_of(out)["results"]["alpha"] == 1.0
+
+
+def test_energies_csv_total_is_kinetic_plus_potential_exactly(tmp_path):
+    code, out = run(tmp_path, "evolve", "--n", "6", "--tmax", "5", "--steps", "50")
+    assert code == 0
+    _, rows = csv_rows(out / "energies.csv")
+    kinetic, potential, total = np.array(rows, dtype=float)[:, 1:].T
+    assert np.array_equal(kinetic + potential, total)
+    assert kinetic.max() > 0 and potential.max() > 0
+
+
 def test_thread_cap_env_variable(tmp_path, monkeypatch):
     for var in _THREAD_VARS:
         monkeypatch.setenv(var, "1")

@@ -32,6 +32,66 @@ def brute_neighbors(store):
             for i in ids}
 
 
+def tree_in_order(store, i):
+    """Keys of row i's search tree, walked in order from `_roots[i]`."""
+    nodes, out, stack, cur = store._nodes[i], [], [], store._roots[i]
+    while stack or cur is not None:
+        while cur is not None:
+            stack.append(cur)
+            # every push is one node, so more pushes than nodes is a cycle
+            assert len(stack) + len(out) <= len(nodes), f"row {i} has a cycle"
+            cur = nodes[cur][0]
+        cur = stack.pop()
+        out.append(cur)
+        cur = nodes[cur][1]
+    return out
+
+
+def tree_search(store, i, j):
+    """Whether a root-to-leaf search of row i's tree finds key j."""
+    nodes, cur = store._nodes[i], store._roots[i]
+    while cur is not None and cur != j:
+        cur = nodes[cur][1 if j > cur else 0]
+    return cur is not None
+
+
+def assert_trees(store):
+    """Every active row's tree is a BST whose keys are the row's neighbours."""
+    for i in store.active_ids:
+        keys = tree_in_order(store, i)
+        # with distinct keys, a binary tree is a BST iff its in-order walk ascends
+        assert all(a < b for a, b in zip(keys, keys[1:])), (i, keys)
+        assert keys == store.neighbors(i), (i, keys)
+        assert all(tree_search(store, i, j) for j in keys), i
+        assert not tree_search(store, i, i), i
+
+
+@pytest.fixture(autouse=True)
+def trees_checked(monkeypatch):
+    """Check every row's tree after each edit of every store in this module;
+    `_finish` closes each edit, after its last tree write."""
+    finish = ConnectivityStore._finish
+
+    def checked(store, *args):
+        assert_trees(store)
+        return finish(store, *args)
+
+    monkeypatch.setattr(ConnectivityStore, "_finish", checked)
+
+
+def test_tree_check_catches_a_misordered_tree_and_a_cycle():
+    st = ConnectivityStore(synthetic_chain(4), cutoff=7.0)
+    assert_trees(st)
+    assert (st._roots[1], st._nodes[1]) == (0, {0: [None, 2], 2: [None, None]})
+    st._nodes[1][0] = [2, None]   # 2 hangs left of 0: keys still match
+    with pytest.raises(AssertionError, match=r"\(1, \[2, 0\]\)"):
+        assert_trees(st)
+    st._nodes[1][0] = [None, 2]
+    st._nodes[1][2] = [None, 0]   # 2 points back at the root
+    with pytest.raises(AssertionError, match="row 1 has a cycle"):
+        assert_trees(st)
+
+
 def test_construction_matches_stiffness_entries(crambin, crambin_gnm):
     st = ConnectivityStore(crambin, cutoff=7.0)
     assert st.neighbor_lists() == brute_neighbors(st)
