@@ -5,8 +5,9 @@ Elastic network models from a C-alpha structure
 Build the isotropic (per-residue) and anisotropic (per-coordinate)
 network models for the bundled 46-residue protein and look at their
 spectra. The mass-weighted stiffness A is stored sparse (one CSR array
-with the contact graph's nonzeros); `eigenpairs` is its one cached
-eigensolve.
+with the contact graph's nonzeros); `eigenpairs` is its cached full
+eigensolve, while `low_modes` takes a partial one (the zero-mode count,
+then a shift-invert Lanczos solve) and never reads `eigenpairs`.
 """
 import numpy as np
 

@@ -336,9 +336,6 @@ class ConnectivityStore:
 
     # -- views and export -------------------------------------------------------
 
-    def neighbor_lists(self) -> dict[int, list[int]]:
-        return {i: self.neighbors(i) for i in self.active_ids}
-
     def to_structure(self) -> ProteinStructure:
         """Active sites as a compacted structure (ids renumbered from 0)."""
         ids = self.active_ids

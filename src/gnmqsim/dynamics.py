@@ -13,7 +13,7 @@ e^{sJ+} ds. J = -iH - damping is block diagonal in A's modes: on the pair
 A's zero modes and ker(B) take the diagonal block at s = 0. One batched
 4 x 4 exponential per step gives every block's propagator E and noise
 integral N; lifted to dense form, they must satisfy the Lyapunov identity
-J N + N J+ = E S S+ E+ - S S+ to 1e-8 relative residual. Monte Carlo oracles
+J N + N J+ = E S S+ E+ - S S+ to 1e-8 relative residual. Monte Carlo samplers
 integrate the matching SDEs with Euler-Maruyama and counter-based noise, so
 ensembles are reproducible and paths are independent of execution order.
 """
@@ -209,10 +209,6 @@ class HistoryState:
     def composite(self) -> np.ndarray:
         return self.snapshots.ravel() / np.sqrt(self.n_snapshots)
 
-    @property
-    def composite_norm(self) -> float:
-        return float(np.linalg.norm(self.composite))
-
 
 def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
                          n_steps: int) -> HistoryState:
@@ -380,7 +376,7 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
     return E @ rho0 @ E.conj().T + N
 
 
-# -- Monte Carlo oracles ---------------------------------------------------------
+# -- Monte Carlo samplers --------------------------------------------------------
 
 
 def _noise_windows(seed: int, n_paths: int, n_steps: int, count: int):

@@ -16,10 +16,10 @@ cell side. One vectorised assembly builds K, the mass-weighted stiffness
 A = M^{-1/2} K M^{-1/2} and its incidence-style factor B with B B^T = A
 for both flavors, which downstream modules embed into a Hamiltonian.
 K is dense. A is stored only as a sparse CSR array with the contact
-graph's sparsity (`eigenpairs`, the one eigensolve, densifies it; every
-other reader multiplies by it), and B only as a sparse CSC array, filled
-from the contact arrays, with 2 nonzeros per contact for GNM and at most
-6 for ANM. Neither holds explicit zeros.
+graph's sparsity (`eigenpairs` and the zero-mode count of `zero_space`
+densify it; other readers multiply or solve with it), and B only as a
+sparse CSC array, filled from the contact arrays, with 2 nonzeros per
+contact for GNM and at most 6 for ANM. Neither holds explicit zeros.
 """
 from __future__ import annotations
 
@@ -29,11 +29,14 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .structure import DEFAULT_ANM_CUTOFF, DEFAULT_GNM_CUTOFF, ProteinStructure
 
 ZERO_MODE_RTOL = 1e-8
+_LANCZOS_SEED = 0x1A2C
+_ZERO_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,36 @@ class NetworkModel:
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """eigh(A) computed once: ascending eigenvalues and orthonormal
-        eigenvectors, both read-only, for every route in A's modes. The
-        one place A is densified."""
+        eigenvectors, both read-only, for the routes that need every mode
+        of A (dynamics, `zero_modes`, `condition_diagnostics`). It densifies
+        A; so does the zero-mode count of `zero_space`."""
         lam, vecs = np.linalg.eigh(self.A.toarray())
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
+
+    @cached_property
+    def zero_space(self) -> tuple[float, int, np.ndarray]:
+        """(lambda_max, z, Z) once, without eigh(A): lambda_max by Lanczos; z,
+        the count of `zero_modes` (at or below tau = ZERO_MODE_RTOL *
+        max(lambda_max, 0)), exact by Sylvester's law of inertia on one dense
+        LDL^T of A - tau I (dsytrf; each 1 x 1 block of D <= 0 and each 2 x 2
+        block, whose determinant is negative, counts one); Z, their read-only
+        orthonormal basis by `_zero_basis`, or from `eigenpairs` if z >= n - 1."""
+        n = self.n_dof
+        if n <= 2 or self.A.nnz == 0:  # no pair for ARPACK or no start
+            lam_max = float(self.eigenpairs[0][-1])
+        else:
+            lam_max = float(_arpack(self.A, 1, _start(n)[:, 0], which="LA")[0][0])
+        shifted = self.A.toarray()
+        shifted.flat[::n + 1] -= ZERO_MODE_RTOL * max(lam_max, 0.0)
+        lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
+        ldu, ipiv, _ = lapack.dsytrf(shifted, lower=1, lwork=lwork, overwrite_a=1)
+        n_zero = int(np.sum(ldu.diagonal()[ipiv > 0] <= 0.0) + np.sum(ipiv < 0) // 2)
+        if n_zero >= n - 1:
+            return lam_max, n_zero, self.eigenpairs[1][:, :n_zero]
+        basis = _zero_basis(self.A, n_zero, lam_max)
+        basis.flags.writeable = False
+        return lam_max, n_zero, basis
 
     @cached_property
     def zero_modes(self) -> np.ndarray:
@@ -89,6 +117,81 @@ class NetworkModel:
         zero = lam <= ZERO_MODE_RTOL * max(lam[-1], 0.0)
         zero.flags.writeable = False
         return zero
+
+
+def _start(n: int, width: int = 1) -> np.ndarray:
+    """(n, width) counter-based normals: deterministic start vectors for the
+    solves below (a +/-1 vector can lie in A's null space)."""
+    from .stateprep import standard_normals
+    return standard_normals(_LANCZOS_SEED, 0, n * width).reshape(width, n).T
+
+
+def _arpack(A, count: int, v0: np.ndarray, **how):
+    """eigsh(A, count, **how); ARPACK's failure is a NumericalError."""
+    from scipy.sparse.linalg import ArpackError, eigsh  # only these solves need it
+    try:
+        return eigsh(A, count, v0=v0, **how)
+    except ArpackError as exc:
+        raise NumericalError(f"eigsh for {count} pairs of A failed: {exc}") from None
+
+
+def _shift_invert(A, tau: float):
+    """x -> (A + tau I)^-1 x by one sparse LU (SuperLU)."""
+    from scipy.sparse.linalg import splu
+    shifted = A + tau * scipy.sparse.identity(A.shape[0])
+    return splu(scipy.sparse.csc_matrix(shifted)).solve
+
+
+def _zero_basis(A, n_zero: int, lam_max: float) -> np.ndarray:
+    """Orthonormal basis of A's n_zero eigenvectors at or below tau =
+    ZERO_MODE_RTOL * lam_max by block inverse iteration with (A + tau I)^-1,
+    which sees a cluster of equal eigenvalues (each component's rigid
+    motions) at once, where one Lanczos vector sees one of them. The block
+    is 8 columns wider, so a mode just above tau cannot stall it; each sweep
+    ends in a Rayleigh-Ritz step, and the n_zero lowest Ritz residuals must
+    reach 1e-13 * lam_max and stop halving."""
+    if n_zero == 0:
+        return np.empty((A.shape[0], 0))
+    n, solve, last = A.shape[0], _shift_invert(A, ZERO_MODE_RTOL * lam_max), np.inf
+    v = _start(n, min(n, n_zero + 8))
+    for _ in range(_ZERO_SWEEPS):
+        v = np.linalg.qr(solve(v))[0]
+        theta, rotation = np.linalg.eigh(v.T @ (A @ v))
+        v = v @ rotation
+        low = v[:, :n_zero]
+        resid = np.linalg.norm(A @ low - low * theta[:n_zero], axis=0).max()
+        if resid <= 1e-13 * lam_max and resid >= last / 2:
+            return low.copy()
+        last = resid
+    raise NumericalError(f"zero-mode basis: {_ZERO_SWEEPS} sweeps of inverse "
+                         f"iteration leave a residual of {resid:.3e}")
+
+
+def lowest_eigenpairs(model: NetworkModel, count: int):
+    """The `count` smallest eigenpairs of A, ascending, each vector signed so
+    its largest-magnitude entry (the lowest index on ties) is positive: Z of
+    `zero_space` with its Rayleigh quotients, then one shift-invert Lanczos
+    solve (ARPACK) at sigma = -tau with Z projected out of the operator, so
+    it never meets the zero cluster; from `eigenpairs` if count >= n - 1."""
+    from scipy.sparse.linalg import LinearOperator
+    lam_max, n_zero, zero = model.zero_space
+    n, tau = model.n_dof, ZERO_MODE_RTOL * lam_max
+    if count >= n - 1:  # beyond ARPACK
+        lam, vecs = (a[..., :count] for a in model.eigenpairs)
+    else:
+        solve = _shift_invert(model.A, tau)
+
+        def deflate(x):
+            return x - zero @ (zero.T @ x)
+
+        op = LinearOperator((n, n), lambda x: deflate(solve(deflate(x))), dtype=float)
+        w, u = _arpack(model.A, count - n_zero, deflate(_start(n)[:, 0]), sigma=-tau,
+                       which="LM", OPinv=op)
+        order = np.argsort(w, kind="stable")
+        lam = np.concatenate([np.einsum("ij,ij->j", zero, model.A @ zero), w[order]])
+        vecs = np.hstack([zero, u[:, order]])
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(count)]
+    return lam.copy(), vecs * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def _distance(d: np.ndarray) -> np.ndarray:
@@ -285,9 +388,3 @@ def export_matrix_market(matrix: np.ndarray, path, comment: str = "") -> None:
     """Write a matrix to Matrix Market format (sparse coordinate layout)."""
     import scipy.io  # only the Matrix Market functions need it
     scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(matrix), comment=comment)
-
-
-def import_matrix_market(path) -> np.ndarray:
-    import scipy.io
-    mat = scipy.io.mmread(str(path))
-    return np.asarray(mat.todense() if scipy.sparse.issparse(mat) else mat, dtype=float)

@@ -14,8 +14,14 @@ multiply by the matrix, so they take a dense array or a scipy.sparse
 matrix alike, at the cost of its nonzeros per matvec: a model's A is a
 CSR array with the contact graph's sparsity, and `gnmqsim dos` passes the
 embedding's sparse H (built from the model's sparse B) and takes the
-exact moments from its spectrum, read from A's eigenpairs. Zero modes are
-those of the model's `zero_modes` mask.
+exact moments from its spectrum, read from A's eigenpairs.
+
+Low modes and displacement statistics read the model's cached `zero_space`
+(lambda_max, the exact zero-mode count z and zero basis Z), never eigh(A):
+`low_modes(k)` takes k pairs past Z from one shift-invert Lanczos solve
+with Z projected out, each mode signed so its largest-magnitude entry (the
+lowest index on ties) is positive, and kT*pinv(K) = kT((K + Z Z^T)^-1 -
+Z Z^T) for unit masses.
 """
 from __future__ import annotations
 
@@ -24,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import lapack
 
 from .errors import NumericalError
-from .network import ZERO_MODE_RTOL, NetworkModel
+from .network import ZERO_MODE_RTOL, NetworkModel, lowest_eigenpairs
 from .stateprep import EncodedState, rademacher
 
 MODE_RESIDUAL_RTOL = 1e-9
@@ -62,7 +69,9 @@ def energy_from_displacement(model: NetworkModel, u, v) -> float:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Smallest nonzero eigenpairs of the mass-weighted stiffness."""
+    """Smallest nonzero eigenpairs of the mass-weighted stiffness A, in
+    ascending order; each mode's largest-magnitude entry (the lowest index
+    on ties) is positive. matrix_norm is max(lambda_max, 0)."""
 
     eigenvalues: np.ndarray
     modes: np.ndarray  # columns are unit eigenvectors
@@ -79,24 +88,29 @@ class ModeSet:
 
 
 def low_modes(model: NetworkModel, k: int) -> ModeSet:
-    """k smallest nonzero eigenpairs of A, zero modes excluded by the
-    model's `zero_modes` mask."""
-    if not 0 < k < model.n_dof:
-        raise ValueError("need 0 < k < n_dof")
-    lam, vecs = model.eigenpairs
-    a_norm = float(lam[-1]) if lam[-1] > 0 else 0.0
-    n_zero = int(np.sum(model.zero_modes))
-    idx = np.flatnonzero(~model.zero_modes)[:k]
-    if len(idx) < k:
-        raise ValueError(f"only {len(idx)} nonzero modes available")
-    eigenvalues, modes = lam[idx], vecs[:, idx]
+    """k smallest nonzero eigenpairs of A: the k + z lowest pairs of
+    `lowest_eigenpairs` must hold exactly the model's z zero modes (at or
+    below ZERO_MODE_RTOL * lambda_max), which are dropped."""
+    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+            or not 0 < k < model.n_dof):
+        raise ValueError(f"k must be an integer, 0 < k < {model.n_dof}, got {k!r}")
+    lam_max, n_zero, _ = model.zero_space
+    if k > model.n_dof - n_zero:
+        raise ValueError(f"only {model.n_dof - n_zero} nonzero modes available")
+    lam, vecs = lowest_eigenpairs(model, k + n_zero)
+    a_norm = max(lam_max, 0.0)
+    found = np.count_nonzero(lam <= ZERO_MODE_RTOL * a_norm)
+    if found != n_zero:
+        raise NumericalError(f"the eigensolve found {found} zero modes, the "
+                             f"inertia count of A is {n_zero}")
+    eigenvalues, modes = lam[n_zero:], vecs[:, n_zero:]
     residual = np.linalg.norm(model.A @ modes - modes * eigenvalues, axis=0)
     tol = MODE_RESIDUAL_RTOL * max(a_norm, 1e-300)
     worst = int(np.argmax(residual))
     if not residual[worst] <= tol:  # a NaN residual fails too
         raise NumericalError(
             f"eigenpair residual above tolerance: mode {worst} (eigenpair "
-            f"{idx[worst]}) has residual {residual[worst]:.3e} > {tol:.3e}")
+            f"{n_zero + worst}) has residual {residual[worst]:.3e} > {tol:.3e}")
     return ModeSet(eigenvalues=eigenvalues, modes=modes, n_zero_modes=n_zero,
                    matrix_norm=a_norm)
 
@@ -363,25 +377,25 @@ def displacement_stats(model: NetworkModel, kT: float) -> dict:
 
     The pseudo-inverse excludes zero modes (rigid motions carry no
     restoring force and have no equilibrium variance); masses do not enter
-    equilibrium statistics. With every mass 1, A equals K bit for bit, so
-    the pseudo-inverse is built from the model's cached eigenpairs of A,
-    dropping its `zero_modes` (eigenvalues at or below ZERO_MODE_RTOL *
-    lambda_max, as pinv's rcond does); other masses take pinv(K).
+    equilibrium statistics. With every mass 1, A equals K bit for bit, and
+    (K + Z Z^T)^-1 - Z Z^T, Z the model's zero basis, comes from dpotrf and
+    dpotri, mirrored from the lower triangle; other masses take pinv(K).
     """
-    if kT < 0:
-        raise ValueError("kT must be nonnegative")
+    if not (math.isfinite(kT) and kT >= 0):
+        raise ValueError(f"kT must be finite and nonnegative, got {kT!r}")
     if np.all(model.masses == 1.0):
-        lam, vecs = model.eigenpairs
-        inv = np.divide(1.0, lam, out=np.zeros(lam.shape),
-                        where=~model.zero_modes)
-        correlation = kT * ((vecs * inv) @ vecs.T)
+        proj = model.zero_space[2] @ model.zero_space[2].T
+        factor, info = lapack.dpotrf(model.K + proj, lower=1, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(f"K + Z Z^T has no Cholesky factor (LAPACK "
+                                 f"info {info}): Z misses a zero mode of K")
+        correlation = np.tril(lapack.dpotri(factor, lower=1)[0] - proj)
+        correlation += np.tril(correlation, -1).T
+        correlation *= kT
     else:
         correlation = kT * np.linalg.pinv(model.K, hermitian=True,
                                           rcond=ZERO_MODE_RTOL)
-    per_dof = np.sqrt(np.clip(np.diag(correlation), 0.0, None))
-    if model.kind == "anm":
-        rmsd = np.sqrt(np.clip(np.diag(correlation), 0.0, None)
-                       .reshape(-1, 3).sum(axis=1))
-    else:
-        rmsd = per_dof
-    return {"correlation": correlation, "rmsd": rmsd, "rmsd_per_dof": per_dof}
+    var = np.clip(np.diag(correlation), 0.0, None)
+    site = var.reshape(-1, 3).sum(axis=1) if model.kind == "anm" else var
+    return {"correlation": correlation, "rmsd": np.sqrt(site),
+            "rmsd_per_dof": np.sqrt(var)}

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from . import circuits as qc
 from .errors import EncodingError, NumericalError
@@ -121,29 +121,8 @@ def angle_exponent(n: int, level: int) -> int:
     return 2 ** (n - level) - 1
 
 
-def _log_density_norm(a: int) -> float:
-    """log of Z_p = integral_0^{pi/2} sin^a(2 theta) d theta."""
-    return (0.5 * math.log(math.pi) + gammaln((a + 1) / 2.0)
-            - gammaln(a / 2.0 + 1.0) - math.log(2.0))
-
-
 def proposal_sigma(a: int) -> float:
     return 1.0 / (2.0 * math.sqrt(max(a, 1)))
-
-
-def envelope_constant(n: int, level: int) -> float:
-    """Analytic envelope Q >= p/q, attained at theta = pi/4.
-
-    Q = Z_q * sigma * sqrt(2 pi) / Z_p with Z_q the proposal's truncation
-    mass; 1/Q is the exact acceptance probability of the rejection loop.
-    """
-    a = angle_exponent(n, level)
-    if a == 0:
-        return 1.0
-    sigma = proposal_sigma(a)
-    h = (math.pi / 4.0) / sigma
-    z_q = ndtr(h) - ndtr(-h)
-    return z_q * sigma * math.sqrt(2.0 * math.pi) / math.exp(_log_density_norm(a))
 
 
 def counter_base(n: int, level: int, branch: int) -> int:
@@ -274,14 +253,6 @@ class EncodedState:
     psi: np.ndarray
     energy: float
     n_dof: int
-
-    @property
-    def velocity_block(self) -> np.ndarray:
-        return self.psi[:self.n_dof]
-
-    @property
-    def position_block(self) -> np.ndarray:
-        return self.psi[self.n_dof:]
 
 
 def encode_initial_conditions(model: NetworkModel, u0: np.ndarray,

@@ -10,7 +10,7 @@ import pytest
 
 from gnmqsim import cli
 from gnmqsim.cli import _THREAD_VARS, RunConfig, main
-from gnmqsim.network import import_matrix_market
+from test_network import import_matrix_market
 
 PDB_LINES = """\
 ATOM      1  CA  THR A   1       0.000   0.000   0.000  1.00  0.00           C

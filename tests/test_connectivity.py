@@ -24,6 +24,11 @@ def random_structure(rng, n, box=18.0):
                             source_id="rand")
 
 
+def neighbor_lists(store):
+    """Every active row's sorted neighbours, read through the public query."""
+    return {i: store.neighbors(i) for i in store.active_ids}
+
+
 def brute_neighbors(store):
     ids = store.active_ids
     return {i: sorted(j for j in ids if j != i
@@ -94,7 +99,7 @@ def test_tree_check_catches_a_misordered_tree_and_a_cycle():
 
 def test_construction_matches_stiffness_entries(crambin, crambin_gnm):
     st = ConnectivityStore(crambin, cutoff=7.0)
-    assert st.neighbor_lists() == brute_neighbors(st)
+    assert neighbor_lists(st) == brute_neighbors(st)
     K = crambin_gnm.K
     for i in range(0, crambin.n_atoms, 5):
         for j in range(crambin.n_atoms):
@@ -105,7 +110,7 @@ def test_construction_matches_brute_force_on_random_clouds():
     rng = np.random.default_rng(7)
     for _ in range(5):
         st = ConnectivityStore(random_structure(rng, 40), cutoff=6.0)
-        assert st.neighbor_lists() == brute_neighbors(st)
+        assert neighbor_lists(st) == brute_neighbors(st)
 
 
 def test_query_sparse_kth_neighbor_and_sentinel(crambin):
@@ -143,7 +148,7 @@ def test_modification_fuzz_stays_consistent_and_within_bound():
         assert rep.changed_values <= rep.bound, rep
         n_reports += 1
     assert n_reports > 300
-    assert st.neighbor_lists() == brute_neighbors(st)
+    assert neighbor_lists(st) == brute_neighbors(st)
 
 
 def test_null_move_costs_three_position_words():
@@ -220,7 +225,7 @@ def test_snapshot_restore_roundtrip(tmp_path):
     st.snapshot(path)
     st2 = ConnectivityStore.restore(path)
     assert st2 == st
-    assert st2.neighbor_lists() == st.neighbor_lists()
+    assert neighbor_lists(st2) == neighbor_lists(st)
     assert st2.spring == 2.0
     # restored store stays editable and diverges from the original
     st2.move_atom(st2.active_ids[0], [40.0, 40.0, 40.0])
@@ -262,7 +267,7 @@ def test_mass_edits_validate_and_report():
 
 def test_degenerate_chain_matches_path_graph():
     st = ConnectivityStore(synthetic_chain(9), cutoff=7.0)
-    lists = st.neighbor_lists()
+    lists = neighbor_lists(st)
     assert lists[0] == [1]
     assert lists[8] == [7]
     for i in range(1, 8):
@@ -286,7 +291,7 @@ def test_construction_matches_gnm_on_every_contact_cloud(cloud, cutoff):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the face lattice has coincident atoms
         rows = gnm_rows(structure, cutoff)
-        assert ConnectivityStore(structure, cutoff=cutoff).neighbor_lists() == rows
+        assert neighbor_lists(ConnectivityStore(structure, cutoff=cutoff)) == rows
 
 
 def test_build_move_and_add_find_boundary_pairs_as_gnm_does():
@@ -300,7 +305,7 @@ def test_build_move_and_add_find_boundary_pairs_as_gnm_does():
                                                    labels=["A1"]), cutoff=7.0)
         added.add_atom(b)
         for store in (built, moved, added):
-            assert store.neighbor_lists() == want, pair
+            assert neighbor_lists(store) == want, pair
     assert want == {0: [1], 1: [0]}  # the two-cells pair is a contact
 
 
@@ -328,7 +333,7 @@ def test_coincident_sites_stay_connected_with_a_warning_at_the_caller(tmp_path):
     with pytest.warns(UserWarning, match="^atoms 0 and 1 coincide; treated as connected") as record:
         store = ConnectivityStore(pair)
     assert record[0].filename == __file__
-    assert store.neighbor_lists() == {0: [1], 1: [0]}
+    assert neighbor_lists(store) == {0: [1], 1: [0]}
     store.snapshot(tmp_path / "pair.gqkp")
     with pytest.warns(UserWarning, match="^atoms 0 and 1 coincide") as record:
         assert ConnectivityStore.restore(tmp_path / "pair.gqkp") == store

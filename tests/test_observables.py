@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from scipy.integrate import trapezoid
 
@@ -247,12 +248,17 @@ def test_moment_routines_reject_an_order_that_is_not_a_nonnegative_integer(
     assert obs.MomentSet.from_spectrum(lam, crambin_alpha, np.int64(3)).order == 3
 
 
-def test_low_modes_residual_error_names_the_worst_mode():
+def test_low_modes_residual_error_names_the_worst_mode(monkeypatch):
     model = build_gnm(synthetic_chain(8))
-    lam, vecs = model.eigenpairs
-    bad = vecs.copy()
-    bad[:, 3] += 1e-3 * vecs[:, 4]
-    vars(model)["eigenpairs"] = (lam, bad)
+    lam = model.eigenpairs[0]
+    solve = obs.lowest_eigenpairs
+
+    def corrupted(*args):
+        got, vecs = solve(*args)
+        vecs[:, 3] += 1e-3 * vecs[:, 4]
+        return got, vecs
+
+    monkeypatch.setattr(obs, "lowest_eigenpairs", corrupted)
     residual = 1e-3 * (lam[4] - lam[3])
     tol = obs.MODE_RESIDUAL_RTOL * lam[-1]
     with pytest.raises(NumericalError,
@@ -362,15 +368,15 @@ def test_displacement_stats_groups_anm_triplets():
 
 
 @pytest.mark.parametrize("build", [build_gnm, build_anm], ids=["gnm", "anm"])
-def test_displacement_stats_reads_cached_eigenpairs_for_unit_masses(build,
-                                                                    monkeypatch):
+def test_displacement_stats_takes_neither_pinv_nor_eigh_for_unit_masses(
+        build, monkeypatch):
     model = build(load_bundled_structure())
     assert np.all(model.masses == 1.0)
     ref = 1.5 * np.linalg.pinv(model.K, hermitian=True, rcond=ZERO_MODE_RTOL)
     calls = []
     monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(a))
     stats = obs.displacement_stats(model, kT=1.5)
-    assert not calls
+    assert not calls and "eigenpairs" not in vars(model)
     assert np.abs(stats["correlation"] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -391,6 +397,149 @@ def test_displacement_stats_takes_pinv_for_other_masses(monkeypatch):
     assert len(calls) == 1 and "eigenpairs" not in vars(model)
     assert np.array_equal(stats["correlation"], 2.0 * pinv(
         model.K, hermitian=True, rcond=ZERO_MODE_RTOL))
+
+
+# -- low modes and correlations from the partial eigensolve, against eigh ------
+
+
+def _cloud_gnm(n: int, seed: int, volume: float):
+    """GNM of n sites drawn uniformly in a cube, `volume` A^3 per site."""
+    side = (volume * n) ** (1.0 / 3.0)
+    pos = np.random.default_rng(seed).uniform(0.0, side, (n, 3))
+    return build_gnm(ProteinStructure(positions=pos, masses=np.ones(n),
+                                      labels=["X"] * n, source_id="cloud"))
+
+
+def _split_gnm():
+    far = synthetic_chain(6).positions.copy()
+    far[3:] += 100.0
+    return build_gnm(ProteinStructure(positions=far, masses=np.ones(6),
+                                      labels=["X"] * 6, source_id="t"),
+                     cutoff=4.0)
+
+
+READOUT_MODELS = {
+    "bundled-gnm": lambda: build_gnm(load_bundled_structure()),
+    "bundled-anm": lambda: build_anm(load_bundled_structure()),  # 6 zero modes
+    "split": _split_gnm,                                          # 2 zero modes
+    "cloud-400": lambda: _cloud_gnm(400, 3, 180.0),  # protein-like density
+    "fragments": lambda: _cloud_gnm(300, 1, 400.0),  # 38 components
+}
+
+
+def signed(vecs: np.ndarray) -> np.ndarray:
+    """The read-out's sign convention: each column's largest-magnitude
+    entry, the first on ties, is positive."""
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(peak < 0.0, -1.0, 1.0)
+
+
+def assert_modes_match(modes, lam, vecs):
+    """Each mode equals eigh's under the sign convention where its
+    eigenvalue is simple, and lies in eigh's eigenspace where it is not
+    (the split model's two equal components double every eigenvalue)."""
+    for value, mode in zip(modes.eigenvalues, modes.modes.T):
+        space = vecs[:, np.abs(lam - value) <= 1e-9 * lam[-1]]
+        if space.shape[1] == 1:
+            assert np.abs(mode - signed(space)[:, 0]).max() <= 1e-10
+        else:
+            assert np.linalg.norm(mode - space @ (space.T @ mode)) <= 1e-10
+
+
+@pytest.mark.parametrize("key", READOUT_MODELS)
+def test_partial_eigensolve_read_out_matches_eigh_and_pinv(key):
+    model = READOUT_MODELS[key]()
+    lam, vecs = np.linalg.eigh(model.A.toarray())
+    n, n_zero = model.n_dof, int(np.sum(lam <= ZERO_MODE_RTOL * lam[-1]))
+    ks = sorted({1, min(4, n - n_zero), n - n_zero})  # the last one falls back
+    for k in ks:
+        fresh = READOUT_MODELS[key]()
+        modes = obs.low_modes(fresh, k)
+        assert ("eigenpairs" in vars(fresh)) == (k + n_zero >= n - 1)
+        assert modes.n_zero_modes == n_zero == fresh.zero_modes.sum()
+        assert abs(fresh.zero_space[0] - lam[-1]) <= 1e-14 * lam[-1]
+        assert np.abs(modes.eigenvalues - lam[n_zero:n_zero + k]).max() <= 1e-12 * lam[-1]
+        assert_modes_match(modes, lam, vecs)
+        assert np.array_equal(modes.modes, signed(modes.modes))
+    fresh = READOUT_MODELS[key]()
+    stats = obs.displacement_stats(fresh, 0.7)
+    ref = 0.7 * np.linalg.pinv(fresh.K, hermitian=True, rcond=ZERO_MODE_RTOL)
+    # both inverses err by about eps times K's condition number on its range
+    kappa = lam[-1] / lam[n_zero]
+    assert (np.abs(stats["correlation"] - ref).max()
+            <= max(1e-12, 1e-14 * kappa) * np.abs(ref).max())
+    assert np.array_equal(stats["correlation"], stats["correlation"].T)
+    assert "eigenpairs" not in vars(fresh) or n_zero >= n - 1
+
+
+@pytest.mark.parametrize("key", READOUT_MODELS)
+def test_partial_eigensolve_read_out_is_bit_identical_across_runs(key):
+    runs = []
+    for _ in range(2):
+        model = READOUT_MODELS[key]()
+        modes = obs.low_modes(model, 1)
+        runs.append((model.zero_space[0], modes.eigenvalues, modes.modes,
+                     obs.displacement_stats(model, 1.0)["correlation"]))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
+def test_zero_mode_count_is_exact_across_the_threshold():
+    # eigenvalues 0.9e-8 and 1.1e-8 straddle tau = 1e-8 * lambda_max = 1e-8;
+    # some of these factorizations take 2 x 2 Bunch-Kaufman blocks
+    rng = np.random.default_rng(5)
+    two_by_two = 0
+    for _ in range(6):
+        q = np.linalg.qr(rng.normal(size=(40, 40)))[0]
+        lam = np.concatenate([[0.0, 0.4e-8, 0.9e-8, 1.1e-8, 3e-8],
+                              rng.uniform(1e-3, 1.0, 34), [1.0]])
+        model = model_from_matrices((q * lam) @ q.T, np.ones(40))
+        tau = ZERO_MODE_RTOL * model.zero_space[0]
+        assert model.zero_space[1] == 3 == model.zero_modes.sum()
+        assert model.zero_space[2].shape == (40, 3)
+        assert np.abs(model.A @ model.zero_space[2]).max() <= 2 * tau
+        shifted = model.A.toarray() - tau * np.eye(40)
+        two_by_two += np.sum(scipy.linalg.lapack.dsytrf(shifted, lower=1)[1] < 0)
+    assert two_by_two > 0
+
+
+def test_zero_space_starts_on_every_one_contact_model():
+    # a +/-1 start vector equal on both sites of the contact is a null vector
+    for i, j in [(i, j) for i in range(6) for j in range(i + 1, 6)]:
+        K = np.zeros((6, 6))
+        K[[i, j], [i, j]], K[[i, j], [j, i]] = 1.0, -1.0
+        model = model_from_matrices(K, np.ones(6))
+        lam_max, n_zero, _ = model.zero_space
+        assert abs(lam_max - 2.0) <= 1e-15 and n_zero == 5
+        assert abs(obs.low_modes(model, 1).eigenvalues[0] - 2.0) <= 1e-15
+
+
+@pytest.mark.parametrize("build, n_zero, found",
+                         [(build_gnm, 2, 1), (build_anm, 5, 6)],
+                         ids=["overcount", "undercount"])
+def test_low_modes_names_both_counts_when_the_solve_disagrees(build, n_zero,
+                                                              found):
+    # a zero basis of the wrong size: its extra column is the lowest nonzero
+    # mode, or the deflated solve meets the zero mode it lacks
+    model = build(load_bundled_structure())
+    vecs = np.linalg.eigh(model.A.toarray())[1]
+    vars(model)["zero_space"] = (model.zero_space[0], n_zero, vecs[:, :n_zero])
+    with pytest.raises(NumericalError, match=rf"found {found} zero modes, the "
+                                             rf"inertia count of A is {n_zero}"):
+        obs.low_modes(model, 3)
+
+
+@pytest.mark.parametrize("k", [2.0, True, np.float64(1.0), "1", 0, 46])
+def test_low_modes_rejects_a_k_that_is_not_an_integer_in_range(crambin_gnm, k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        obs.low_modes(crambin_gnm, k)
+
+
+@pytest.mark.parametrize("kT", [np.nan, np.inf, -np.inf, -1.0])
+def test_displacement_stats_rejects_a_kt_that_is_not_finite_and_nonnegative(
+        crambin_gnm, kT):
+    with pytest.raises(ValueError, match="kT must be finite and nonnegative"):
+        obs.displacement_stats(crambin_gnm, kT)
 
 
 # -- the dense read-out route, kept as the oracle of `gnmqsim dos` -------------
