@@ -220,8 +220,8 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
     closed-form driven-oscillator update, so the only approximation is the
     piecewise-constant force itself; the history is rebuilt afterwards.
     """
-    if T < 0 or n_steps < 1:
-        raise ValueError("need T >= 0 and at least one step")
+    if not (math.isfinite(T) and T >= 0) or n_steps < 1:
+        raise ValueError(f"need a finite T >= 0 and at least one step, got T = {T!r}")
     n = model.n_dof
     u0, v0 = _vector(u0, "u0", n), _vector(v0, "v0", n)
     times = np.linspace(0.0, T, n_steps + 1)
@@ -392,15 +392,17 @@ def _noise_windows(seed: int, n_paths: int, n_steps: int, count: int):
         yield standard_normals(seed, bases0 + np.uint64(k * step_words), count)
 
 
-def _step_count(t: float, h_max: float, h: float | None) -> tuple[int, float]:
+def _step_count(t: float, h_max: float, h: float | None, n_paths: int, least: int):
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    if not n_paths >= least:
+        raise ValueError(f"n_paths must be at least {least}, got {n_paths!r}")
     if h is not None:
         if h <= 0:
             raise ValueError("step size must be positive")
         if h > h_max * (1 + 1e-12):
             raise ValueError(f"step size {h} exceeds the stability bound {h_max:.3e}")
-        n_steps = max(1, math.ceil(t / h))
-    else:
-        n_steps = max(1, math.ceil(t / h_max))
+    n_steps = max(1, math.ceil(t / (h_max if h is None else h)))
     return n_steps, t / n_steps
 
 
@@ -410,12 +412,12 @@ def monte_carlo_langevin(model: NetworkModel, params: LangevinParams, u0, v0,
     """Euler-Maruyama ensemble of the damped mechanical equation.
 
     Integrates M udd + gamma ud + K u + sigma xi = 0 path-by-path with
-    counter-based noise (see `_noise_windows`).
+    counter-based noise (see `_noise_windows`); h <= 0.01 / sqrt(lambda_max).
     """
     n = model.n_dof
     u0, v0 = _vector(u0, "u0", n), _vector(v0, "v0", n)
-    h_max = 0.01 / max(math.sqrt(model.eigenpairs[0][-1]), 1e-12)
-    n_steps, h = _step_count(t, h_max, h)
+    h_max = 0.01 / max(math.sqrt(model.lambda_max), 1e-12)
+    n_steps, h = _step_count(t, h_max, h, n_paths, 1)
 
     u = np.tile(u0, (n_paths, 1))
     v = np.tile(v0, (n_paths, 1))
@@ -443,13 +445,14 @@ def monte_carlo_encoded(embedded: EmbeddedHamiltonian, params: LangevinParams,
     against the master-equation result. Both are taken in two passes (the
     mean, then the squared deviations from it) over blocks of paths whose
     outer products hold about _MC_BLOCK_ENTRIES entries, so memory does not
-    grow with n_paths.
+    grow with n_paths. h <= 0.01 / (sqrt(lambda_max) + gamma); n_paths >= 2.
     """
     x0 = np.asarray(x0, dtype=complex)
+    root = math.sqrt(max(embedded.model.lambda_max, 0.0))  # H's largest eigenvalue
+    h_max = 0.01 / max(root + params.gamma, 1e-12)
+    n_steps, h = _step_count(t, h_max, h, n_paths, 2)
     J = params.generator(embedded.operator.toarray(), embedded.n_dof)
     S = params.noise_matrix(embedded)
-    h_max = 0.01 / max(float(embedded.spectrum[-1]) + params.gamma, 1e-12)
-    n_steps, h = _step_count(t, h_max, h)
 
     x = np.tile(x0, (n_paths, 1))
     sqrt_h = math.sqrt(h)

@@ -16,10 +16,13 @@ cell side. One vectorised assembly builds K, the mass-weighted stiffness
 A = M^{-1/2} K M^{-1/2} and its incidence-style factor B with B B^T = A
 for both flavors, which downstream modules embed into a Hamiltonian.
 K is dense. A is stored only as a sparse CSR array with the contact
-graph's sparsity (`eigenpairs` and the zero-mode count of `zero_space`
-densify it; other readers multiply or solve with it), and B only as a
-sparse CSC array, filled from the contact arrays, with 2 nonzeros per
-contact for GNM and at most 6 for ANM. Neither holds explicit zeros.
+graph's sparsity, and B only as a sparse CSC array, filled from the
+contact arrays, with 2 nonzeros per contact for GNM and at most 6 for
+ANM; neither holds explicit zeros. A model caches one answer to each
+question about A's extremes: `lambda_max` by Lanczos, `zero_space` (the
+exact zero-mode count, from a dense LDL^T, and basis) and `shifted_factor`,
+the one sparse LU of A + tau I that every `lowest_eigenpairs` solve
+reuses; `eigenpairs`, the dense eigh, serves the routes that read every mode.
 """
 from __future__ import annotations
 
@@ -77,34 +80,46 @@ class NetworkModel:
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """eigh(A) computed once: ascending eigenvalues and orthonormal
-        eigenvectors, both read-only, for the routes that need every mode
-        of A (dynamics, `zero_modes`, `condition_diagnostics`). It densifies
-        A; so does the zero-mode count of `zero_space`."""
+        eigenvectors, both read-only, for the routes that read every mode of
+        A (the dynamics, H's `spectrum`, `zero_modes`) and for the sizes
+        ARPACK cannot take. It densifies A; so does the count of `zero_space`."""
         lam, vecs = np.linalg.eigh(self.A.toarray())
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
 
     @cached_property
+    def lambda_max(self) -> float:
+        """A's largest eigenvalue by Lanczos (ARPACK), or from `eigenpairs`
+        when n <= 2 or A is zero (no pair for ARPACK or no start)."""
+        if self.n_dof <= 2 or self.A.nnz == 0:
+            return float(self.eigenpairs[0][-1])
+        return float(_arpack(self.A, 1, _start(self.n_dof)[:, 0], which="LA")[0][0])
+
+    @cached_property
+    def shifted_factor(self):
+        """The one sparse LU (SuperLU) of A + tau I, tau = ZERO_MODE_RTOL *
+        lambda_max, that `_zero_basis` and `lowest_eigenpairs` solve with."""
+        from scipy.sparse.linalg import splu
+        tau = ZERO_MODE_RTOL * self.lambda_max
+        shifted = self.A + tau * scipy.sparse.identity(self.n_dof)
+        return splu(scipy.sparse.csc_matrix(shifted))
+
+    @cached_property
     def zero_space(self) -> tuple[float, int, np.ndarray]:
-        """(lambda_max, z, Z) once, without eigh(A): lambda_max by Lanczos; z,
-        the count of `zero_modes` (at or below tau = ZERO_MODE_RTOL *
-        max(lambda_max, 0)), exact by Sylvester's law of inertia on one dense
-        LDL^T of A - tau I (dsytrf; each 1 x 1 block of D <= 0 and each 2 x 2
-        block, whose determinant is negative, counts one); Z, their read-only
-        orthonormal basis by `_zero_basis`, or from `eigenpairs` if z >= n - 1."""
-        n = self.n_dof
-        if n <= 2 or self.A.nnz == 0:  # no pair for ARPACK or no start
-            lam_max = float(self.eigenpairs[0][-1])
-        else:
-            lam_max = float(_arpack(self.A, 1, _start(n)[:, 0], which="LA")[0][0])
+        """(lambda_max, z, Z) once, without eigh(A): z counts `zero_modes` (at
+        or below tau = ZERO_MODE_RTOL * max(lambda_max, 0)) exactly by
+        Sylvester's law of inertia on one dense LDL^T of A - tau I (dsytrf;
+        each 1 x 1 block of D <= 0 and each 2 x 2 block, whose determinant is
+        negative, counts one); Z, their read-only orthonormal basis, is from
+        `_zero_basis`, or from `eigenpairs` if z >= n - 1."""
+        n, lam_max = self.n_dof, self.lambda_max
         shifted = self.A.toarray()
         shifted.flat[::n + 1] -= ZERO_MODE_RTOL * max(lam_max, 0.0)
         lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
         ldu, ipiv, _ = lapack.dsytrf(shifted, lower=1, lwork=lwork, overwrite_a=1)
         n_zero = int(np.sum(ldu.diagonal()[ipiv > 0] <= 0.0) + np.sum(ipiv < 0) // 2)
-        if n_zero >= n - 1:
-            return lam_max, n_zero, self.eigenpairs[1][:, :n_zero]
-        basis = _zero_basis(self.A, n_zero, lam_max)
+        basis = (self.eigenpairs[1][:, :n_zero] if n_zero >= n - 1
+                 else _zero_basis(self, n_zero))
         basis.flags.writeable = False
         return lam_max, n_zero, basis
 
@@ -135,24 +150,17 @@ def _arpack(A, count: int, v0: np.ndarray, **how):
         raise NumericalError(f"eigsh for {count} pairs of A failed: {exc}") from None
 
 
-def _shift_invert(A, tau: float):
-    """x -> (A + tau I)^-1 x by one sparse LU (SuperLU)."""
-    from scipy.sparse.linalg import splu
-    shifted = A + tau * scipy.sparse.identity(A.shape[0])
-    return splu(scipy.sparse.csc_matrix(shifted)).solve
-
-
-def _zero_basis(A, n_zero: int, lam_max: float) -> np.ndarray:
-    """Orthonormal basis of A's n_zero eigenvectors at or below tau =
-    ZERO_MODE_RTOL * lam_max by block inverse iteration with (A + tau I)^-1,
-    which sees a cluster of equal eigenvalues (each component's rigid
-    motions) at once, where one Lanczos vector sees one of them. The block
-    is 8 columns wider, so a mode just above tau cannot stall it; each sweep
-    ends in a Rayleigh-Ritz step, and the n_zero lowest Ritz residuals must
-    reach 1e-13 * lam_max and stop halving."""
+def _zero_basis(model: NetworkModel, n_zero: int) -> np.ndarray:
+    """Orthonormal basis of A's n_zero eigenvectors at or below tau (see
+    `zero_space`) by block inverse iteration with `shifted_factor`, which
+    sees a cluster of equal eigenvalues (each component's rigid motions) at
+    once, where one Lanczos vector sees one of them. The block is 8 columns
+    wider, so a mode just above tau cannot stall it; each sweep ends in a
+    Rayleigh-Ritz step, and the n_zero lowest Ritz residuals must reach
+    1e-13 * lambda_max and stop halving."""
     if n_zero == 0:
-        return np.empty((A.shape[0], 0))
-    n, solve, last = A.shape[0], _shift_invert(A, ZERO_MODE_RTOL * lam_max), np.inf
+        return np.empty((model.n_dof, 0))
+    A, n, solve, last = model.A, model.n_dof, model.shifted_factor.solve, np.inf
     v = _start(n, min(n, n_zero + 8))
     for _ in range(_ZERO_SWEEPS):
         v = np.linalg.qr(solve(v))[0]
@@ -160,7 +168,7 @@ def _zero_basis(A, n_zero: int, lam_max: float) -> np.ndarray:
         v = v @ rotation
         low = v[:, :n_zero]
         resid = np.linalg.norm(A @ low - low * theta[:n_zero], axis=0).max()
-        if resid <= 1e-13 * lam_max and resid >= last / 2:
+        if resid <= 1e-13 * model.lambda_max and resid >= last / 2:
             return low.copy()
         last = resid
     raise NumericalError(f"zero-mode basis: {_ZERO_SWEEPS} sweeps of inverse "
@@ -171,15 +179,16 @@ def lowest_eigenpairs(model: NetworkModel, count: int):
     """The `count` smallest eigenpairs of A, ascending, each vector signed so
     its largest-magnitude entry (the lowest index on ties) is positive: Z of
     `zero_space` with its Rayleigh quotients, then one shift-invert Lanczos
-    solve (ARPACK) at sigma = -tau with Z projected out of the operator, so
-    it never meets the zero cluster; from `eigenpairs` if count >= n - 1."""
+    solve (ARPACK) at sigma = -tau on `shifted_factor`, Z projected out of the
+    operator so it never meets the zero cluster; from `eigenpairs` if count
+    >= n - 1. NumericalError unless they hold exactly z zero modes (count > z)."""
     from scipy.sparse.linalg import LinearOperator
     lam_max, n_zero, zero = model.zero_space
     n, tau = model.n_dof, ZERO_MODE_RTOL * lam_max
     if count >= n - 1:  # beyond ARPACK
         lam, vecs = (a[..., :count] for a in model.eigenpairs)
     else:
-        solve = _shift_invert(model.A, tau)
+        solve = model.shifted_factor.solve
 
         def deflate(x):
             return x - zero @ (zero.T @ x)
@@ -190,6 +199,10 @@ def lowest_eigenpairs(model: NetworkModel, count: int):
         order = np.argsort(w, kind="stable")
         lam = np.concatenate([np.einsum("ij,ij->j", zero, model.A @ zero), w[order]])
         vecs = np.hstack([zero, u[:, order]])
+    found = np.count_nonzero(lam <= ZERO_MODE_RTOL * max(lam_max, 0.0))
+    if found != n_zero:
+        raise NumericalError(f"the eigensolve found {found} zero modes, the "
+                             f"inertia count of A is {n_zero}")
     peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(count)]
     return lam.copy(), vecs * np.where(peak < 0.0, -1.0, 1.0)
 
@@ -343,22 +356,15 @@ def mass_weight(K: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
 
 def condition_diagnostics(model: NetworkModel) -> dict:
-    """Spectral diagnostics of A: extreme eigenvalues, zero modes, kappa.
-
-    Read from the model's cached eigenpairs and zero-mode mask; kappa is
-    the ratio of the largest to the smallest nonzero eigenvalue.
-    """
-    lam = model.eigenpairs[0]
-    lam_max, nonzero = float(lam[-1]), lam[~model.zero_modes]
-    if not nonzero.size:  # lam_max <= 0
-        return {"lambda_max": lam_max, "lambda_min_nonzero": 0.0,
-                "kappa": np.inf, "n_zero_modes": model.n_dof}
-    return {
-        "lambda_max": lam_max,
-        "lambda_min_nonzero": float(nonzero[0]),
-        "kappa": lam_max / float(nonzero[0]),
-        "n_zero_modes": int(model.n_dof - nonzero.size),
-    }
+    """Spectral diagnostics of A: lambda_max and the zero-mode count z of
+    `zero_space`, the smallest nonzero eigenvalue from `lowest_eigenpairs`,
+    and kappa, their ratio (inf when every mode is a zero mode)."""
+    lam_max, n_zero, _ = model.zero_space
+    lam_min = 0.0 if n_zero == model.n_dof else float(
+        lowest_eigenpairs(model, n_zero + 1)[0][-1])
+    return {"lambda_max": lam_max, "lambda_min_nonzero": lam_min,
+            "kappa": lam_max / lam_min if lam_min else np.inf,
+            "n_zero_modes": n_zero}
 
 
 def model_from_matrices(K: np.ndarray, masses: np.ndarray,

@@ -17,11 +17,10 @@ embedding's sparse H (built from the model's sparse B) and takes the
 exact moments from its spectrum, read from A's eigenpairs.
 
 Low modes and displacement statistics read the model's cached `zero_space`
-(lambda_max, the exact zero-mode count z and zero basis Z), never eigh(A):
-`low_modes(k)` takes k pairs past Z from one shift-invert Lanczos solve
-with Z projected out, each mode signed so its largest-magnitude entry (the
-lowest index on ties) is positive, and kT*pinv(K) = kT((K + Z Z^T)^-1 -
-Z Z^T) for unit masses.
+(lambda_max, the zero-mode count z and basis Z), never eigh(A): `low_modes`
+takes k pairs past Z from `lowest_eigenpairs`, each signed so its largest-
+magnitude entry (the lowest index on ties) is positive; for any masses,
+kT*pinv(K) = kT((K + W W^T)^-1 - W W^T), W orthonormal, spanning M^{-1/2} Z.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ import scipy.sparse
 from scipy.linalg import lapack
 
 from .errors import NumericalError
-from .network import ZERO_MODE_RTOL, NetworkModel, lowest_eigenpairs
+from .network import NetworkModel, lowest_eigenpairs
 from .stateprep import EncodedState, rademacher
 
 MODE_RESIDUAL_RTOL = 1e-9
@@ -89,20 +88,14 @@ class ModeSet:
 
 def low_modes(model: NetworkModel, k: int) -> ModeSet:
     """k smallest nonzero eigenpairs of A: the k + z lowest pairs of
-    `lowest_eigenpairs` must hold exactly the model's z zero modes (at or
-    below ZERO_MODE_RTOL * lambda_max), which are dropped."""
+    `lowest_eigenpairs` without the model's z zero modes, residual-checked."""
     if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
             or not 0 < k < model.n_dof):
         raise ValueError(f"k must be an integer, 0 < k < {model.n_dof}, got {k!r}")
-    lam_max, n_zero, _ = model.zero_space
+    a_norm, n_zero = max(model.zero_space[0], 0.0), model.zero_space[1]
     if k > model.n_dof - n_zero:
         raise ValueError(f"only {model.n_dof - n_zero} nonzero modes available")
     lam, vecs = lowest_eigenpairs(model, k + n_zero)
-    a_norm = max(lam_max, 0.0)
-    found = np.count_nonzero(lam <= ZERO_MODE_RTOL * a_norm)
-    if found != n_zero:
-        raise NumericalError(f"the eigensolve found {found} zero modes, the "
-                             f"inertia count of A is {n_zero}")
     eigenvalues, modes = lam[n_zero:], vecs[:, n_zero:]
     residual = np.linalg.norm(model.A @ modes - modes * eigenvalues, axis=0)
     tol = MODE_RESIDUAL_RTOL * max(a_norm, 1e-300)
@@ -377,24 +370,21 @@ def displacement_stats(model: NetworkModel, kT: float) -> dict:
 
     The pseudo-inverse excludes zero modes (rigid motions carry no
     restoring force and have no equilibrium variance); masses do not enter
-    equilibrium statistics. With every mass 1, A equals K bit for bit, and
-    (K + Z Z^T)^-1 - Z Z^T, Z the model's zero basis, comes from dpotrf and
-    dpotri, mirrored from the lower triangle; other masses take pinv(K).
+    equilibrium statistics. K's null space is M^{-1/2} Z, Z the model's zero
+    basis; with W its orthonormal QR factor, (K + W W^T)^-1 - W W^T comes
+    from dpotrf and dpotri, mirrored from the lower triangle.
     """
     if not (math.isfinite(kT) and kT >= 0):
         raise ValueError(f"kT must be finite and nonnegative, got {kT!r}")
-    if np.all(model.masses == 1.0):
-        proj = model.zero_space[2] @ model.zero_space[2].T
-        factor, info = lapack.dpotrf(model.K + proj, lower=1, overwrite_a=1)
-        if info != 0:
-            raise NumericalError(f"K + Z Z^T has no Cholesky factor (LAPACK "
-                                 f"info {info}): Z misses a zero mode of K")
-        correlation = np.tril(lapack.dpotri(factor, lower=1)[0] - proj)
-        correlation += np.tril(correlation, -1).T
-        correlation *= kT
-    else:
-        correlation = kT * np.linalg.pinv(model.K, hermitian=True,
-                                          rcond=ZERO_MODE_RTOL)
+    null = np.linalg.qr(model.zero_space[2] / np.sqrt(model.masses)[:, None])[0]
+    proj = null @ null.T
+    factor, info = lapack.dpotrf(model.K + proj, lower=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"K + W W^T has no Cholesky factor (LAPACK info "
+                             f"{info}): W misses a zero mode of K")
+    correlation = np.tril(lapack.dpotri(factor, lower=1)[0] - proj)
+    correlation += np.tril(correlation, -1).T
+    correlation *= kT
     var = np.clip(np.diag(correlation), 0.0, None)
     site = var.reshape(-1, 3).sum(axis=1) if model.kind == "anm" else var
     return {"correlation": correlation, "rmsd": np.sqrt(site),

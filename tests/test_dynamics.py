@@ -766,6 +766,53 @@ def test_velocity_variance_reaches_equipartition():
     assert abs(var_v - p.kT) <= 3 * se
 
 
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+def test_samplers_reject_a_t_that_is_not_finite_and_nonnegative(chain2, emb2, t):
+    # these died in "math domain error", a NaN-to-integer error or OverflowError
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.0], t=t,
+                                 n_paths=4, seed=1)
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        dyn.monte_carlo_encoded(emb2, p, _encoded_start(chain2), t=t, n_paths=4,
+                                seed=1)
+
+
+def test_samplers_take_t_zero_as_one_empty_step(chain2, emb2):
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    res = dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.2], t=0.0,
+                                   n_paths=3, seed=1)
+    assert (res["n_steps"], res["h"]) == (1, 0.0)
+    assert np.array_equal(res["displacements"], np.tile([0.4, -0.4], (3, 1)))
+    x0 = _encoded_start(chain2)
+    res = dyn.monte_carlo_encoded(emb2, p, x0, t=0.0, n_paths=3, seed=1)
+    assert (res["n_steps"], res["h"]) == (1, 0.0)
+    assert np.array_equal(res["finals"], np.tile(x0, (3, 1)))
+
+
+def test_samplers_reject_too_few_paths(chain2, emb2):
+    # n_paths=0 gave a NaN mean or second moment, and one encoded path a
+    # non-finite stderr (it divides by n_paths - 1)
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    with pytest.raises(ValueError, match="n_paths must be at least 1, got 0"):
+        dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.0], t=0.5,
+                                 n_paths=0, seed=1)
+    for n_paths in (0, 1):
+        with pytest.raises(ValueError, match=f"n_paths must be at least 2, got {n_paths}"):
+            dyn.monte_carlo_encoded(emb2, p, _encoded_start(chain2), t=0.5,
+                                    n_paths=n_paths, seed=1)
+    res = dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.0], t=0.5,
+                                   n_paths=1, seed=1)
+    assert np.isfinite(res["mean"]).all()
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+def test_evolve_inhomogeneous_rejects_a_t_that_is_not_finite(chain2, T):
+    # T = nan or inf returned an all-NaN history
+    with pytest.raises(ValueError, match="need a finite T >= 0"):
+        dyn.evolve_inhomogeneous(chain2, [0.1, -0.1], [0.0, 0.0], None, T, 10)
+
+
 def test_step_size_cap_is_enforced(chain2, emb2):
     p = dyn.LangevinParams(gamma=0.5, kT=0.3)
     st = encode_initial_conditions(chain2, [0.4, -0.4], [0.0, 0.0])

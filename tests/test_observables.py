@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -380,23 +381,19 @@ def test_displacement_stats_takes_neither_pinv_nor_eigh_for_unit_masses(
     assert np.abs(stats["correlation"] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_displacement_stats_takes_pinv_for_other_masses(monkeypatch):
+def test_displacement_stats_takes_one_route_for_other_masses(monkeypatch):
     chain = synthetic_chain(6)
     heavy = ProteinStructure(positions=chain.positions,
                              masses=np.linspace(1.0, 2.0, 6),
                              labels=chain.labels, source_id="t")
     model = build_gnm(heavy)
-    pinv, calls = np.linalg.pinv, []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return pinv(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", spy)
+    ref = 2.0 * np.linalg.pinv(model.K, hermitian=True, rcond=ZERO_MODE_RTOL)
+    calls = []
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(a))
     stats = obs.displacement_stats(model, kT=2.0)
-    assert len(calls) == 1 and "eigenpairs" not in vars(model)
-    assert np.array_equal(stats["correlation"], 2.0 * pinv(
-        model.K, hermitian=True, rcond=ZERO_MODE_RTOL))
+    assert not calls and "eigenpairs" not in vars(model)
+    assert np.abs(stats["correlation"] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(stats["correlation"], stats["correlation"].T)
 
 
 # -- low modes and correlations from the partial eigensolve, against eigh ------
@@ -527,6 +524,121 @@ def test_low_modes_names_both_counts_when_the_solve_disagrees(build, n_zero,
     with pytest.raises(NumericalError, match=rf"found {found} zero modes, the "
                                              rf"inertia count of A is {n_zero}"):
         obs.low_modes(model, 3)
+
+
+def _with_masses(structure, seed: int = 8):
+    """`structure` with masses drawn uniformly from [0.5, 4]."""
+    masses = np.random.default_rng(seed).uniform(0.5, 4.0, structure.n_atoms)
+    return ProteinStructure(positions=structure.positions, masses=masses,
+                            labels=structure.labels, source_id="heavy")
+
+
+def _positive_definite_model():
+    rng = np.random.default_rng(8)
+    q = np.linalg.qr(rng.normal(size=(12, 12)))[0]
+    K = (q * rng.uniform(0.1, 3.0, 12)) @ q.T
+    return model_from_matrices(K, rng.uniform(0.5, 4.0, 12))
+
+
+def _contact_free_gnm():
+    far = 100.0 * np.c_[np.arange(5.0), np.zeros((5, 2))]
+    return build_gnm(_with_masses(ProteinStructure(
+        positions=far, masses=np.ones(5), labels=["X"] * 5, source_id="t")))
+
+
+def _split_gnm_structure():
+    far = synthetic_chain(6).positions.copy()
+    far[3:] += 100.0
+    return ProteinStructure(positions=far, masses=np.ones(6), labels=["X"] * 6,
+                            source_id="t")
+
+
+HEAVY_MODELS = {
+    "bundled-gnm": lambda: build_gnm(_with_masses(load_bundled_structure())),
+    "bundled-anm": lambda: build_anm(_with_masses(load_bundled_structure())),
+    "split": lambda: build_gnm(_with_masses(_split_gnm_structure()), cutoff=4.0),
+    "positive-definite": _positive_definite_model,                # z = 0
+    "contact-free": _contact_free_gnm,                            # z = n
+}
+
+
+@pytest.mark.parametrize("key", HEAVY_MODELS)
+def test_displacement_stats_matches_pinv_for_every_mass(key):
+    model = HEAVY_MODELS[key]()
+    assert not np.all(model.masses == 1.0)
+    stats = obs.displacement_stats(model, 0.7)
+    n, (lam_max, n_zero, _) = model.n_dof, model.zero_space
+    expected_zero = {"positive-definite": 0, "contact-free": n}.get(key)
+    assert expected_zero is None or n_zero == expected_zero
+    # eigh(A) only where ARPACK cannot run: no contact, or z >= n - 1
+    assert ("eigenpairs" in vars(model)) == (model.A.nnz == 0 or n_zero >= n - 1)
+    ref = 0.7 * np.linalg.pinv(model.K, hermitian=True, rcond=ZERO_MODE_RTOL)
+    scale = max(np.abs(ref).max(), 0.7)  # ref is 0 without contacts
+    assert np.abs(stats["correlation"] - ref).max() <= 1e-12 * scale
+    assert np.array_equal(stats["correlation"], stats["correlation"].T)
+
+
+def test_one_model_factors_a_plus_tau_once(monkeypatch):
+    import scipy.sparse.linalg
+    splu, calls = scipy.sparse.linalg.splu, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    for build in (build_gnm, build_anm):
+        calls.clear()
+        model = build(load_bundled_structure())
+        model.zero_space
+        obs.low_modes(model, 1)
+        obs.low_modes(model, 4)
+        diag = condition_diagnostics(model)
+        assert calls == [(model.n_dof, model.n_dof)]
+        assert "eigenpairs" not in vars(model)
+        lam = np.linalg.eigvalsh(model.A.toarray())
+        n_zero = diag["n_zero_modes"]
+        assert abs(diag["lambda_max"] - lam[-1]) <= 1e-14 * lam[-1]
+        assert abs(diag["lambda_min_nonzero"] - lam[n_zero]) <= 1e-12 * lam[-1]
+        assert np.sum(lam <= ZERO_MODE_RTOL * lam[-1]) == n_zero
+
+
+def test_extremes_of_a_leave_eigenpairs_uncomputed_on_the_cloud():
+    model = READOUT_MODELS["cloud-400"]()
+    params = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    n_zero = condition_diagnostics(model)["n_zero_modes"]
+    obs.displacement_stats(model, 1.0)
+    res = dyn.monte_carlo_langevin(model, params, np.zeros(400), np.zeros(400),
+                                   t=0.01, n_paths=2, seed=3)
+    h_max = 0.01 / math.sqrt(model.lambda_max)
+    assert res["n_steps"] == math.ceil(0.01 / h_max)
+    emb = dyn.embed(model)  # dim 1757: about 350 MiB at the peak
+    res = dyn.monte_carlo_encoded(emb, params, np.zeros(emb.dim), t=0.004,
+                                  n_paths=2, seed=3)
+    assert res["n_steps"] == math.ceil(0.004 / (0.01 / (math.sqrt(model.lambda_max)
+                                                        + 0.5)))
+    assert "eigenpairs" not in vars(model) and n_zero == 4
+
+
+@pytest.mark.parametrize("build", [build_gnm, build_anm], ids=["gnm", "anm"])
+def test_condition_diagnostics_of_a_contact_free_model(build):
+    model = build(ProteinStructure(positions=100.0 * np.c_[np.arange(4.0),
+                                                           np.zeros((4, 2))],
+                                   masses=np.ones(4), labels=["X"] * 4,
+                                   source_id="t"))
+    assert model.n_edges == 0
+    assert condition_diagnostics(model) == {
+        "lambda_max": 0.0, "lambda_min_nonzero": 0.0, "kappa": np.inf,
+        "n_zero_modes": model.n_dof}
+
+
+def test_every_reader_of_the_partial_solve_checks_the_zero_count():
+    model = build_gnm(load_bundled_structure())
+    vecs = np.linalg.eigh(model.A.toarray())[1]
+    vars(model)["zero_space"] = (model.zero_space[0], 2, vecs[:, :2])
+    with pytest.raises(NumericalError, match="found 1 zero modes, the "
+                                             "inertia count of A is 2"):
+        condition_diagnostics(model)
 
 
 @pytest.mark.parametrize("k", [2.0, True, np.float64(1.0), "1", 0, 46])
