@@ -19,10 +19,10 @@ K is dense. A is stored only as a sparse CSR array with the contact
 graph's sparsity, and B only as a sparse CSC array, filled from the
 contact arrays, with 2 nonzeros per contact for GNM and at most 6 for
 ANM; neither holds explicit zeros. A model caches one answer to each
-question about A's extremes: `lambda_max` by Lanczos, `zero_space` (the
-exact zero-mode count, from a dense LDL^T, and basis) and `shifted_factor`,
-the one sparse LU of A + tau I that every `lowest_eigenpairs` solve
-reuses; `eigenpairs`, the dense eigh, serves the routes that read every mode.
+question about A's extremes: `lambda_max` by Lanczos; `shifted_factor`,
+the one sparse LDL^T of A - tau I (A symmetric PSD), whose pivots count
+the zero modes and which `zero_space` and `lowest_eigenpairs` solve with;
+`eigenpairs`, the dense eigh, for the routes that read every mode.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .structure import DEFAULT_ANM_CUTOFF, DEFAULT_GNM_CUTOFF, ProteinStructure
@@ -82,7 +81,7 @@ class NetworkModel:
         """eigh(A) computed once: ascending eigenvalues and orthonormal
         eigenvectors, both read-only, for the routes that read every mode of
         A (the dynamics, H's `spectrum`, `zero_modes`) and for the sizes
-        ARPACK cannot take. It densifies A; so does the count of `zero_space`."""
+        ARPACK cannot take. It is the one reader here that densifies A."""
         lam, vecs = np.linalg.eigh(self.A.toarray())
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
@@ -97,31 +96,44 @@ class NetworkModel:
 
     @cached_property
     def shifted_factor(self):
-        """The one sparse LU (SuperLU) of A + tau I, tau = ZERO_MODE_RTOL *
-        lambda_max, that `_zero_basis` and `lowest_eigenpairs` solve with."""
+        """The one sparse LDL^T of A - tau I, tau = ZERO_MODE_RTOL * lambda_max,
+        A assumed symmetric PSD: SuperLU in a symmetric order with the pivots
+        kept on the diagonal, so U = D L^T. Such a factor of an indefinite
+        matrix has no stability guarantee, so a pivot off the diagonal, or
+        exactly 0, is a NumericalError, with no dense fallback."""
         from scipy.sparse.linalg import splu
-        tau = ZERO_MODE_RTOL * self.lambda_max
-        shifted = self.A + tau * scipy.sparse.identity(self.n_dof)
-        return splu(scipy.sparse.csc_matrix(shifted))
+        n, tau = self.n_dof, ZERO_MODE_RTOL * self.lambda_max
+        where = f"LDL^T of A - tau I (n = {n}, tau = {tau:.6g})"
+        try:
+            lu = splu(scipy.sparse.csc_matrix(self.A - tau * scipy.sparse.identity(n)),
+                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                      options={"SymmetricMode": True})
+        except RuntimeError:  # SuperLU's "Factor is exactly singular"
+            raise NumericalError(f"{where}: a pivot is exactly 0") from None
+        off = lu.perm_c[lu.perm_r != lu.perm_c]
+        if off.size:
+            raise NumericalError(f"{where}: pivot {off.min()} left the diagonal")
+        return lu
+
+    @cached_property
+    def zero_count(self) -> int:
+        """z, A's eigenvalues at or below tau (the `zero_modes` rule), exactly by
+        Sylvester's law of inertia: `shifted_factor`'s pivots <= 0; n, with no
+        factor, when lambda_max <= 0 (A has no contact)."""
+        if self.lambda_max <= 0.0:
+            return self.n_dof
+        return int(np.count_nonzero(self.shifted_factor.U.diagonal() <= 0.0))
 
     @cached_property
     def zero_space(self) -> tuple[float, int, np.ndarray]:
-        """(lambda_max, z, Z) once, without eigh(A): z counts `zero_modes` (at
-        or below tau = ZERO_MODE_RTOL * max(lambda_max, 0)) exactly by
-        Sylvester's law of inertia on one dense LDL^T of A - tau I (dsytrf;
-        each 1 x 1 block of D <= 0 and each 2 x 2 block, whose determinant is
-        negative, counts one); Z, their read-only orthonormal basis, is from
-        `_zero_basis`, or from `eigenpairs` if z >= n - 1."""
-        n, lam_max = self.n_dof, self.lambda_max
-        shifted = self.A.toarray()
-        shifted.flat[::n + 1] -= ZERO_MODE_RTOL * max(lam_max, 0.0)
-        lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
-        ldu, ipiv, _ = lapack.dsytrf(shifted, lower=1, lwork=lwork, overwrite_a=1)
-        n_zero = int(np.sum(ldu.diagonal()[ipiv > 0] <= 0.0) + np.sum(ipiv < 0) // 2)
-        basis = (self.eigenpairs[1][:, :n_zero] if n_zero >= n - 1
+        """(lambda_max, z, Z) once, without eigh(A): z is `zero_count`, Z the
+        read-only orthonormal basis of those modes, from `_zero_basis`, or
+        from `eigenpairs` if z >= n - 1."""
+        n_zero = self.zero_count
+        basis = (self.eigenpairs[1][:, :n_zero] if n_zero >= self.n_dof - 1
                  else _zero_basis(self, n_zero))
         basis.flags.writeable = False
-        return lam_max, n_zero, basis
+        return self.lambda_max, n_zero, basis
 
     @cached_property
     def zero_modes(self) -> np.ndarray:
@@ -152,12 +164,13 @@ def _arpack(A, count: int, v0: np.ndarray, **how):
 
 def _zero_basis(model: NetworkModel, n_zero: int) -> np.ndarray:
     """Orthonormal basis of A's n_zero eigenvectors at or below tau (see
-    `zero_space`) by block inverse iteration with `shifted_factor`, which
+    `zero_count`) by block inverse iteration with `shifted_factor`, which
     sees a cluster of equal eigenvalues (each component's rigid motions) at
-    once, where one Lanczos vector sees one of them. The block is 8 columns
-    wider, so a mode just above tau cannot stall it; each sweep ends in a
-    Rayleigh-Ritz step, and the n_zero lowest Ritz residuals must reach
-    1e-13 * lambda_max and stop halving."""
+    once, where one Lanczos vector sees one of them. (A - tau I)^-1 ranks
+    modes by |lambda - tau|, so a mode just above tau outranks a zero mode:
+    the block is 8 columns wider, each sweep ends in a Rayleigh-Ritz step,
+    and the n_zero lowest Ritz residuals must reach 1e-13 * lambda_max and
+    stop halving."""
     if n_zero == 0:
         return np.empty((model.n_dof, 0))
     A, n, solve, last = model.A, model.n_dof, model.shifted_factor.solve, np.inf
@@ -179,9 +192,9 @@ def lowest_eigenpairs(model: NetworkModel, count: int):
     """The `count` smallest eigenpairs of A, ascending, each vector signed so
     its largest-magnitude entry (the lowest index on ties) is positive: Z of
     `zero_space` with its Rayleigh quotients, then one shift-invert Lanczos
-    solve (ARPACK) at sigma = -tau on `shifted_factor`, Z projected out of the
-    operator so it never meets the zero cluster; from `eigenpairs` if count
-    >= n - 1. NumericalError unless they hold exactly z zero modes (count > z)."""
+    solve (ARPACK) at sigma = +tau on `shifted_factor`, Z projected out of the
+    operator so it ranks the rest, all above tau, by lambda; from `eigenpairs`
+    if count >= n - 1. NumericalError unless they hold exactly z zero modes."""
     from scipy.sparse.linalg import LinearOperator
     lam_max, n_zero, zero = model.zero_space
     n, tau = model.n_dof, ZERO_MODE_RTOL * lam_max
@@ -194,7 +207,7 @@ def lowest_eigenpairs(model: NetworkModel, count: int):
             return x - zero @ (zero.T @ x)
 
         op = LinearOperator((n, n), lambda x: deflate(solve(deflate(x))), dtype=float)
-        w, u = _arpack(model.A, count - n_zero, deflate(_start(n)[:, 0]), sigma=-tau,
+        w, u = _arpack(model.A, count - n_zero, deflate(_start(n)[:, 0]), sigma=tau,
                        which="LM", OPinv=op)
         order = np.argsort(w, kind="stable")
         lam = np.concatenate([np.einsum("ij,ij->j", zero, model.A @ zero), w[order]])
@@ -300,6 +313,8 @@ def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
     B is filled from those (row, column, value) triplets and A from the
     dense mass-weighted K, exact zeros dropped from both.
     """
+    if not (np.isfinite(spring) and spring > 0):
+        raise ValueError(f"spring must be finite and > 0, got {spring!r}")
     n, (e, k) = structure.n_atoms, d.shape
     off = np.arange(k)
     block = -(d[:, :, None] * d[:, None, :]) / dd[:, None, None]
@@ -371,13 +386,27 @@ def model_from_matrices(K: np.ndarray, masses: np.ndarray,
                         kind: str = "custom") -> NetworkModel:
     """Wrap explicit symmetric PSD K and masses as a NetworkModel.
 
-    The factor B is recovered from the eigendecomposition of A (columns
-    scaled by sqrt of the nonzero eigenvalues), so B B^T = A still holds;
+    K must be square and symmetric to 1e-12 * max(1, max |K|), and the
+    masses one finite value > 0 per row (ValueError); K must be PSD
+    (NumericalError). The factor B is recovered from the eigendecomposition
+    of A (columns scaled by sqrt of the nonzero eigenvalues), so B B^T = A;
     A and B are stored as CSR and CSC arrays like the assembled ones.
     Intended for hand-built test systems and control problems.
     """
     K = np.asarray(K, dtype=float)
     masses = np.asarray(masses, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K must be a square matrix, got shape {K.shape}")
+    asym = np.abs(K - K.T).max(initial=0.0)
+    tol = 1e-12 * max(1.0, np.abs(K).max(initial=0.0))
+    if not asym <= tol:  # a NaN fails too
+        raise ValueError(f"K must be finite and symmetric to {tol:.3g}, "
+                         f"got max |K - K^T| = {asym:.3g}")
+    if masses.shape != (len(K),):
+        raise ValueError(f"masses must have shape ({len(K)},), got {masses.shape}")
+    bad = masses[~(np.isfinite(masses) & (masses > 0))]
+    if bad.size:
+        raise ValueError(f"masses must be finite and > 0, got {bad[0]:g}")
     A = mass_weight(K, masses)
     evals, vecs = np.linalg.eigh(A)
     if evals.size and evals[0] < -1e-10 * max(evals[-1], 1.0):

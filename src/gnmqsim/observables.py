@@ -243,8 +243,9 @@ def chebyshev_moments_stochastic(matrix, alpha: float, order: int,
     if probes < 1:
         raise ValueError("need at least one probe")
     x = matrix / alpha
-    # probe p's entries come from counters [p*n, (p+1)*n): one batched draw
-    z = rademacher(seed, 0, probes * n).reshape(probes, n).T
+    # probe p's entries come from counters [p*n, (p+1)*n): one batched draw,
+    # C-contiguous, as a CSR product is several times slower on the .T view
+    z = np.ascontiguousarray(rademacher(seed, 0, probes * n).reshape(probes, n).T)
     # row 0 is z.z/n, exactly 1 per probe
     est = _moment_estimates(lambda v: x @ v, z, order)
     moments = est.mean(axis=1)

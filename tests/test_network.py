@@ -153,6 +153,37 @@ def test_model_from_matrices_rejects_indefinite():
         model_from_matrices(K, np.ones(2))
 
 
+@pytest.mark.parametrize("spring", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("build", [build_gnm, build_anm], ids=["gnm", "anm"])
+def test_builders_reject_a_spring_that_is_not_finite_and_positive(build, spring):
+    with pytest.raises(ValueError, match=rf"spring must be finite and > 0, got {spring!r}"):
+        build(load_bundled_structure(), spring=spring)
+
+
+@pytest.mark.parametrize("K, masses, message", [
+    (np.ones((2, 3)), np.ones(2), r"K must be a square matrix, got shape \(2, 3\)"),
+    (np.ones(3), np.ones(3), r"K must be a square matrix, got shape \(3,\)"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2), "K must be finite and symmetric"),
+    (np.array([[1.0, 1e-11], [0.0, 1.0]]), np.ones(2), "K must be finite and symmetric"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), "K must be finite and symmetric"),
+    (np.eye(3), np.ones(2), r"masses must have shape \(3,\), got \(2,\)"),
+    (np.eye(2), np.ones((2, 1)), r"masses must have shape \(2,\), got \(2, 1\)"),
+    (np.eye(2), np.array([1.0, 0.0]), "masses must be finite and > 0, got 0"),
+    (np.eye(2), np.array([1.0, -1.0]), "masses must be finite and > 0, got -1"),
+    (np.eye(2), np.array([np.inf, 1.0]), "masses must be finite and > 0, got inf"),
+    (np.eye(2), np.array([1.0, np.nan]), "masses must be finite and > 0, got nan"),
+], ids=["not-square", "vector", "asymmetric", "asymmetric-1e-11", "nan", "short-masses",
+        "column-masses", "zero-mass", "negative-mass", "infinite-mass", "nan-mass"])
+def test_model_from_matrices_rejects_what_the_factor_cannot_take(K, masses, message):
+    with pytest.raises(ValueError, match=message):
+        model_from_matrices(K, masses)
+
+
+def test_model_from_matrices_takes_k_symmetric_to_its_tolerance():
+    K = np.array([[2.0, -1.0], [-1.0 + 1e-12, 2.0]])  # within 1e-12 * max|K| = 2e-12
+    assert model_from_matrices(K, np.ones(2)).zero_count == 0
+
+
 def test_condition_diagnostics(crambin_gnm):
     diag = condition_diagnostics(crambin_gnm)
     assert diag["n_zero_modes"] == 1

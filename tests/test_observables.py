@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gnmqsim.network import (ZERO_MODE_RTOL, build_anm, build_gnm,
 from gnmqsim.stateprep import encode_initial_conditions, rademacher
 from gnmqsim.structure import (ProteinStructure, load_bundled_structure,
                                synthetic_chain)
+from inertia_oracle import dense_zero_count
 
 
 def dense_recurrence_moments(matrix: np.ndarray, alpha: float,
@@ -641,6 +643,70 @@ def test_every_reader_of_the_partial_solve_checks_the_zero_count():
         condition_diagnostics(model)
 
 
+COUNT_MODELS = {**READOUT_MODELS, "random-mass": HEAVY_MODELS["bundled-anm"],
+                "contact-free": HEAVY_MODELS["contact-free"]}
+
+
+@pytest.mark.parametrize("key", COUNT_MODELS)
+def test_zero_count_matches_the_dense_inertia_oracle(key):
+    model = COUNT_MODELS[key]()
+    n_zero = dense_zero_count(model.A.toarray(), model.lambda_max)
+    assert model.zero_count == n_zero == model.zero_space[1]
+    assert n_zero == {"bundled-gnm": 1, "bundled-anm": 6, "split": 2, "cloud-400": 4,
+                      "fragments": 38, "random-mass": 6, "contact-free": 5}[key]
+    if key == "contact-free":  # tau = 0: no factor, every mode is a zero mode
+        assert "shifted_factor" not in vars(model)
+    else:
+        assert np.array_equal(model.shifted_factor.perm_r, model.shifted_factor.perm_c)
+
+
+def test_zero_space_low_modes_and_diagnostics_take_no_dense_route(monkeypatch):
+    import scipy.linalg._flapack
+    model = READOUT_MODELS["cloud-400"]()
+    calls = []
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"the partial read-out called {name}")
+        return spy
+
+    for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array, scipy.sparse.coo_array,
+                scipy.sparse.csr_matrix, scipy.sparse.csc_matrix, scipy.sparse.coo_matrix):
+        for name in ("toarray", "todense"):
+            monkeypatch.setattr(cls, name, refuse(f"{cls.__name__}.{name}"))
+    for module in (scipy.linalg.lapack, scipy.linalg._flapack):
+        for name in dir(module):
+            if name.endswith(("trf", "trf_lwork", "evd", "evr", "ev")):
+                monkeypatch.setattr(module, name, refuse(name))
+    model.zero_space
+    obs.low_modes(model, 4)
+    diag = condition_diagnostics(model)
+    assert not calls and "eigenpairs" not in vars(model)
+    assert diag["n_zero_modes"] == model.zero_count == 4
+
+
+@pytest.mark.parametrize("broken", ["off-diagonal", "zero-pivot"])
+def test_a_factor_that_leaves_ldlt_names_n_tau_and_the_pivot(monkeypatch, broken):
+    import scipy.sparse.linalg
+
+    def off_diagonal(matrix, **options):
+        n = matrix.shape[0]
+        return SimpleNamespace(perm_r=np.arange(n), perm_c=np.arange(n)[::-1])
+
+    def zero_pivot(matrix, **options):
+        raise RuntimeError("Factor is exactly singular")
+
+    model = build_gnm(load_bundled_structure())
+    tau = ZERO_MODE_RTOL * model.lambda_max
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        off_diagonal if broken == "off-diagonal" else zero_pivot)
+    pivot = "pivot 0 left the diagonal" if broken == "off-diagonal" else "a pivot is exactly 0"
+    with pytest.raises(NumericalError, match=rf"n = 46, tau = {tau:.6g}\): {pivot}"):
+        model.zero_count
+    assert "zero_count" not in vars(model)
+
+
 @pytest.mark.parametrize("k", [2.0, True, np.float64(1.0), "1", 0, 46])
 def test_low_modes_rejects_a_k_that_is_not_an_integer_in_range(crambin_gnm, k):
     with pytest.raises(ValueError, match="k must be an integer"):
@@ -765,6 +831,20 @@ def test_order_k_takes_half_as_many_probe_block_products(monkeypatch):
         shapes.clear()
         obs.chebyshev_moments_stochastic(A, alpha, order, 7, 2)
         assert shapes == [(A.shape[0], 7)] * ((order + 1) // 2)
+
+
+def test_the_first_probe_block_product_takes_a_c_contiguous_block(monkeypatch):
+    H = dyn.embed(DOS_MODELS["bundled-gnm"]).operator
+    alpha = obs.spectral_bound(H)
+    matmul, layouts = scipy.sparse.csr_array.__matmul__, []
+
+    def spy(self, other):
+        layouts.append(other.flags.c_contiguous)
+        return matmul(self, other)
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "__matmul__", spy)
+    obs.chebyshev_moments_stochastic(H, alpha, 4, 50, 7)
+    assert layouts == [True, True]
 
 
 @pytest.mark.parametrize("model_flag", ["gnm", "anm"])
