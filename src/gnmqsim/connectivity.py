@@ -97,6 +97,8 @@ class ConnectivityStore:
         """Set every field: a slot per site, flagged by `active`, and the
         contacts among active sites, inserted and returned as (e, 2) slot
         ids i < j in lexicographic order, so rows get their keys ascending."""
+        if not (np.isfinite(spring) and spring > 0):
+            raise ValueError(f"spring must be finite and > 0, got {spring!r}")
         self.cutoff, self.spring, self.source_id = float(cutoff), float(spring), structure.source_id
         self._positions: list[np.ndarray] = [p.copy() for p in structure.positions]
         self._masses: list[float] = structure.masses.tolist()

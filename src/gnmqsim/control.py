@@ -23,7 +23,8 @@ rigid modes.  The computed residual is always the final arbiter.
 
 Finite horizons step the Riccati differential equation back from the
 terminal weight with one exponential of the Hamiltonian matrix and keep
-only the gain at each grid time.
+only the gain at each grid time.  scipy.linalg is imported in the routines
+that use it (the Schur solve, the step map and `simulate_controlled`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .network import NetworkModel, ZERO_MODE_RTOL
@@ -210,6 +210,7 @@ def _schur_care(A: np.ndarray, BRB: np.ndarray, Qz: np.ndarray):
     have the state dimension or the recovered P is unusable; the caller
     decides whether that means deflation or an error.
     """
+    import scipy.linalg
     n = A.shape[0]
     ham = np.block([[A, -BRB], [-Qz, -A.T]])
     try:
@@ -296,6 +297,7 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     BRB = B @ Rinv @ B.T
 
     if problem.is_finite_horizon:
+        import scipy.linalg
         m = A.shape[0]
         P = scipy.linalg.block_diag(problem.S, np.zeros_like(problem.S))
         gains = np.empty((n_steps + 1,) + RB.shape)
@@ -395,6 +397,7 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
     v0 = np.asarray(v0, dtype=float).reshape(n)
     if not (T > 0 and n_steps >= 2):
         raise ValueError("need T > 0 and at least two steps")
+    import scipy.linalg
     A, B = problem.state_matrices()
     h = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)

@@ -16,6 +16,7 @@ integral N; lifted to dense form, they must satisfy the Lyapunov identity
 J N + N J+ = E S S+ E+ - S S+ to 1e-8 relative residual. Monte Carlo samplers
 integrate the matching SDEs with Euler-Maruyama and counter-based noise, so
 ensembles are reproducible and paths are independent of execution order.
+This module imports scipy.linalg only in `evolve_langevin_covariance` (expm).
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import EncodingError, NumericalError
@@ -343,6 +343,7 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
     raised when the lifted E and N miss the Lyapunov identity by more than
     1e-8 relative residual.
     """
+    import scipy.linalg
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (embedded.dim, embedded.dim):
         raise ValueError("rho0 shape does not match the embedding")

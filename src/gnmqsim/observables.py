@@ -21,6 +21,7 @@ Low modes and displacement statistics read the model's cached `zero_space`
 takes k pairs past Z from `lowest_eigenpairs`, each signed so its largest-
 magnitude entry (the lowest index on ties) is positive; for any masses,
 kT*pinv(K) = kT((K + W W^T)^-1 - W W^T), W orthonormal, spanning M^{-1/2} Z.
+This module imports scipy.linalg only in `displacement_stats` (dpotrf, dpotri).
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .network import NetworkModel, lowest_eigenpairs
@@ -375,6 +375,7 @@ def displacement_stats(model: NetworkModel, kT: float) -> dict:
     basis; with W its orthonormal QR factor, (K + W W^T)^-1 - W W^T comes
     from dpotrf and dpotri, mirrored from the lower triangle.
     """
+    from scipy.linalg import lapack
     if not (math.isfinite(kT) and kT >= 0):
         raise ValueError(f"kT must be finite and nonnegative, got {kT!r}")
     null = np.linalg.qr(model.zero_space[2] / np.sqrt(model.masses)[:, None])[0]

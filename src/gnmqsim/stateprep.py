@@ -6,24 +6,28 @@ is addressable and reproducible. Level-l branch angles of the state
 preparation tree follow the densities p_l(theta) proportional to
 sin^a(2 theta) on (0, pi/2) with a = 2^(n-l) - 1, sampled by rejection
 from a truncated Gaussian proposal centered at pi/4 whose envelope
-constant is analytic (the density/proposal ratio peaks at pi/4).
+constant is analytic (the density/proposal ratio peaks at pi/4). The
+proposal's ndtr and ndtri load from scipy.special once per exponent a, at
+its first draw; `network` is imported for annotations only, so importing
+this module loads numpy alone.
 
-Counter budget: the angle for level l, branch i draws from the 1024-wide
-window starting at (l * 2^n + i) * 1024; the final sign layer for basis
-index j uses window ((n+1) * 2^n + j) * 1024. Windows never overlap, so
-no counter feeds two different decisions.
+Counter budget: the angle for level l, branch i < 2^n draws from the
+1024-wide window starting at (l * 2^n + i) * 1024; the final sign layer for
+basis index j uses window ((n+1) * 2^n + j) * 1024. Windows never overlap,
+so no counter feeds two different decisions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import circuits as qc
 from .errors import EncodingError, NumericalError
-from .network import NetworkModel
+if TYPE_CHECKING:
+    from .network import NetworkModel
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -33,6 +37,7 @@ _MASK = (1 << 64) - 1
 MAX_R = (1 << 53) - 1
 COUNTER_WINDOW = 1 << 10
 MAX_REJECTIONS = 10_000
+_PROPOSALS: dict = {}  # exponent a -> (sigma, ndtr(-h), ndtr(h), ndtri)
 
 
 def _finalize(z: int) -> int:
@@ -89,6 +94,8 @@ def standard_normals(seed: int, start, count: int) -> np.ndarray:
     (one vector of count draws) or a 1-D array of window starts (one row
     of count draws per start).
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count!r}")
     pairs = (count + 1) // 2
     counters = np.add.outer(np.asarray(start, dtype=np.uint64),
                             np.arange(2 * pairs, dtype=np.uint64))
@@ -139,17 +146,23 @@ def sample_angle(n: int, level: int, branch: int, seed: int,
     pair (proposal draw, accept draw); the acceptance probability at t =
     theta - pi/4 is exp(a * (ln cos 2t + 2 t^2)) <= 1, the analytic
     density/envelope ratio. More than 10^4 rejections means the envelope
-    is broken and raises NumericalError.
+    is broken and raises NumericalError. branch must lie in [0, 2^n), the
+    level's counter windows (the tree itself uses [0, 2^(level-1))).
     """
     a = angle_exponent(n, level)
+    if not 0 <= branch < 2 ** n:
+        raise ValueError(f"branch {branch!r} outside 0..{2 ** n - 1}: its counter "
+                         f"window would be another level's")
     base = counter_base(n, level, branch)
     if a == 0:
         if audit is not None:
             audit.append((base, 1))
         return (math.pi / 2.0) * cbrng(seed, base) / MAX_R
-    sigma = proposal_sigma(a)
-    h = (math.pi / 4.0) / sigma
-    phi_lo, phi_hi = ndtr(-h), ndtr(h)
+    if a not in _PROPOSALS:  # scipy.special loads here, once per exponent
+        from scipy.special import ndtr, ndtri
+        h = (math.pi / 4.0) / proposal_sigma(a)
+        _PROPOSALS[a] = proposal_sigma(a), ndtr(-h), ndtr(h), ndtri
+    sigma, phi_lo, phi_hi, ndtri = _PROPOSALS[a]
     for attempt in range(MAX_REJECTIONS):
         u1 = cbrng(seed, base + 2 * attempt) / MAX_R
         u2 = cbrng(seed, base + 2 * attempt + 1) / MAX_R
@@ -195,6 +208,9 @@ def prepare_gaussian_state(n: int, seed: int,
     complex128 with every imaginary part +0.0, as a gate walk gives.
     Deterministic in (n, seed): repeated calls are bit-identical.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer qubit count, got {n!r}")
+    n = int(n)  # a numpy integer would overflow the counter arithmetic
     if n < 1:
         raise ValueError("need at least one qubit")
     rows = []

@@ -327,7 +327,7 @@ def test_thread_cap_env_variable(tmp_path, monkeypatch):
     assert main(["structure", "--out", str(tmp_path / "n2")]) == 2
 
 
-@pytest.mark.parametrize("command", ["resources", "structure"])
+@pytest.mark.parametrize("command", ["resources", "structure", "stateprep"])
 def test_light_commands_do_not_load_network(tmp_path, command):
     code = ("import sys; from gnmqsim.cli import main; "
             f"assert main([{command!r}, '--out', {str(tmp_path)!r}]) == 0; "
@@ -338,6 +338,24 @@ def test_light_commands_do_not_load_network(tmp_path, command):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["dos", "--n", "20"], ["scipy.linalg", "scipy.special", "scipy.sparse.linalg"]),
+    (["model", "--n", "20"], ["scipy.linalg", "scipy.special", "scipy.sparse.linalg"]),
+    (["stateprep", "--n", "4"], ["scipy.sparse", "scipy.linalg"]),
+], ids=["dos", "model", "stateprep"])
+def test_commands_leave_the_scipy_subpackages_they_do_not_use_unloaded(tmp_path, argv,
+                                                                       unloaded):
+    code = ("import sys; from gnmqsim.cli import main; "
+            f"assert main({argv!r} + ['--out', {str(tmp_path)!r}]) == 0; "
+            f"print(' '.join(m for m in {unloaded!r} if m in sys.modules))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 # -- the per-value writer the row-template writer replaced, kept as the oracle --

@@ -216,6 +216,13 @@ def test_sparse_oracle_reads_edited_store_tables():
             assert value_of(full[:abits]) == addr
 
 
+@pytest.mark.parametrize("spring", [-1.0, 0.0, np.nan, np.inf])
+def test_store_rejects_a_spring_that_is_not_finite_and_positive(spring):
+    # build_gnm's rule: a bad spring would show up in every diag entry
+    with pytest.raises(ValueError, match=rf"spring must be finite and > 0, got {spring!r}"):
+        ConnectivityStore(synthetic_chain(6), cutoff=7.0, spring=spring)
+
+
 def test_snapshot_restore_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     st = ConnectivityStore(random_structure(rng, 25), cutoff=6.5, spring=2.0)

@@ -16,7 +16,8 @@ def test_importing_every_module_skips_the_heavy_scipy_subpackages():
     # each of these costs 0.1-0.25 s of every CLI run's start-up
     code = ("import sys, gnmqsim\n"
             "for m in gnmqsim._SUBMODULES: __import__('gnmqsim.' + m)\n"
-            "print(' '.join(m for m in ('scipy.integrate', 'scipy.spatial', 'scipy.io')"
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.spatial', 'scipy.io',"
+            " 'scipy.linalg', 'scipy.special')"
             " if m in sys.modules))")
     src = str(Path(gnmqsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

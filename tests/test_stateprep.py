@@ -59,6 +59,11 @@ def test_standard_normals_pair_consumption():
     assert np.array_equal(long[10:12], tail)
 
 
+def test_standard_normals_reject_a_negative_count():
+    with pytest.raises(ValueError, match=r"count must be nonnegative, got -1"):
+        sp.standard_normals(3, 40, -1)
+
+
 def test_standard_normals_array_starts_match_per_start_calls():
     starts = np.array([0, 7, 40, 41, 2 ** 40 + 3], dtype=np.uint64)
     for count in (1, 5, 6):
@@ -151,6 +156,29 @@ def test_sample_angle_deterministic_and_in_range():
     assert used % 2 == 0 and used >= 2
 
 
+@pytest.mark.parametrize("branch", [-16, -1, 16, 17])
+def test_sample_angle_rejects_a_branch_outside_its_levels_windows(branch):
+    # level 2 of n = 4 owns windows 32..47: branch -16 would read level 1's
+    # branch-0 window and branch 16 level 3's
+    with pytest.raises(ValueError, match=rf"branch {branch} outside 0..15: its counter window"):
+        sp.sample_angle(4, 2, branch, seed=17)
+
+
+def test_cached_proposal_constants_are_ndtr_bit_for_bit():
+    # every exponent a > 0 of the n <= 12 trees: a = 2^(n - level) - 1
+    for n in range(2, 13):
+        for level in range(1, n):
+            sp.sample_angle(n, level, 0, seed=3)
+    exponents = {2 ** k - 1 for k in range(1, 12)}
+    assert exponents <= set(sp._PROPOSALS)
+    for a in exponents:
+        sigma, phi_lo, phi_hi, _ = sp._PROPOSALS[a]
+        h = (math.pi / 4.0) / sp.proposal_sigma(a)
+        got = np.array([sigma, phi_lo, phi_hi])
+        want = np.array([sp.proposal_sigma(a), ndtr(-h), ndtr(h)])
+        assert got.tobytes() == want.tobytes(), a
+
+
 def test_sample_angle_matches_target_density():
     # level with a = 3: E[cos 2theta] = 0 by symmetry, Var known via beta
     n, level = 4, 2
@@ -184,6 +212,17 @@ def test_prepare_gaussian_state_deterministic():
     assert qc.serialize_circuit(c1) == qc.serialize_circuit(c2)
     _, v3 = sp.prepare_gaussian_state(6, seed=0x2B)
     assert not np.array_equal(np.asarray(v1), np.asarray(v3))
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 3.0, "4"])
+def test_prepare_gaussian_state_rejects_a_qubit_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=rf"n must be an integer qubit count, got {n!r}"):
+        sp.prepare_gaussian_state(n, seed=0x2A)
+
+
+def test_prepare_gaussian_state_takes_a_numpy_integer_qubit_count():
+    want = sp.prepare_gaussian_state(3, seed=0x2A)[1]
+    assert np.array_equal(sp.prepare_gaussian_state(np.int64(3), seed=0x2A)[1], want)
 
 
 def test_prepare_gaussian_state_is_normalized_real():
