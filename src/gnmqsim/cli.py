@@ -288,17 +288,16 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
     struct = _load_structure(cfg)
     model = _build_model(cfg, struct)
     emb = dy.embed(model)
-    H = emb.operator
+    eigenvalues = emb.spectrum  # +/- symmetric: the last entry is the radius
     alpha = cfg.alpha
     if alpha is None:
         _require_contacts(cfg, struct, model, "alpha = 0 and no Chebyshev "
                           "moments can be formed (--alpha sets a width)")
-        alpha = float(ob.spectral_bound(H))
-    eigenvalues = emb.spectrum
+        alpha = (1 + ob.BOUND_MARGIN) * float(eigenvalues[-1])
     exact = ob.MomentSet.from_spectrum(eigenvalues, alpha, cfg.moments)
     columns, curve_src = {"k": range(cfg.moments + 1), "exact": exact.moments}, exact
     if cfg.probes > 0:
-        curve_src = ob.chebyshev_moments_stochastic(H, alpha, cfg.moments,
+        curve_src = ob.chebyshev_moments_stochastic(emb.operator, alpha, cfg.moments,
                                                     cfg.probes, cfg.seed)
         columns.update(stochastic=curve_src.moments, stderr=curve_src.stderr)
     _write_csv(out_dir / "moments.csv", list(columns), zip(*columns.values()))

@@ -159,7 +159,7 @@ def _arpack(A, count: int, v0: np.ndarray, **how):
     try:
         return eigsh(A, count, v0=v0, **how)
     except ArpackError as exc:
-        raise NumericalError(f"eigsh for {count} pairs of A failed: {exc}") from None
+        raise NumericalError(f"eigsh for {count} pairs of a {A.shape} matrix: {exc}") from None
 
 
 def _zero_basis(model: NetworkModel, n_zero: int) -> np.ndarray:

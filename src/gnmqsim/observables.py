@@ -7,14 +7,14 @@ sums) or stochastically on Rademacher probes (Hutchinson estimator), then
 resummed with Jackson damping. The recurrence builds T_k z only up to
 k = ceil(K/2) and takes the moments up to order K from the doubling
 identities T_{2k} = 2 T_k^2 - T_0 and T_{2k+1} = 2 T_{k+1} T_k - T_1, so
-order K costs ceil(K/2) products of the probe block. alpha comes from a
-power-iteration bound so the rescaled spectrum stays inside [-1, 1],
-which also pins |mu_k| <= 1. The bound and the probe recurrence only
-multiply by the matrix, so they take a dense array or a scipy.sparse
-matrix alike, at the cost of its nonzeros per matvec: a model's A is a
-CSR array with the contact graph's sparsity, and `gnmqsim dos` passes the
-embedding's sparse H (built from the model's sparse B) and takes the
-exact moments from its spectrum, read from A's eigenpairs.
+order K costs ceil(K/2) products of the probe block. alpha, 1.01 times the
+spectral radius, keeps the rescaled spectrum and |mu_k| inside [-1, 1]; it
+comes from `spectral_bound`'s Lanczos solve, or in `gnmqsim dos` from the
+spectrum. The bound and the probe recurrence only multiply by the matrix,
+dense or scipy.sparse, at the cost of its nonzeros per matvec: a model's A
+is a CSR array with the contact graph's sparsity, and `gnmqsim dos` runs
+the probes on the embedding's sparse H (built from the model's sparse B)
+and takes the exact moments from its spectrum, read from A's eigenpairs.
 
 Low modes and displacement statistics read the model's cached `zero_space`
 (lambda_max, the zero-mode count z and basis Z), never eigh(A): `low_modes`
@@ -32,13 +32,11 @@ import numpy as np
 import scipy.sparse
 
 from .errors import NumericalError
-from .network import NetworkModel, lowest_eigenpairs
+from .network import NetworkModel, _arpack, _start, lowest_eigenpairs
 from .stateprep import EncodedState, rademacher
 
 MODE_RESIDUAL_RTOL = 1e-9
-_BOUND_SEED = 0x5BEC
-_BOUND_ITERS = 1000
-_BOUND_RTOL = 1e-7
+BOUND_MARGIN = 0.01  # alpha = (1 + BOUND_MARGIN) * the spectral radius
 
 
 def kinetic_potential(state, energy: float | None = None,
@@ -109,29 +107,25 @@ def low_modes(model: NetworkModel, k: int) -> ModeSet:
 
 
 def spectral_bound(matrix) -> float:
-    """1.01 times a power-iteration estimate of the spectral norm.
-
-    Iterates with matrix^2 so +/- eigenvalue pairs of equal magnitude (the
-    embedding's spectrum) cannot stall the iteration; ||matrix @ v||
-    converges to the norm from below, and the 1 percent headroom keeps the
-    returned bound above it once stabilized to 1e-7 relative (at most 1000
-    iterations). matrix is a dense array or a scipy.sparse matrix: the
-    iteration only multiplies by it.
-    """
+    """(1 + BOUND_MARGIN)|theta|, theta the largest-magnitude Ritz value of one
+    Lanczos solve from `lambda_max`'s start; M dense or sparse, only multiplied.
+    Assuming Lanczos found the extreme eigenvalue, the radius is at most |theta|
+    + r, r = ||M x - theta x|| (Weinstein), so r > BOUND_MARGIN |theta| is a
+    NumericalError. n <= 2 takes eigvalsh; a zero matrix gives 0.0."""
+    if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"spectral_bound needs a square matrix, got shape {matrix.shape}")
     n = matrix.shape[0]
-    v = rademacher(_BOUND_SEED, 0, n) / math.sqrt(n)
-    est = 0.0
-    for _ in range(_BOUND_ITERS):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        w = matrix @ w
-        v = w / np.linalg.norm(w)
-        last, est = est, norm
-        if abs(est - last) <= _BOUND_RTOL * max(est, 1e-300):
-            break
-    return 1.01 * est
+    if n <= 2:
+        dense = matrix.toarray() if scipy.sparse.issparse(matrix) else matrix
+        return (1 + BOUND_MARGIN) * float(np.abs(np.linalg.eigvalsh(dense)).max(initial=0.0))
+    if not abs(matrix).max():
+        return 0.0  # ARPACK stops at the zero Krylov vector
+    (theta,), x = _arpack(matrix, 1, _start(n)[:, 0], which="LM")
+    r = np.linalg.norm(matrix @ x[:, 0] - theta * x[:, 0])
+    if not r <= BOUND_MARGIN * abs(theta):  # a NaN residual fails too
+        raise NumericalError(f"spectral bound of the {n}x{n} matrix not certified: theta "
+                             f"= {theta:.6g} has residual r = {r:.3e} > {BOUND_MARGIN} |theta|")
+    return (1 + BOUND_MARGIN) * float(abs(theta))
 
 
 def _check_scale(alpha: float, order: int) -> None:

@@ -80,8 +80,19 @@ def cbrng_array(seed: int, counters: np.ndarray) -> np.ndarray:
     return z.view(np.int64)  # below 2**53, so the same values
 
 
+def _integer(name: str, value, low: int | None = 0, what: str = "an integer") -> int:
+    """value as an int, else a ValueError naming it: not `what`, or below low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
+
+
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """count uniform draws in [0, 1] from consecutive counters."""
+    count = _integer("count", count)
     r = cbrng_array(seed, np.arange(start, start + count, dtype=np.uint64))
     return r / MAX_R
 
@@ -94,8 +105,7 @@ def standard_normals(seed: int, start, count: int) -> np.ndarray:
     (one vector of count draws) or a 1-D array of window starts (one row
     of count draws per start).
     """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count!r}")
+    count = _integer("count", count)
     pairs = (count + 1) // 2
     counters = np.add.outer(np.asarray(start, dtype=np.uint64),
                             np.arange(2 * pairs, dtype=np.uint64))
@@ -115,6 +125,7 @@ def standard_normals(seed: int, start, count: int) -> np.ndarray:
 
 def rademacher(seed: int, start: int, count: int) -> np.ndarray:
     """+/-1 draws: sign of 2r - max_r (max_r odd, so never zero)."""
+    count = _integer("count", count)
     r = cbrng_array(seed, np.arange(start, start + count, dtype=np.uint64))
     return np.where(2 * r > MAX_R, 1.0, -1.0)
 
@@ -150,7 +161,7 @@ def sample_angle(n: int, level: int, branch: int, seed: int,
     level's counter windows (the tree itself uses [0, 2^(level-1))).
     """
     a = angle_exponent(n, level)
-    if not 0 <= branch < 2 ** n:
+    if not 0 <= (branch := _integer("branch", branch, None)) < 2 ** n:
         raise ValueError(f"branch {branch!r} outside 0..{2 ** n - 1}: its counter "
                          f"window would be another level's")
     base = counter_base(n, level, branch)
@@ -208,11 +219,7 @@ def prepare_gaussian_state(n: int, seed: int,
     complex128 with every imaginary part +0.0, as a gate walk gives.
     Deterministic in (n, seed): repeated calls are bit-identical.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an integer qubit count, got {n!r}")
-    n = int(n)  # a numpy integer would overflow the counter arithmetic
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    n = _integer("n", n, 1, "an integer qubit count")  # a numpy int overflows counters
     rows = []
     amp = np.ones(1)
     for level in range(1, n + 1):
@@ -249,8 +256,7 @@ def prepare_ensemble_state(n: int):
     pair state sum_i |i>|i> / 2^(n/2); tracing out register 2 gives
     exactly I / 2^n, which is returned in that analytic form.
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    n = _integer("n", n, 1, "an integer qubit count")
     rows = [(qc.H, (w,)) for w in range(n)]
     rows += [(qc.CNOT, (w, w + n)) for w in range(n)]
     circuit = qc.Circuit.from_gates(2 * n, rows, {"n_ancillas": 0})

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,6 +153,58 @@ def test_spectral_bound_is_tight_upper_bound(crambin_gnm):
         assert bound >= true * (1 - 1e-9)
         if true > 0:
             assert bound <= 1.03 * true
+
+
+def test_spectral_bound_is_not_stopped_short_by_a_start_blind_to_the_top():
+    # eigenvalues {1.0, 0.9, 0.5 x 58}, the top eigenvector orthogonal to the
+    # +/-1 start a power iteration on seed 0x5BEC would take: such a loop
+    # settles on 0.9 and returns 0.909, below the radius
+    rng = np.random.default_rng(3)
+    old_start = rademacher(0x5BEC, 0, 60) / math.sqrt(60)
+    top = rng.normal(size=60)
+    top -= (top @ old_start) * old_start
+    q, _ = np.linalg.qr(np.column_stack([top, rng.normal(size=(60, 59))]))
+    M = (q * np.array([1.0, 0.9] + [0.5] * 58)) @ q.T
+    M = 0.5 * (M + M.T)
+    assert abs(q[:, 0] @ old_start) <= 1e-15
+    assert obs.spectral_bound(M) == pytest.approx(1.01, rel=1e-12)
+    assert obs.spectral_bound(scipy.sparse.csr_array(M)) == pytest.approx(1.01, rel=1e-12)
+
+
+def test_spectral_bound_rejects_a_residual_outside_the_margin(crambin_gnm, monkeypatch):
+    import scipy.sparse.linalg
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def perturbed(*args, **kwargs):
+        w, x = eigsh(*args, **kwargs)
+        x = x + 0.3 * np.roll(x, 1, axis=0)
+        return w, x / np.linalg.norm(x, axis=0)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+    with pytest.raises(NumericalError, match=r"46x46 matrix not certified: theta = \S+ "
+                       r"has residual r = \S+ > 0\.01 \|theta\|"):
+        obs.spectral_bound(crambin_gnm.A)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 3, 3)])
+def test_spectral_bound_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+        obs.spectral_bound(np.ones(shape))
+    if len(shape) == 2:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            obs.spectral_bound(scipy.sparse.csr_array(np.ones(shape)))
+
+
+@pytest.mark.parametrize("model_flag", ["gnm", "anm"])
+def test_dos_takes_alpha_from_the_spectrum_it_holds(tmp_path, monkeypatch, model_flag):
+    def refuse(matrix):
+        raise AssertionError("gnmqsim dos ran spectral_bound")
+
+    monkeypatch.setattr(obs, "spectral_bound", refuse)
+    spectrum = dyn.embed(DOS_MODELS[f"bundled-{model_flag}"]).spectrum
+    assert cli.main(["dos", "--model", model_flag, "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+    assert results["alpha"] == 1.01 * spectrum[-1]
 
 
 def test_exact_moments_match_eigenvalue_sums(crambin_gnm, crambin_alpha,

@@ -277,6 +277,41 @@ def test_prepare_ensemble_state_circuit_walks_to_pair_pattern():
         assert np.all(np.diag(pattern).imag == 0)
 
 
+@pytest.mark.parametrize("n, message", [
+    (True, "n must be an integer qubit count, got True"),
+    (2.5, "n must be an integer qubit count, got 2.5"),
+    ("2", "n must be an integer qubit count, got '2'"),
+    (0, "n must be at least 1, got 0"),
+])
+def test_qubit_counts_that_are_not_positive_integers_are_named(n, message):
+    for prepare in (sp.prepare_ensemble_state,
+                    lambda n: sp.prepare_gaussian_state(n, seed=1)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            prepare(n)
+
+
+@pytest.mark.parametrize("draw", [sp.uniforms, sp.rademacher, sp.standard_normals])
+@pytest.mark.parametrize("count, message", [
+    (-3, "count must be nonnegative, got -3"),
+    (2.5, "count must be an integer, got 2.5"),
+    (True, "count must be an integer, got True"),
+])
+def test_draw_counts_that_are_not_nonnegative_integers_are_named(draw, count, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw(1, 0, count)
+
+
+def test_draws_take_a_numpy_integer_count():
+    for draw in (sp.uniforms, sp.rademacher, sp.standard_normals):
+        assert np.array_equal(draw(1, 0, np.int64(5)), draw(1, 0, 5))
+
+
+@pytest.mark.parametrize("branch", [1.5, "1", True])
+def test_sample_angle_names_a_branch_that_is_not_an_integer(branch):
+    with pytest.raises(ValueError, match=rf"^branch must be an integer, got {branch!r}$"):
+        sp.sample_angle(4, 2, branch, 3)
+
+
 def test_encode_initial_conditions(chain5_gnm):
     u0 = np.array([0.3, -0.1, 0.0, 0.2, -0.4])
     v0 = np.array([0.0, 0.1, 0.0, -0.2, 0.1])
