@@ -53,6 +53,8 @@ def _as_weight(value, n: int, name: str, positive: bool) -> np.ndarray:
         mat = np.asarray(value, dtype=float)
     if mat.shape != (n, n):
         raise ValueError(f"{name} must be scalar or ({n}, {n}), got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
     if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, abs(mat).max())):
         raise ValueError(f"{name} must be symmetric")
     mat = 0.5 * (mat + mat.T)
@@ -92,13 +94,13 @@ class ControlProblem:
         object.__setattr__(self, "R", _as_weight(self.R, n, "R", positive=True))
         object.__setattr__(self, "S", _as_weight(self.S, n, "S", positive=False))
         if np.isscalar(self.gamma):
-            if self.gamma < 0:
-                raise ValueError("gamma must be nonnegative")
+            if not (math.isfinite(self.gamma) and self.gamma >= 0):
+                raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
             object.__setattr__(self, "gamma", float(self.gamma))
         else:
             gam = np.asarray(self.gamma, dtype=float)
-            if gam.shape != (n, n) or not np.allclose(gam, gam.T):
-                raise ValueError("matrix gamma must be symmetric (n, n)")
+            if gam.shape != (n, n) or not (np.isfinite(gam).all() and np.allclose(gam, gam.T)):
+                raise ValueError("matrix gamma must be finite and symmetric (n, n)")
             object.__setattr__(self, "gamma", gam)
         if not (self.horizon > 0):
             raise ValueError("horizon must be positive or math.inf")
@@ -112,9 +114,8 @@ class ControlProblem:
         return math.isfinite(self.horizon)
 
     def damping_matrix(self) -> np.ndarray:
-        n = self.n_dof
         if np.isscalar(self.gamma):
-            return self.gamma * np.eye(n)
+            return self.gamma * np.eye(self.n_dof)
         return np.asarray(self.gamma)
 
     def state_matrices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -297,6 +298,8 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     BRB = B @ Rinv @ B.T
 
     if problem.is_finite_horizon:
+        if not n_steps >= 1:
+            raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
         import scipy.linalg
         m = A.shape[0]
         P = scipy.linalg.block_diag(problem.S, np.zeros_like(problem.S))
@@ -395,8 +398,8 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
     n = problem.n_dof
     u0 = np.asarray(u0, dtype=float).reshape(n)
     v0 = np.asarray(v0, dtype=float).reshape(n)
-    if not (T > 0 and n_steps >= 2):
-        raise ValueError("need T > 0 and at least two steps")
+    if not (math.isfinite(T) and T > 0 and n_steps >= 2):
+        raise ValueError(f"need a finite T > 0 and at least two steps, got T = {T!r}")
     import scipy.linalg
     A, B = problem.state_matrices()
     h = T / n_steps

@@ -7,15 +7,15 @@ H^2 = diag(A, B^T B); H itself is stored only as a sparse operator.
 Forced motion steps A's mode coefficients exactly per grid step (forces
 held constant over each step) and rebuilds the history afterwards.
 Langevin damping evolves rho(t) = e^{tJ} rho0 e^{tJ+} + int_0^t e^{sJ} S S+
-e^{sJ+} ds. J = -iH - damping is block diagonal in A's modes: on the pair
-([u_k; 0], [0; v_k]), s_k = sqrt(lam_k) and v_k = B^T u_k / s_k, it acts as
-[[-gamma, i s_k], [i s_k, -g]], g = gamma (scalar damping) or 0 (velocity);
-A's zero modes and ker(B) take the diagonal block at s = 0. One batched
-4 x 4 exponential per step gives every block's propagator E and noise
-integral N; lifted to dense form, they must satisfy the Lyapunov identity
-J N + N J+ = E S S+ E+ - S S+ to 1e-8 relative residual. Monte Carlo samplers
-integrate the matching SDEs with Euler-Maruyama and counter-based noise, so
-ensembles are reproducible and paths are independent of execution order.
+e^{sJ+} ds, J = -iH - diag(d) and S S+ = diag(q) (`LangevinParams.diagonals`).
+J is block diagonal in A's modes: on the pair ([u_k; 0], [0; v_k]), s_k =
+sqrt(lam_k) and v_k = B^T u_k / s_k, it acts as [[-gamma, i s_k], [i s_k,
+-g]], g = gamma (scalar damping) or 0 (velocity); A's zero modes and ker(B)
+take the diagonal block at s = 0. One batched 4 x 4 exponential per step
+gives every block's propagator E and noise integral N; lifted to dense form,
+they must satisfy J N + N J+ = E S S+ E+ - S S+ to 1e-8 relative residual.
+Monte Carlo samplers integrate the matching SDEs with Euler-Maruyama and
+counter-based noise, so ensembles are reproducible and order-independent.
 This module imports scipy.linalg only in `evolve_langevin_covariance` (expm).
 """
 from __future__ import annotations
@@ -44,9 +44,8 @@ class EmbeddedHamiltonian:
     square is block-diagonal (B B^T, B^T B), so the nonzero spectrum comes
     in +/- sqrt(eig A) pairs. H has two forms, both cached on first
     access: `operator`, H as a sparse matrix built from B's nonzeros, and
-    `spectrum`, its eigenvalues read from A's cached eigenpairs. Routes
-    that need dense algebra (the Langevin generator, the scalar-damping
-    closed form) densify `operator` once per call and share that copy;
+    `spectrum`, its eigenvalues read from A's cached eigenpairs. Only the
+    encoded Monte Carlo sampler densifies `operator`, once per call;
     harmonic propagation needs neither form.
     """
 
@@ -253,13 +252,14 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
 
 @dataclass(frozen=True)
 class LangevinParams:
-    """Friction and thermal noise for the damped model.
+    """Friction and thermal noise for the damped model: J = -iH - diag(d)
+    and S S+ = diag(q), with (d, q) from `diagonals`.
 
-    damping "scalar" uses the generator J = -iH - gamma*I (the covariance
-    master equation's form); "velocity" damps only the velocity block,
-    matching the underlying mechanical equation, and is flagged as the
-    physically asymmetric variant. noise "velocity" injects into the
-    velocity block only; "isotropic" into every component.
+    damping "scalar" damps every component by gamma (the covariance master
+    equation's form); "velocity" damps only the velocity block, matching the
+    underlying mechanical equation, and is flagged as the physically
+    asymmetric variant. noise "velocity" injects into the velocity block
+    only; "isotropic" into every component.
     """
 
     gamma: float
@@ -282,22 +282,13 @@ class LangevinParams:
         """Fluctuation-dissipation amplitude sqrt(2 kT gamma)."""
         return math.sqrt(2.0 * self.kT * self.gamma)
 
-    def generator(self, H: np.ndarray, n_dof: int) -> np.ndarray:
-        """J as a dense dim x dim matrix (it is dense by nature), from the
-        densified operator H and the size n_dof of the velocity block."""
-        J = -1j * H.astype(complex)
-        if self.damping == "scalar":
-            J -= self.gamma * np.eye(H.shape[0])
-        else:
-            J[:n_dof, :n_dof] -= self.gamma * np.eye(n_dof)
-        return J
-
-    def noise_matrix(self, embedded: EmbeddedHamiltonian) -> np.ndarray:
-        if self.noise == "isotropic":
-            return self.sigma * np.eye(embedded.dim)
-        sig = np.zeros((embedded.dim, embedded.n_dof))
-        sig[:embedded.n_dof] = self.sigma * np.eye(embedded.n_dof)
-        return sig
+    def diagonals(self, embedded: EmbeddedHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+        """(d, q) of length dim: gamma and sigma^2 on the velocity block, and
+        on the edge block the same or 0, by the damping and noise kinds."""
+        var, counts = self.sigma * self.sigma, (embedded.n_dof, embedded.n_edges)
+        edge_d = self.gamma if self.damping == "scalar" else 0.0
+        edge_q = var if self.noise == "isotropic" else 0.0
+        return np.repeat([self.gamma, edge_d], counts), np.repeat([var, edge_q], counts)
 
 
 def _lift(X: np.ndarray, Ur, U0, Vr) -> np.ndarray:
@@ -309,11 +300,16 @@ def _lift(X: np.ndarray, Ur, U0, Vr) -> np.ndarray:
                       (Vr * Xr[:, 1, 1]) @ Vr.T + zb * (np.eye(len(Vr)) - Vr @ Vr.T)]])
 
 
-def _lyapunov_residual(J, QQ, prop, noise) -> float:
-    """Residual of J N + N J+ = E QQ E+ - QQ over the sum of the terms' norms."""
-    terms = (J @ noise, noise @ J.conj().T, prop @ QQ @ prop.conj().T, QQ)
-    resid = np.linalg.norm(terms[0] + terms[1] - terms[2] + terms[3])
-    return float(resid / max(sum(np.linalg.norm(x) for x in terms), 1e-300))
+def _lyapunov_residual(H, d, q, E, N) -> float:
+    """Relative residual of J N + N J+ = E QQ E+ - QQ, J = -iH - diag(d) applied
+    through the sparse H, QQ = diag(q) and N J+ taken as (J N+)+."""
+    def J(X):
+        return -1j * (H @ X) - d[:, None] * X
+    terms = (J(N), J(N.conj().T).conj().T, (E * q) @ E.conj().T)
+    resid = terms[0] + terms[1] - terms[2]
+    resid[np.diag_indices_from(resid)] += q
+    norms = sum(np.linalg.norm(x) for x in terms) + np.linalg.norm(q)
+    return float(np.linalg.norm(resid) / max(norms, 1e-300))
 
 
 def _step_power(prop: np.ndarray, noise: np.ndarray, steps: int):
@@ -334,7 +330,7 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
     """Second-moment matrix at time t under the damped generator.
 
     Each 2 x 2 block J_k of J (see the module docstring), with noise Q_k
-    read off the diagonal of S S+, takes Van Loan's exponential (IEEE TAC
+    read off the noise diagonal q, takes Van Loan's exponential (IEEE TAC
     23(3), 1978) expm([[J_k, Q_k], [0, -J_k+]] h) = [[e^{J_k h}, F12],
     [0, e^{-J_k+ h}]], batched over k; F12 e^{J_k+ h} is the step's noise
     integral, and h = t / ceil(gamma t) keeps |e^{-J_k+ h}| <= e. The
@@ -352,24 +348,22 @@ def evolve_langevin_covariance(embedded: EmbeddedHamiltonian,
         raise ValueError("rho0 must be finite and Hermitian")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    J = params.generator(embedded.operator.toarray(), embedded.n_dof)
-    Q = params.noise_matrix(embedded)
-    QQ = Q @ Q.conj().T
+    d, q = params.diagonals(embedded)
     (lam, U), zero = embedded.model.eigenpairs, embedded.model.zero_modes
     s = np.append(np.sqrt(lam[~zero]), 0.0)
     Ur, U0 = U[:, ~zero], U[:, zero]
     Vr = (embedded.model.B.T @ Ur) / s[:-1]
     block = np.zeros((len(s), 4, 4), dtype=complex)
-    block[:, [0, 1], [0, 1]] = J.diagonal()[[0, -1]]  # velocity and edge damping
+    block[:, [0, 1], [0, 1]] = -d[[0, -1]]  # velocity and edge damping
     block[:, 0, 1] = block[:, 1, 0] = 1j * s
-    block[:, [0, 1], [2, 3]] = QQ.diagonal()[[0, -1]]
+    block[:, [0, 1], [2, 3]] = q[[0, -1]]
     block[:, 2:, 2:] = -block[:, :2, :2].conj().swapaxes(1, 2)
     steps = max(1, math.ceil(params.gamma * t))
     F = scipy.linalg.expm(block * (t / steps))
     prop = F[:, :2, :2]
     E, N = _step_power(prop, F[:, :2, 2:] @ prop.conj().swapaxes(1, 2), steps)
     E, N = _lift(E, Ur, U0, Vr), _lift(N, Ur, U0, Vr)
-    resid = _lyapunov_residual(J, QQ, E, N)
+    resid = _lyapunov_residual(embedded.operator, d, q, E, N)
     if not resid <= LYAPUNOV_RTOL:
         raise NumericalError(f"Langevin covariance ({params.damping} damping): "
                              f"Lyapunov relative residual {resid:.3e} exceeds "
@@ -396,13 +390,14 @@ def _noise_windows(seed: int, n_paths: int, n_steps: int, count: int):
 def _step_count(t: float, h_max: float, h: float | None, n_paths: int, least: int):
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
+        raise ValueError(f"n_paths must be an integer, got {n_paths!r}")
     if not n_paths >= least:
         raise ValueError(f"n_paths must be at least {least}, got {n_paths!r}")
-    if h is not None:
-        if h <= 0:
-            raise ValueError("step size must be positive")
-        if h > h_max * (1 + 1e-12):
-            raise ValueError(f"step size {h} exceeds the stability bound {h_max:.3e}")
+    if h is not None and not h > 0:
+        raise ValueError(f"step size h must be positive, got {h!r}")
+    if h is not None and h > h_max * (1 + 1e-12):
+        raise ValueError(f"step size {h} exceeds the stability bound {h_max:.3e}")
     n_steps = max(1, math.ceil(t / (h_max if h is None else h)))
     return n_steps, t / n_steps
 
@@ -448,18 +443,19 @@ def monte_carlo_encoded(embedded: EmbeddedHamiltonian, params: LangevinParams,
     outer products hold about _MC_BLOCK_ENTRIES entries, so memory does not
     grow with n_paths. h <= 0.01 / (sqrt(lambda_max) + gamma); n_paths >= 2.
     """
-    x0 = np.asarray(x0, dtype=complex)
+    x0 = _vector(x0, "x0", embedded.dim, complex)
     root = math.sqrt(max(embedded.model.lambda_max, 0.0))  # H's largest eigenvalue
     h_max = 0.01 / max(root + params.gamma, 1e-12)
     n_steps, h = _step_count(t, h_max, h, n_paths, 2)
-    J = params.generator(embedded.operator.toarray(), embedded.n_dof)
-    S = params.noise_matrix(embedded)
+    dim = embedded.dim
+    J = -1j * embedded.operator.toarray() - np.diag(params.diagonals(embedded)[0])
+    count = dim if params.noise == "isotropic" else embedded.n_dof
 
     x = np.tile(x0, (n_paths, 1))
     sqrt_h = math.sqrt(h)
-    for xi in _noise_windows(seed, n_paths, n_steps, S.shape[1]):
-        x = x + h * (x @ J.T) + sqrt_h * (xi @ S.T)
-    dim = x.shape[1]
+    for xi in _noise_windows(seed, n_paths, n_steps, count):
+        x = x + h * (x @ J.T)
+        x[:, :count] += sqrt_h * (params.sigma * xi)
     step = max(1, _MC_BLOCK_ENTRIES // (dim * dim))
     blocks = [x[a:a + step] for a in range(0, n_paths, step)]
     second = sum(((b[:, :, None] * b[:, None, :].conj()).sum(axis=0)

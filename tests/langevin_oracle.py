@@ -1,7 +1,9 @@
-"""Dense Langevin covariance routes: the test oracles for
-`dynamics.evolve_langevin_covariance`.
+"""Dense Langevin generator, noise and covariance routes: the test oracles
+for `dynamics.evolve_langevin_covariance` and `LangevinParams.diagonals`.
 
-Scalar damping makes J = -iH - gamma*I normal, so `_scalar_covariance`
+`generator` and `noise_matrix` build J and S as dense matrices from the
+model's definition, independently of the library's two diagonals. Scalar
+damping makes J = -iH - gamma*I normal, so `_scalar_covariance`
 integrates in closed form in the eigenbasis of the densified H;
 `_velocity_covariance` runs Van Loan's block exponential on the dense
 2*dim generator, exact also where J is defective. `gnmqsim` itself works
@@ -14,6 +16,28 @@ import math
 
 import numpy as np
 import scipy.linalg
+
+
+def generator(params, H, n_dof):
+    """J = -iH - damping as a dense dim x dim matrix, from the densified H:
+    gamma on every diagonal entry (scalar damping) or on the first n_dof
+    (velocity damping)."""
+    J = -1j * H.astype(complex)
+    if params.damping == "scalar":
+        J -= params.gamma * np.eye(H.shape[0])
+    else:
+        J[:n_dof, :n_dof] -= params.gamma * np.eye(n_dof)
+    return J
+
+
+def noise_matrix(params, embedded):
+    """S: sigma * I (isotropic noise), or sigma times the dim x n_dof
+    injection into the velocity block (velocity noise)."""
+    if params.noise == "isotropic":
+        return params.sigma * np.eye(embedded.dim)
+    S = np.zeros((embedded.dim, embedded.n_dof))
+    S[:embedded.n_dof] = params.sigma * np.eye(embedded.n_dof)
+    return S
 
 
 def _taylor_safe_ratio(denom: np.ndarray, t: float) -> np.ndarray:
@@ -63,9 +87,9 @@ def _velocity_covariance(J, gamma, QQ, rho0, t):
 def covariance(embedded, params, rho0, t):
     """rho(t) by the dense route for `params.damping`."""
     H = embedded.operator.toarray()
-    Q = params.noise_matrix(embedded)
+    Q = noise_matrix(params, embedded)
     QQ = Q @ Q.conj().T
     if params.damping == "scalar":
         return _scalar_covariance(H, params.gamma, QQ, rho0, t)[0]
-    J = params.generator(H, embedded.n_dof)
+    J = generator(params, H, embedded.n_dof)
     return _velocity_covariance(J, params.gamma, QQ, rho0, t)[0]

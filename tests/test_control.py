@@ -234,6 +234,34 @@ def test_problem_validation_rejects_bad_weights():
         ControlProblem(chain, Q=np.eye(3))  # shape mismatch
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_problem_names_weights_and_damping_that_are_not_finite(value):
+    # these died in scipy ("array must not contain infs or NaNs"), were
+    # called asymmetric, or (an inf damping matrix) were taken
+    model = model_from_matrices(np.array([[1.0]]), np.array([1.0]))
+    for name in ("Q", "R", "S"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ControlProblem(model, **{name: value})
+    with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+        ControlProblem(model, gamma=value)
+    with pytest.raises(ValueError, match="matrix gamma must be finite"):
+        ControlProblem(build_gnm(synthetic_chain(2)), gamma=np.full((2, 2), value))
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan])
+def test_simulation_names_a_t_that_is_not_finite(scalar_problem, scalar_law, T):
+    # T = inf returned NaN arrays with RuntimeWarnings
+    with pytest.raises(ValueError, match="need a finite T > 0"):
+        simulate_controlled(scalar_problem, scalar_law, [1.0], [0.0], T=T)
+
+
+def test_finite_horizon_solve_names_a_step_count_below_one(scalar_problem):
+    # n_steps = 0 raised ZeroDivisionError
+    prob = ControlProblem(scalar_problem.model, Q=1.0, R=1.0, horizon=2.0)
+    with pytest.raises(ValueError, match="n_steps must be at least 1, got 0"):
+        solve_lqr(prob, n_steps=0)
+
+
 def test_state_matrices_shapes_and_content():
     chain = build_gnm(synthetic_chain(4))
     prob = ControlProblem(chain, gamma=0.7)

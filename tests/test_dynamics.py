@@ -466,14 +466,14 @@ def test_langevin_zero_hamiltonian_integral():
     t = 1.7
     rho_t = dyn.evolve_langevin_covariance(emb0, params,
                                            np.zeros((3, 3)), t)
-    S = params.noise_matrix(emb0)
+    S = langevin_oracle.noise_matrix(params, emb0)
     exact = (1 - np.exp(-2 * params.gamma * t)) / (2 * params.gamma) * (S @ S.T)
     assert np.abs(rho_t - exact).max() < 1e-12
 
 
 def _covariance_quadrature(embedded, params, rho0, t, nodes):
     H = embedded.operator.toarray()
-    J = params.generator(H, embedded.n_dof)
+    J = langevin_oracle.generator(params, H, embedded.n_dof)
     # enough nodes to resolve oscillation at the spectral frequency
     w = np.linalg.eigvalsh(H)
     freq = float(np.max(np.abs(w))) + params.gamma
@@ -482,7 +482,7 @@ def _covariance_quadrature(embedded, params, rho0, t, nodes):
     taus = 0.5 * t * (x + 1.0)
     prop_t = scipy.linalg.expm(J * t)
     out = prop_t @ rho0 @ prop_t.conj().T
-    Q = params.noise_matrix(embedded)
+    Q = langevin_oracle.noise_matrix(params, embedded)
     QQ = Q @ Q.conj().T
     for tau, weight in zip(taus, wt):
         e = scipy.linalg.expm(J * tau)
@@ -559,20 +559,62 @@ def test_mode_block_covariance_matches_the_dense_routes(case):
 
 
 @pytest.mark.parametrize("damping", ["scalar", "velocity"])
+@pytest.mark.parametrize("noise", ["velocity", "isotropic"])
+def test_diagonals_are_the_oracle_generator_and_noise(damping, noise):
+    emb = dyn.embed(LANGEVIN_ORACLE_MODELS["bundled-gnm"])
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping, noise=noise)
+    d, q = p.diagonals(emb)
+    J = langevin_oracle.generator(p, emb.operator.toarray(), emb.n_dof)
+    S = langevin_oracle.noise_matrix(p, emb)
+    assert d.shape == q.shape == (emb.dim,)
+    assert np.array_equal(d, -J.diagonal())
+    assert np.array_equal(J, -1j * emb.operator.toarray() - np.diag(d))
+    assert np.array_equal(np.diag(q), S @ S.conj().T)
+
+
+_EXACT_EXPM = scipy.linalg.expm
+
+
+def _skewed_expm(M):
+    F = _EXACT_EXPM(M)
+    k = M.shape[-1] // 2
+    F[..., :k, k:] *= 1.001  # the noise block of Van Loan's exponential
+    return F
+
+
+@pytest.mark.parametrize("damping", ["scalar", "velocity"])
 def test_covariance_certificate_rejects_a_wrong_noise_integral(emb2, monkeypatch,
                                                               damping):
-    exact = scipy.linalg.expm
-
-    def skewed(M):
-        F = exact(M)
-        k = M.shape[-1] // 2
-        F[..., :k, k:] *= 1.001  # the noise block of Van Loan's exponential
-        return F
-
-    monkeypatch.setattr(scipy.linalg, "expm", skewed)
+    monkeypatch.setattr(scipy.linalg, "expm", _skewed_expm)
     p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping)
     with pytest.raises(NumericalError, match="Lyapunov relative residual"):
         dyn.evolve_langevin_covariance(emb2, p, np.eye(emb2.dim), 1.0)
+
+
+@pytest.mark.parametrize("damping", ["scalar", "velocity"])
+@pytest.mark.parametrize("noise", ["velocity", "isotropic"])
+def test_sparse_lyapunov_residual_matches_the_dense_formula(monkeypatch, damping,
+                                                             noise):
+    emb = dyn.embed(LANGEVIN_ORACLE_MODELS["bundled-gnm"])
+    route, seen = dyn._lyapunov_residual, []
+
+    def captured(H, d, q, E, N):
+        seen.append((E, N, route(H, d, q, E, N)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(scipy.linalg, "expm", _skewed_expm)
+    monkeypatch.setattr(dyn, "_lyapunov_residual", captured)
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping, noise=noise)
+    with pytest.raises(NumericalError, match="Lyapunov relative residual"):
+        dyn.evolve_langevin_covariance(emb, p, np.eye(emb.dim), 1.0)
+    (E, N, resid), = seen
+    J = langevin_oracle.generator(p, emb.operator.toarray(), emb.n_dof)
+    S = langevin_oracle.noise_matrix(p, emb)
+    QQ = S @ S.conj().T
+    terms = (J @ N, N @ J.conj().T, E @ QQ @ E.conj().T, QQ)
+    dense = (np.linalg.norm(terms[0] + terms[1] - terms[2] + terms[3])
+             / sum(np.linalg.norm(x) for x in terms))
+    assert abs(resid - dense) <= 1e-10 * dense
 
 
 def test_covariance_certificate_rejects_a_nan_residual(emb2, monkeypatch):
@@ -727,8 +769,8 @@ def test_encoded_monte_carlo_memory_does_not_grow_with_paths():
 
 
 @pytest.mark.parametrize("damping", ["scalar", "velocity"])
-def test_langevin_covariance_densifies_the_operator_once(chain2, emb2,
-                                                         monkeypatch, damping):
+def test_langevin_covariance_never_densifies_the_operator(chain2, emb2,
+                                                          monkeypatch, damping):
     calls = []
     toarray = scipy.sparse.csr_array.toarray
 
@@ -736,11 +778,12 @@ def test_langevin_covariance_densifies_the_operator_once(chain2, emb2,
         calls.append(self.shape)
         return toarray(self, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", counted)
     x0 = _encoded_start(chain2)
+    chain2.eigenpairs  # A's one dense eigensolve, cached before counting
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", counted)
     p = dyn.LangevinParams(gamma=0.5, kT=0.3, damping=damping)
     dyn.evolve_langevin_covariance(emb2, p, np.outer(x0, x0.conj()), 1.0)
-    assert calls == [(emb2.dim, emb2.dim)]
+    assert calls == []
 
 
 def test_noiseless_damped_path_matches_analytic():
@@ -804,6 +847,45 @@ def test_samplers_reject_too_few_paths(chain2, emb2):
     res = dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.0], t=0.5,
                                    n_paths=1, seed=1)
     assert np.isfinite(res["mean"]).all()
+
+
+@pytest.mark.parametrize("x0", [np.zeros(2), np.zeros((1, 3))], ids=["short", "2-D"])
+def test_encoded_sampler_names_a_wrong_shape_x0(emb2, x0):
+    # a short x0 died in a matmul error and a (1, dim) one was taken silently
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    with pytest.raises(ValueError, match=r"x0 has shape .*, expected \(3,\)"):
+        dyn.monte_carlo_encoded(emb2, p, x0, t=0.5, n_paths=4, seed=1)
+
+
+@pytest.mark.parametrize("h", [np.nan, 0.0])
+def test_samplers_name_a_step_size_that_is_not_positive(chain2, emb2, h):
+    # h = nan died in "cannot convert float NaN to integer"
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    with pytest.raises(ValueError, match="step size h must be positive"):
+        dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.0], t=0.5,
+                                 n_paths=4, seed=1, h=h)
+    with pytest.raises(ValueError, match="step size h must be positive"):
+        dyn.monte_carlo_encoded(emb2, p, _encoded_start(chain2), t=0.5, n_paths=4,
+                                seed=1, h=h)
+
+
+@pytest.mark.parametrize("n_paths", [True, 2.5, 4.0])
+def test_samplers_name_a_path_count_that_is_not_an_integer(chain2, emb2, n_paths):
+    # True ran one path and 2.5 raised an unnamed TypeError
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    with pytest.raises(ValueError, match="n_paths must be an integer"):
+        dyn.monte_carlo_langevin(chain2, p, [0.4, -0.4], [0.0, 0.0], t=0.5,
+                                 n_paths=n_paths, seed=1)
+    with pytest.raises(ValueError, match="n_paths must be an integer"):
+        dyn.monte_carlo_encoded(emb2, p, _encoded_start(chain2), t=0.5,
+                                n_paths=n_paths, seed=1)
+
+
+def test_samplers_take_a_numpy_integer_path_count(chain2, emb2):
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    res = dyn.monte_carlo_encoded(emb2, p, _encoded_start(chain2), t=0.5,
+                                  n_paths=np.int64(3), seed=1)
+    assert res["finals"].shape == (3, emb2.dim)
 
 
 @pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
