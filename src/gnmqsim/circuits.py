@@ -11,17 +11,18 @@ wires, and keeps the build order within a layer.
 
 `Circuit._from_columns` alone validates and groups rows by layer; its
 caller supplies the layers. Rows that share no wire do not affect each
-other's layers, so a block of them is placed in one numpy pass. The data
-loader keys each row by its block: one template row across an OR-tree
-level's pairs, the root CNOT, or a mirrored run of the reversed tree. A
-QROM stacks the decoder, the loader and the decoder reversed, each of
-whose layers is such a block. `from_gates` alone keeps the row-by-row
-Python loop: its tuple rows (the decoder, the Gaussian tree, the ensemble
-state, parsed text) carry no blocks, and the Gaussian tree is nearly as
-deep as it is long, so a pass per block would be a numpy pass per row.
-The parts' order within their layers sets the QROM's row order within
-each of its layers: composed in build order they give the same layers
-and resources but other text.
+other's layers, so a block of them is placed in one numpy pass. The
+decoder and the data loader build their rows as columns and key each row
+by its block: a fanout round or one routing template across a level's
+parents; one template row across an OR-tree level's pairs, the root CNOT
+or a mirrored run of the reversed tree. A QROM stacks the two parts'
+columns, each grouped by its own layers (the decoder, the loader, the
+decoder reversed), and validates the stack once; each part's layer is
+such a block. The parts' order within their layers sets the QROM's row
+order within each of its layers: composed in build order they give the
+same layers and resources but other text. The Gaussian tree
+(`stateprep`) gives its layers in closed form. `from_gates` keeps the
+row-by-row Python loop only for parsed text and the ensemble state.
 
 Wire convention: wire 0 carries the most significant bit of a basis index,
 so a register listed as wires (w0, w1, ...) reads its value big-endian.
@@ -124,10 +125,9 @@ class Circuit:
             if np.any(bad):
                 row = int(np.argmax(bad))
                 raise RowError(row, f"{KIND_NAMES[kinds[row]]} {reason}")
-        for row in np.flatnonzero(takes).tolist():
-            if kinds[row] == CRY:
-                params[row] = float(params[row])
-                continue
+        for row in np.flatnonzero(kinds == CRY).tolist():
+            params[row] = float(params[row])
+        for row in np.flatnonzero(kinds == DIAG_SIGN).tolist():
             signs = np.asarray(params[row], dtype=float)
             if signs.shape != (2 ** int(widths[row]),) or np.any(np.abs(signs) != 1.0):
                 raise RowError(row, "DIAG_SIGN needs 2**len(wires) signs of +-1")
@@ -384,55 +384,51 @@ def build_decoder(n_address: int) -> Circuit:
     """
     if n_address < 1:
         raise ValueError("decoder needs at least one address bit")
-    n = n_address
+    wires, layer, meta = _decoder_columns(n_address)
+    return _classical(meta.pop("n_qubits"), wires, layer, meta)
+
+
+def _decoder_columns(n: int):
+    """`build_decoder`'s 3-wide padded wires and layers, grouped by layer,
+    and its meta with the wire count under "n_qubits"."""
     N = 2 ** n
-    address = list(range(n))
-    onehot = list(range(n, n + N))
-    meta = {"address_wires": address, "onehot_wires": onehot,
-            "pi": decoder_permutation(n)}
-    next_wire = n + N
-    # interior routing levels j = 1..n-1 hold 2^j path wires
-    levels = []
-    for j in range(1, n):
-        levels.append(list(range(next_wire, next_wire + 2 ** j)))
-        next_wire += 2 ** j
-    levels.append(onehot)  # level n
-
-    rows = []
-    copy_pool_start = next_wire
-
+    # level j's path wires: interior levels j = 1..n-1 hold 2^j wires from
+    # n + N + 2^j - 2 on; level n is the one-hot block
+    first = [n, *(n + N + 2 ** j - 2 for j in range(1, n)), n]
+    next_wire = n + 2 * N - 2   # the copy pool
+    meta = {"address_wires": list(range(n)), "onehot_wires": list(range(n, n + N)),
+            "pi": decoder_permutation(n),
+            "scratch_wires": list(range(n + N, next_wire))}
     # the root level; with one address bit it is the leaf level, flipped
-    v0, v1 = levels[0] if n > 1 else onehot[::-1]
-    rows += [(CNOT, (address[0], v1)), (X, (address[0],)),
-             (CNOT, (address[0], v0)), (X, (address[0],))]
-
+    v0, v1 = (first[1], first[1] + 1) if n > 1 else (n + 1, n)
+    blocks = [np.array([[-1, 0, v1], [-1, -1, 0], [-1, 0, v0], [-1, -1, 0]])]
+    keys, n_keys = [np.arange(4)], 4
+    # each row's block key: a fanout round, the CCX, first or second CNOT
+    # of every parent, or a reversed round; keys ascend in build order
     for j in range(2, n + 1):
-        parents = levels[j - 2]
-        children = levels[j - 1]
-        bit_wire = address[j - 1]
-        n_parents = len(parents)
-        controls = [bit_wire, *range(next_wire, next_wire + n_parents - 1)]
+        n_parents = 2 ** (j - 1)
+        parent = first[j - 1] + np.arange(n_parents)
+        child = first[j] + np.arange(2 * n_parents).reshape(-1, 2)
+        control = np.r_[j - 1, next_wire:next_wire + n_parents - 1]
         next_wire += n_parents - 1
         # fan the level's address bit out, the sources doubling each round:
         # control q > 0 copies control q - 2^floor(log2 q)
-        fanout = [(CNOT, (controls[q - (1 << (q.bit_length() - 1))], controls[q]))
-                  for q in range(1, n_parents)]
-        rows += fanout
-        leaf = j == n
-        for p in range(n_parents):
-            P, c = parents[p], controls[p]
-            hi, lo = children[2 * p], children[2 * p + 1]
-            if leaf:
-                # flipped child order at the leaves: pi(i) = i XOR 1
-                rows += [(CCX, (P, c, hi)), (CNOT, (P, lo)), (CNOT, (hi, lo))]
-            else:
-                rows += [(CCX, (P, c, lo)), (CNOT, (P, hi)), (CNOT, (lo, hi))]
-        rows += fanout[::-1]
-
-    meta["scratch_wires"] = list(range(n + N, copy_pool_start))
-    meta["copy_wires"] = list(range(copy_pool_start, next_wire))
-    meta["n_ancillas"] = next_wire - n - N
-    return Circuit.from_gates(next_wire, rows, meta)
+        q = np.arange(1, n_parents)
+        rounds = np.frexp(q)[1] - 1
+        fanout = np.c_[np.full(len(q), -1), control[q - (1 << rounds)], control[q]]
+        # the CCX sets one child, the CNOTs set the other, flipped at leaves
+        # so that pi(i) = i XOR 1
+        x, y = (child[:, 0], child[:, 1]) if j == n else (child[:, 1], child[:, 0])
+        pad = np.full(n_parents, -1)
+        route = np.stack([np.c_[parent, control, x], np.c_[pad, parent, y],
+                          np.c_[pad, x, y]], 1).reshape(-1, 3)
+        blocks += [fanout, route, fanout[::-1]]
+        keys += [n_keys + rounds, n_keys + j - 1 + np.tile(np.arange(3), n_parents),
+                 n_keys + 2 * j - rounds[::-1]]
+        n_keys += 2 * j + 1
+    meta.update(copy_wires=list(range(n + 2 * N - 2, next_wire)),
+                n_ancillas=next_wire - n - N, n_qubits=next_wire)
+    return *_keyed_layers(np.concatenate(blocks), np.concatenate(keys), next_wire), meta
 
 
 # -- dictionary data loader --------------------------------------------------
@@ -469,6 +465,16 @@ def build_data_loader(dictionary: dict[int, int], n_onehot: int,
             raise ValueError(f"one-hot index {idx} outside [0, {n_onehot})")
     dictionary = {idx: _word("dictionary", idx, word, word_width)
                   for idx, word in dictionary.items()}
+    wires, layer, n_qubits = _loader_columns(dictionary, n_onehot, word_width)
+    meta = {"onehot_wires": list(range(n_onehot)),
+            "output_wires": list(range(n_onehot, n_onehot + word_width)),
+            "n_ancillas": n_qubits - n_onehot - word_width}
+    return _classical(n_qubits, wires, layer, meta)
+
+
+def _loader_columns(dictionary: dict[int, int], n_onehot: int, word_width: int):
+    """`build_data_loader`'s 3-wide padded wires and layers, grouped by
+    layer, and its wire count, for a dictionary already checked."""
     hot = sorted(dictionary)
     next_wire = n_onehot + word_width
     # each row's block key: a block is one template row across a tree
@@ -502,17 +508,26 @@ def build_data_loader(dictionary: dict[int, int], n_onehot: int,
         keys += [n_keys + tree_keys, [n_keys + root],
                  n_keys + 2 * root - tree_keys[::-1]]
         n_keys += 2 * root + 1
-    wires, keys = np.concatenate(blocks), np.concatenate(keys)
-    kinds = (wires >= 0).sum(axis=1) - 1   # X, CNOT, CCX act on 1, 2, 3 wires
+    return *_keyed_layers(np.concatenate(blocks), np.concatenate(keys), next_wire), next_wire
+
+
+def _keyed_layers(wires: np.ndarray, keys: np.ndarray, n_qubits: int):
+    """Rows keyed into blocks that share no wire, and their greedy layers,
+    both grouped by layer; the keys of rows that share a wire ascend in
+    build order, so `_block_layers` in key order sees the same layers."""
     by_block = np.argsort(keys, kind="stable")
-    starts = np.cumsum([0, *np.bincount(keys)])
     layer = np.empty(len(keys), dtype=np.int64)
-    layer[by_block] = _block_layers(wires[by_block], starts, next_wire)
-    meta = {"onehot_wires": list(range(n_onehot)),
-            "output_wires": list(range(n_onehot, n_onehot + word_width)),
-            "n_ancillas": next_wire - n_onehot - word_width}
+    layer[by_block] = _block_layers(wires[by_block], np.cumsum([0, *np.bincount(keys)]),
+                                    n_qubits)
+    order = np.argsort(layer, kind="stable")
+    return wires[order], layer[order]
+
+
+def _classical(n_qubits: int, wires: np.ndarray, layer: np.ndarray, meta: dict) -> Circuit:
+    """The circuit of X, CNOT and CCX rows given as 3-wide wires and layers."""
+    kinds = (wires >= 0).sum(axis=1) - 1   # X, CNOT, CCX act on 1, 2, 3 wires
     # without a CCX row the table is 2 wide, as `from_gates` would build it
-    return Circuit._from_columns(next_wire, kinds, wires[:, int(CCX not in kinds):],
+    return Circuit._from_columns(n_qubits, kinds, wires[:, int(CCX not in kinds):],
                                  None, meta, lambda _: layer)
 
 
@@ -533,39 +548,31 @@ def build_qrom(table, word_width: int) -> Circuit:
         raise ValueError("empty table")
     n = max(1, math.ceil(math.log2(len(table))))
     N = 2 ** n
-
-    dec = build_decoder(n)
-    pi = dec.meta["pi"]
+    dec, dec_layer, dec_meta = _decoder_columns(n)
     # padded addresses hold the word 0, which loads nothing
-    dictionary = {pi[i]: v for i, v in enumerate(table) if v}
-    loader = build_data_loader(dictionary, N, word_width)
+    loader, load_layer, load_qubits = _loader_columns(
+        {dec_meta["pi"][i]: v for i, v in enumerate(table) if v}, N, word_width)
     # loader wires map to the decoder's one-hot block, then outputs and OR
     # ancillas after the decoder's wires; the -1 padding reads the last entry
-    out_base = dec.n_qubits
-    n_qubits = out_base + loader.n_qubits - N
-    lookup = np.concatenate([dec.meta["onehot_wires"],
+    out_base = dec_meta["n_qubits"]
+    n_qubits = out_base + load_qubits - N
+    lookup = np.concatenate([dec_meta["onehot_wires"],
                              np.arange(out_base, n_qubits), [-1]])
-    # decoder and loader gates are X/CNOT/CCX, which take no parameter and
-    # are self-inverse: the decoder's rows reversed undo it
-    kinds = np.concatenate([dec.kinds, loader.kinds, dec.kinds[::-1]])
-    blocks = [dec.wires, lookup[loader.wires], dec.wires[::-1]]
-    width = max(b.shape[1] for b in blocks)
-    wires = np.concatenate([np.pad(b, ((0, 0), (width - b.shape[1], 0)),
-                                   constant_values=-1) for b in blocks])
+    # decoder and loader gates are X/CNOT/CCX, which are self-inverse: the
+    # decoder's rows reversed undo it
+    wires = np.concatenate([dec, lookup[loader], dec[::-1]])
     # each layer of a part is a block of rows that share no wire
-    d, m = len(dec.kinds), len(loader.kinds)
-    starts = np.concatenate([dec.layer_starts, d + loader.layer_starts[1:],
-                             d + m + d - dec.layer_starts[-2::-1]])
-    layer = _block_layers(wires, starts, n_qubits)
+    starts = np.cumsum([0, *np.bincount(dec_layer), *np.bincount(load_layer),
+                        *np.bincount(dec_layer)[::-1]])
     meta = {
-        "address_wires": dec.meta["address_wires"],
+        "address_wires": dec_meta["address_wires"],
         "output_wires": list(range(out_base, out_base + word_width)),
         "n_address_bits": n,
         "table_size": len(table),
         "word_width": word_width,
         "n_ancillas": n_qubits - n - word_width,
     }
-    return Circuit._from_columns(n_qubits, kinds, wires, None, meta, lambda _: layer)
+    return _classical(n_qubits, wires, _block_layers(wires, starts, n_qubits), meta)
 
 
 def encode_fixed_point(value: float, bits: int, scale: float) -> int:

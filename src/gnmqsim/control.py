@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .network import NetworkModel, ZERO_MODE_RTOL
+from .stateprep import _integer
 
 # CARE residual acceptance, relative to ||Q|| in the first-order form.
 RESIDUAL_RTOL = 1e-8
@@ -298,8 +299,7 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     BRB = B @ Rinv @ B.T
 
     if problem.is_finite_horizon:
-        if not n_steps >= 1:
-            raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
+        n_steps = _integer("n_steps", n_steps, 1)
         import scipy.linalg
         m = A.shape[0]
         P = scipy.linalg.block_diag(problem.S, np.zeros_like(problem.S))
@@ -398,7 +398,7 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
     n = problem.n_dof
     u0 = np.asarray(u0, dtype=float).reshape(n)
     v0 = np.asarray(v0, dtype=float).reshape(n)
-    if not (math.isfinite(T) and T > 0 and n_steps >= 2):
+    if not (math.isfinite(T) and T > 0 and _integer("n_steps", n_steps, None) >= 2):
         raise ValueError(f"need a finite T > 0 and at least two steps, got T = {T!r}")
     import scipy.linalg
     A, B = problem.state_matrices()

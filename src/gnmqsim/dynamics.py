@@ -29,7 +29,7 @@ import scipy.sparse
 
 from .errors import EncodingError, NumericalError
 from .network import NetworkModel
-from .stateprep import standard_normals
+from .stateprep import _integer, standard_normals
 
 DECODE_RTOL = 1e-8
 LYAPUNOV_RTOL = 1e-8
@@ -219,7 +219,7 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
     closed-form driven-oscillator update, so the only approximation is the
     piecewise-constant force itself; the history is rebuilt afterwards.
     """
-    if not (math.isfinite(T) and T >= 0) or n_steps < 1:
+    if not (math.isfinite(T) and T >= 0) or _integer("n_steps", n_steps, None) < 1:
         raise ValueError(f"need a finite T >= 0 and at least one step, got T = {T!r}")
     n = model.n_dof
     u0, v0 = _vector(u0, "u0", n), _vector(v0, "v0", n)

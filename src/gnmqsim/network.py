@@ -307,11 +307,11 @@ def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
 
     GNM is k = 1 with d = 1; ANM is k = 3 with d = x_i - x_j. Contact c adds
     b = -(d d^T)/dd to K's (i, j) and (j, i) blocks and -b to (i, i) and
-    (j, j), scattered in contact order so sums round as a contact loop's.
+    (j, j), summed in contact order so sums round as a contact loop's.
     K is built at unit spring and scaled once. Column c of B holds
     sqrt(spring / m) * d/|d| in site i's rows and its negative in j's;
-    B is filled from those (row, column, value) triplets and A from the
-    dense mass-weighted K, exact zeros dropped from both.
+    B is filled from those (row, column, value) triplets and A from K's
+    nonzeros in `mass_weight`'s elementwise form, exact zeros dropped.
     """
     if not (np.isfinite(spring) and spring > 0):
         raise ValueError(f"spring must be finite and > 0, got {spring!r}")
@@ -320,11 +320,18 @@ def _assemble(kind: str, structure: ProteinStructure, i, j, d, dd,
     block = -(d[:, :, None] * d[:, None, :]) / dd[:, None, None]
     rows = k * np.stack([i, j, i, j], axis=1)[:, :, None, None] + off[:, None]
     cols = k * np.stack([j, i, i, j], axis=1)[:, :, None, None] + off
-    K = np.zeros((k * n, k * n))
-    np.add.at(K, (rows, cols), np.stack([block, block, -block, -block], axis=1))
-    K = spring * K
+    # bincount sums each entry's values in contact order, as np.add.at does
+    K = np.bincount((rows * (k * n) + cols).ravel(),
+                    np.stack([block, block, -block, -block], axis=1).ravel(),
+                    (k * n) ** 2).reshape(k * n, k * n).astype(float, copy=False)
+    K *= spring   # (bincount counts in int64 when there are no contacts)
     masses = np.repeat(structure.masses, k)
-    A = scipy.sparse.csr_array(mass_weight(K, masses))
+    inv_sqrt = 1.0 / np.sqrt(masses)
+    # row-major, int32 indices, as a CSR fill of the dense K gives them
+    r, c = np.divmod(np.flatnonzero(K != 0), k * n)
+    indptr = np.r_[0, np.bincount(r, minlength=k * n).cumsum()].astype(np.int32)
+    A = scipy.sparse.csr_array((K[r, c] * (inv_sqrt[r] * inv_sqrt[c]), c.astype(np.int32),
+                                indptr), shape=K.shape)
     scale = np.sqrt(spring / structure.masses)[:, None]
     unit = d / np.sqrt(dd)[:, None]
     vals = np.stack([scale[i] * unit, -scale[j] * unit], axis=1)

@@ -3,13 +3,13 @@
 Randomness comes from a counter-based generator (CBRNG): a pure function
 of (seed, counter) built from a 64-bit avalanche finalizer, so every draw
 is addressable and reproducible. Level-l branch angles of the state
-preparation tree follow the densities p_l(theta) proportional to
-sin^a(2 theta) on (0, pi/2) with a = 2^(n-l) - 1, sampled by rejection
-from a truncated Gaussian proposal centered at pi/4 whose envelope
-constant is analytic (the density/proposal ratio peaks at pi/4). The
-proposal's ndtr and ndtri load from scipy.special once per exponent a, at
-its first draw; `network` is imported for annotations only, so importing
-this module loads numpy alone.
+preparation tree follow p_l(theta) ~ sin^a(2 theta) on (0, pi/2), a =
+2^(n-l) - 1, sampled by rejection from a truncated Gaussian proposal at
+pi/4 with an analytic envelope constant. One sampler draws a level's
+branches and attempts as arrays and decides draws near the accept bound
+by scalar math, so every angle is the scalar loop's. Its ndtr and ndtri
+load from scipy.special once per exponent a, at its first draw; `network`
+is imported for annotations only, so importing this module loads numpy alone.
 
 Counter budget: the angle for level l, branch i < 2^n draws from the
 1024-wide window starting at (l * 2^n + i) * 1024; the final sign layer for
@@ -38,6 +38,7 @@ MAX_R = (1 << 53) - 1
 COUNTER_WINDOW = 1 << 10
 MAX_REJECTIONS = 10_000
 _PROPOSALS: dict = {}  # exponent a -> (sigma, ndtr(-h), ndtr(h), ndtri)
+_GUARD = 1e-8  # relative band around numpy's accept bound, decided by `math`
 
 
 def _finalize(z: int) -> int:
@@ -160,37 +161,57 @@ def sample_angle(n: int, level: int, branch: int, seed: int,
     is broken and raises NumericalError. branch must lie in [0, 2^n), the
     level's counter windows (the tree itself uses [0, 2^(level-1))).
     """
-    a = angle_exponent(n, level)
+    angle_exponent(n, level)
     if not 0 <= (branch := _integer("branch", branch, None)) < 2 ** n:
         raise ValueError(f"branch {branch!r} outside 0..{2 ** n - 1}: its counter "
                          f"window would be another level's")
-    base = counter_base(n, level, branch)
+    theta, used = _sample_angles(n, level, np.array([branch & _MASK], np.uint64), seed)
+    if audit is not None:
+        audit.append((counter_base(n, level, branch), int(used[0])))
+    return float(theta[0])
+
+
+def _sample_angles(n: int, level: int, branches: np.ndarray, seed: int):
+    """`sample_angle`'s theta and counters used for each of `branches` (a
+    uint64 array) at `level`, drawn in rounds of 1, 2, 4, ... attempts.
+    numpy's log, cos and exp may differ from `math`'s by ulps (a tenth of
+    the bounds, by up to 2e-15, in numpy 2.4 on x86-64): a draw whose u2
+    is within the relative band `_GUARD` of numpy's bound is decided by math."""
+    a = angle_exponent(n, level)
+    bases = (np.uint64(counter_base(n, level, 0) & _MASK)
+             + np.uint64(COUNTER_WINDOW) * branches)
     if a == 0:
-        if audit is not None:
-            audit.append((base, 1))
-        return (math.pi / 2.0) * cbrng(seed, base) / MAX_R
+        return (math.pi / 2.0) * cbrng_array(seed, bases) / MAX_R, np.ones(len(bases), int)
     if a not in _PROPOSALS:  # scipy.special loads here, once per exponent
         from scipy.special import ndtr, ndtri
         h = (math.pi / 4.0) / proposal_sigma(a)
         _PROPOSALS[a] = proposal_sigma(a), ndtr(-h), ndtr(h), ndtri
     sigma, phi_lo, phi_hi, ndtri = _PROPOSALS[a]
-    for attempt in range(MAX_REJECTIONS):
-        u1 = cbrng(seed, base + 2 * attempt) / MAX_R
-        u2 = cbrng(seed, base + 2 * attempt + 1) / MAX_R
-        theta = math.pi / 4.0 + sigma * float(
-            ndtri(phi_lo + u1 * (phi_hi - phi_lo)))
-        t = theta - math.pi / 4.0
-        if abs(t) >= math.pi / 4.0:
-            accept_log = -math.inf  # proposal tail beyond the support
-        else:
-            accept_log = a * (math.log(math.cos(2.0 * t)) + 2.0 * t * t)
-        if u2 <= math.exp(accept_log):
-            if audit is not None:
-                audit.append((base, 2 * (attempt + 1)))
-            return theta
-    raise NumericalError(
-        f"rejection sampler exceeded {MAX_REJECTIONS} attempts at level "
-        f"{level}, branch {branch}; envelope constant violated")
+    theta, used = np.empty(len(bases)), np.zeros(len(bases), int)
+    pending, start, width = np.arange(len(bases)), 0, 1
+    while pending.size and start < MAX_REJECTIONS:
+        width = min(width, MAX_REJECTIONS - start)
+        u = cbrng_array(seed, np.add.outer(bases[pending], np.arange(
+            2 * start, 2 * (start + width), dtype=np.uint64))) / MAX_R
+        u1, u2 = u[:, 0::2], u[:, 1::2]   # each attempt's counter pair
+        draw = math.pi / 4.0 + sigma * ndtri(phi_lo + u1 * (phi_hi - phi_lo))
+        t = draw - math.pi / 4.0
+        inside = np.abs(t) < math.pi / 4.0
+        t_in = np.where(inside, t, 0.0)   # the bound is 0 beyond the support
+        bound = inside * np.exp(float(a) * (np.log(np.cos(2.0 * t_in)) + 2.0 * t_in * t_in))
+        accept = u2 <= bound
+        near = np.nonzero(inside & (np.abs(u2 - bound) <= _GUARD * bound))
+        accept[near] = [v <= math.exp(a * (math.log(math.cos(2.0 * x)) + 2.0 * x * x))
+                        for v, x in zip(u2[near].tolist(), t[near].tolist())]
+        hit = accept.any(axis=1)
+        first = accept.argmax(axis=1)[hit]
+        theta[pending[hit]], used[pending[hit]] = draw[hit, first], 2 * (start + first + 1)
+        pending, start, width = pending[~hit], start + width, 2 * width
+    if pending.size:
+        raise NumericalError(
+            f"rejection sampler exceeded {MAX_REJECTIONS} attempts at level "
+            f"{level}, branch {int(branches[pending[0]])}; envelope constant violated")
+    return theta, used
 
 
 # -- prepared states ----------------------------------------------------------
@@ -210,7 +231,9 @@ def prepare_gaussian_state(n: int, seed: int,
     so the X flips are: every control before b_0; before b_k, k > 0, the
     one control whose bit changed, m - bitlen(k & -k); after the last
     branch, b = 2^(m-1), controls 1..m-1. A final DIAG_SIGN layer applies
-    the per-basis-index sign s_j of 2r - max_r.
+    the per-basis-index sign s_j of 2r - max_r. Each CRY, and the
+    DIAG_SIGN, acts on every wire used so far, so the greedy layers have a
+    closed form and the circuit is built from columns.
 
     The state is read off the tree rather than simulated: with j_1..j_n
     the bits of j (wire 0 first) and theta_{l,b} the angle of level l at
@@ -220,20 +243,32 @@ def prepare_gaussian_state(n: int, seed: int,
     Deterministic in (n, seed): repeated calls are bit-identical.
     """
     n = _integer("n", n, 1, "an integer qubit count")  # a numpy int overflows counters
-    rows = []
-    amp = np.ones(1)
+    rows, angles = [], []   # per level: kind, last wire and layer columns
+    amp, top = np.ones(1), -1
     for level in range(1, n + 1):
         m = level - 1   # controls 0..m-1, target m
-        cos, sin = np.empty((2, 2 ** m))
-        for k in range(2 ** m):
-            branch = k ^ (k >> 1)  # Gray code
-            flips = range(m) if k == 0 else (m - (k & -k).bit_length(),)
-            rows += [(qc.X, (w,)) for w in flips]
-            theta = sample_angle(n, level, branch, seed, audit)
-            rows.append((qc.CRY, (*range(m), m), 2.0 * theta))
-            cos[branch], sin[branch] = math.cos(theta), math.sin(theta)
-        rows += [(qc.X, (w,)) for w in range(1, m)]
-        amp = np.stack([amp * cos, amp * sin], 1).ravel()
+        k = np.arange(2 ** m)
+        gray = k ^ (k >> 1)
+        theta, used = _sample_angles(n, level, gray.astype(np.uint64), seed)
+        if audit is not None:
+            audit.extend(zip((counter_base(n, level, 0)
+                              + COUNTER_WINDOW * gray).tolist(), used.tolist()))
+        head, tail = np.arange(m), np.arange(1, m)
+        flip = m - np.frexp(k[1:] & -k[1:])[1]   # m - bitlen(k & -k)
+        wire = np.r_[head, m, np.c_[flip, np.full(len(flip), m)].ravel(), tail]
+        # after the previous level's last CRY, at `top`, the opening flips
+        # take top + 1 (top + 2 on wires 1..m-2, after its closing flips),
+        # CRY k start + 2k after its flip, the closing flips the next layer
+        start = top + 1 + (m >= 1) + (m >= 3)
+        rows.append(np.stack([np.where(wire == m, qc.CRY, qc.X), wire,  # no flip is on m
+                              np.r_[top + 1 + ((head >= 1) & (head <= m - 2)),
+                                    start + np.arange(2 * len(flip) + 1),
+                                    np.full(len(tail), start + 2 * len(flip) + 1)]]))
+        top = start + 2 * len(flip)
+        angles.append(2.0 * theta)
+        trig = np.empty((2, 2 ** m))   # cos and sin theta by branch, from `math`
+        trig[:, gray] = [list(map(f, theta.tolist())) for f in (math.cos, math.sin)]
+        amp = (amp[:, None] * trig.T).ravel()
 
     signs = np.where(
         2 * cbrng_array(seed, sign_counter_base(n, 0)
@@ -241,8 +276,17 @@ def prepare_gaussian_state(n: int, seed: int,
         > MAX_R, 1.0, -1.0)
     if audit is not None:
         audit.extend((sign_counter_base(n, j), 1) for j in range(2 ** n))
-    rows.append((qc.DIAG_SIGN, tuple(range(n)), signs))
-    circuit = qc.Circuit.from_gates(n, rows, {"n_ancillas": 0, "seed": seed})
+    kinds, last, layer = np.concatenate(
+        [*rows, [[qc.DIAG_SIGN], [n - 1], [top + 1 + (n >= 3)]]], axis=1)
+    back = np.arange(max(2, n))[::-1]   # each column's distance from the last
+    wires = last[:, None] - back
+    # an X acts on its last wire alone, the others on wires 0..last
+    wires[back > np.where(kinds == qc.X, 0, last)[:, None]] = -1
+    params = np.full(len(kinds), None, dtype=object)
+    params[kinds == qc.CRY] = np.concatenate(angles)
+    params = [*params[:-1].tolist(), signs]
+    circuit = qc.Circuit._from_columns(n, kinds, wires, params,
+                                       {"n_ancillas": 0, "seed": seed}, lambda _: layer)
     state = amp.astype(complex)
     state *= signs
     return circuit, state

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -420,3 +421,24 @@ def test_every_artifact_is_byte_identical_to_the_oracle_writer(tmp_path, monkeyp
         if name != "manifest.json":
             assert ((tmp_path / "new" / name).read_bytes()
                     == (tmp_path / "old" / name).read_bytes()), name
+
+
+def test_repeated_main_calls_write_what_fresh_calls_write(tmp_path):
+    # the parser is built once per process; a second subcommand with other
+    # options must not see the first call's values
+    calls = [["stateprep", "--n", "3", "--seed", "7"], ["structure"]]
+
+    def written(argv):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return files
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(written(argv))
+    cli._build_parser.cache_clear()
+    assert [written(argv) for argv in calls] == fresh
+    assert cli._build_parser.cache_info().hits == len(calls) - 1

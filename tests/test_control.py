@@ -262,6 +262,23 @@ def test_finite_horizon_solve_names_a_step_count_below_one(scalar_problem):
         solve_lqr(prob, n_steps=0)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, True])
+def test_finite_horizon_solve_names_a_step_count_that_is_not_an_integer(
+        scalar_problem, n_steps):
+    # 2.5 raised an unnamed TypeError from numpy; True ran one step
+    prob = ControlProblem(scalar_problem.model, Q=1.0, R=1.0, horizon=2.0)
+    with pytest.raises(ValueError, match=f"n_steps must be an integer, got {n_steps}"):
+        solve_lqr(prob, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, True])
+def test_simulation_names_a_step_count_that_is_not_an_integer(
+        scalar_problem, scalar_law, n_steps):
+    with pytest.raises(ValueError, match=f"n_steps must be an integer, got {n_steps}"):
+        simulate_controlled(scalar_problem, scalar_law, [1.0], [0.0], T=1.0,
+                            n_steps=n_steps)
+
+
 def test_state_matrices_shapes_and_content():
     chain = build_gnm(synthetic_chain(4))
     prob = ControlProblem(chain, gamma=0.7)

@@ -426,6 +426,15 @@ def test_force_shape_is_checked_for_callables_and_tables(chain5_gnm):
                                      force, T=1.0, n_steps=4)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, True])
+def test_driven_evolution_names_a_step_count_that_is_not_an_integer(chain5_gnm, n_steps):
+    # 2.5 raised an unnamed TypeError from numpy; True died in "an integer
+    # is required"
+    with pytest.raises(ValueError, match=f"n_steps must be an integer, got {n_steps}"):
+        dyn.evolve_inhomogeneous(chain5_gnm, np.zeros(5), np.zeros(5), None,
+                                 T=1.0, n_steps=n_steps)
+
+
 @pytest.mark.parametrize("name", ["u0", "v0", "psi0"])
 def test_wrong_length_inputs_are_named(chain5_gnm, name):
     short = np.zeros(4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gnmqsim import circuits as qc
+from gnmqsim import stateprep as sp
 from layering_oracle import basis_schedule, greedy_layers
 from test_circuit_digests import CASES
 
@@ -71,7 +72,10 @@ def handed_over(monkeypatch):
 
 
 BUILDS = {**{f"loader-{k}": v for k, v in LOADERS.items()},
-          **{f"qrom-{k}": v for k, v in QROMS.items()}}
+          **{f"qrom-{k}": v for k, v in QROMS.items()},
+          **{f"decoder-{n}": (lambda n=n: qc.build_decoder(n)) for n in range(1, 13)},
+          **{f"gauss-{n}": (lambda n=n: sp.prepare_gaussian_state(n, 0xBEEF)[0])
+             for n in range(1, 11)}}
 
 
 @pytest.mark.parametrize("name", BUILDS)
@@ -88,6 +92,22 @@ def test_block_layers_match_greedy_loop(name, handed_over):
     n_qubits, wires, layer = tables[-1]
     assert circuit.n_qubits == n_qubits
     assert np.array_equal(np.diff(circuit.layer_starts), np.bincount(layer))
+
+
+def test_a_qrom_is_validated_and_grouped_once(handed_over):
+    qc.build_qrom(random_table(0), 8)
+    tables, _ = handed_over
+    assert len(tables) == 1
+
+
+def test_decoder_and_gaussian_tree_skip_the_row_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("row-by-row path taken")
+
+    monkeypatch.setattr(qc.Circuit, "from_gates", classmethod(refuse))
+    monkeypatch.setattr(qc, "_greedy_layers", refuse)
+    qc.build_decoder(6)
+    sp.prepare_gaussian_state(7, 0xBEEF)
 
 
 def test_loader_edge_cases_have_their_shapes():

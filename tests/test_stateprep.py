@@ -6,6 +6,7 @@ from scipy.special import gammaln, ndtr
 
 from gnmqsim import circuits as qc
 from gnmqsim import stateprep as sp
+import angle_oracle
 from statevector_oracle import apply, basis_state
 
 # first draws of the keyed generator, frozen as regression anchors
@@ -188,6 +189,59 @@ def test_sample_angle_matches_target_density():
                       for b in range(2 ** n)])
     # symmetric about pi/4
     assert abs(np.mean(draws) - math.pi / 4) < 0.05
+
+
+ORACLE_SEEDS = (0xBEEF, 7, 123456)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_tree_draws_and_audit_equal_the_scalar_oracle(seed):
+    # every branch of every level, n <= 12: CRY angles by bytes (a CRY has
+    # a layer of its own, so layer order is build order), audits equal
+    for n in range(1, 13):
+        audit, want_audit = [], []
+        circuit, _ = sp.prepare_gaussian_state(n, seed, audit=audit)
+        got = [p for kind, _, p in circuit.rows() if kind == qc.CRY]
+        want = [2.0 * theta for level in range(1, n + 1)
+                for theta in angle_oracle.tree_angles(n, level, seed, want_audit)]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), n
+        assert audit == angle_oracle.gaussian_audit(n, seed), n
+
+
+def test_sample_angle_equals_the_scalar_oracle_on_every_window():
+    n = 6
+    for level in range(1, n + 1):
+        for branch in range(2 ** n):
+            audit, want_audit = [], []
+            got = sp.sample_angle(n, level, branch, 11, audit)
+            want = angle_oracle.sample_angle(n, level, branch, 11, want_audit)
+            assert (got, audit) == (want, want_audit)
+            assert type(got) is float
+
+
+def _level_draws_equal_the_oracle(n, seed):
+    for level in range(1, n + 1):
+        k = np.arange(2 ** (level - 1))
+        theta, _ = sp._sample_angles(n, level, (k ^ (k >> 1)).astype(np.uint64), seed)
+        want = np.array(angle_oracle.tree_angles(n, level, seed))
+        assert theta.tobytes() == want.tobytes(), (n, level)
+
+
+@pytest.mark.parametrize("ulps", [-4, 4])
+def test_level_draws_hold_when_numpy_exp_is_a_few_ulps_off(monkeypatch, ulps):
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: exp(x) * (1.0 + ulps * 2.0 ** -52))
+    for n in (9, 11):
+        _level_draws_equal_the_oracle(n, 7)
+
+
+def test_draws_in_the_guard_band_are_decided_by_the_scalar_path(monkeypatch):
+    # numpy's accept bound replaced by 0.75 and the band widened to hold
+    # every u2 in [0, 1]: each decision inside the support is re-made by
+    # `math` and must still equal the oracle's
+    monkeypatch.setattr(np, "exp", lambda x: np.full(np.shape(x), 0.75))
+    monkeypatch.setattr(sp, "_GUARD", 4.0)
+    _level_draws_equal_the_oracle(9, 123456)
 
 
 def test_counter_windows_disjoint():
