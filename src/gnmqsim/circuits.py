@@ -112,14 +112,15 @@ class Circuit:
         widths = (wires >= 0).sum(axis=1)
         lo, hi = _WIRE_RANGE[kinds].T
         ordered = np.sort(wires, axis=1)
+        duplicate = np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0), axis=1)
+        del ordered   # a copy of the wire table: free it before the regrouping
         takes = np.isin(kinds, (CRY, DIAG_SIGN))
         has = (np.zeros(len(kinds), dtype=bool) if params is None
                else np.array([p is not None for p in params], dtype=bool))
         for bad, reason in (
                 (widths < lo, "has too few wires"), (widths > hi, "has too many wires"),
                 (wires.max(axis=1) >= n_qubits, f"has a wire beyond {n_qubits} qubits"),
-                (np.any((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0),
-                        axis=1), "has duplicate wires"),
+                (duplicate, "has duplicate wires"),
                 (has & ~takes, "takes no parameter"),
                 (takes & ~has, "needs a parameter")):
             if np.any(bad):
@@ -136,7 +137,10 @@ class Circuit:
 
         layer = layering(wires)
         order = np.argsort(layer, kind="stable")
-        kinds, wires = kinds[order].astype(np.int8), np.asfortranarray(wires[order])
+        kinds = kinds[order].astype(np.int8)
+        # one Fortran-ordered copy (mode "clip" lets take fill `out` unbuffered)
+        wires = np.take(wires, order, axis=0, mode="clip",
+                        out=np.empty(wires.shape, wires.dtype, order="F"))
         layer_starts = np.cumsum([0, *np.bincount(layer)])
         for arr in (kinds, wires, layer_starts):
             arr.flags.writeable = False   # so the cached `_schedule` holds

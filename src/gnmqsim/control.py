@@ -13,13 +13,15 @@ so the optimal cost equals 1/2 z0^T P z0 where P solves the Riccati
 equation (the 1/2 factors cancel inside the equation itself).
 
 The infinite-horizon gain comes from the continuous algebraic Riccati
-equation, solved by the Hamiltonian-matrix invariant-subspace (Schur)
-method.  Free networks have rigid zero modes that carry no cost under the
-default displacement weight, so the Hamiltonian has eigenvalues on the
-imaginary axis and no full-dimension stable subspace exists; in that case
-the solve is deflated onto the non-rigid subspace (exact when the mass
-and damping operators preserve it) and the resulting P is zero on the
-rigid modes.  The computed residual is always the final arbiter.
+equation, solved by the Hamiltonian Schur method (Laub, IEEE TAC 24(6),
+1979) on one route per problem.  Rigid zero modes that carry no cost (the
+default displacement weight on a free network) put zero eigenvalues into
+the Hamiltonian, so no stable subspace of the state dimension exists.  The
+model's `zero_count` names them; when the mass and damping operators keep
+them separate, the solve is deflated onto the non-rigid subspace and P is
+zero on the rigid modes (P = 0 when every mode is rigid).  Every other
+problem is solved in the full space.  Nothing is retried: a failed step or
+certificate raises NumericalError naming the quantity and its value.
 
 Finite horizons step the Riccati differential equation back from the
 terminal weight with one exponential of the Hamiltonian matrix and keep
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .network import NetworkModel, ZERO_MODE_RTOL
+from .network import NetworkModel
 from .stateprep import _integer
 
 # CARE residual acceptance, relative to ||Q|| in the first-order form.
@@ -184,93 +186,90 @@ def _care_residual(P, A, BRB, Qz) -> float:
     return float(np.linalg.norm(defect, "fro"))
 
 
-def _acceptable(P, A, BRB, Qz, tol: float) -> bool:
-    """True when P certifies as the (almost-)stabilizing solution.
+def _certify(P, A, BRB, Qz, tol: float) -> float:
+    """P's CARE residual, once P certifies as the (almost-)stabilizing solution.
 
     A small residual alone is not enough: on problems with cost-free
     marginal modes the Hamiltonian subspace can yield an exact but
-    indefinite CARE solution whose closed loop is unstable.  Require the
-    value function to be PSD and the closed loop to have no eigenvalue
-    with meaningfully positive real part (rigid zeros are allowed)."""
-    if _care_residual(P, A, BRB, Qz) > tol:
-        return False
-    dust = 1e3 * np.finfo(float).eps * (
-        np.linalg.norm(A, "fro") + np.linalg.norm(BRB, "fro")
-        + np.linalg.norm(Qz, "fro"))
+    indefinite CARE solution whose closed loop is unstable.  So P must be
+    PSD and the closed loop have no eigenvalue with meaningfully positive
+    real part (rigid zeros are allowed); a failed check is a NumericalError."""
+    residual = _care_residual(P, A, BRB, Qz)
+    if not residual <= tol:
+        raise NumericalError(f"CARE residual {residual:.3g} exceeds {tol:.3g}")
+    dust = 1e3 * np.finfo(float).eps * sum(np.linalg.norm(X, "fro") for X in (A, BRB, Qz))
+    floor = RESIDUAL_RTOL * np.linalg.norm(P, "fro") + dust
     min_eig = float(np.linalg.eigvalsh(P)[0])
-    if min_eig < -(RESIDUAL_RTOL * np.linalg.norm(P, "fro") + dust):
-        return False
+    if min_eig < -floor:
+        raise NumericalError(f"P's least eigenvalue {min_eig:.3g} is below {-floor:.3g}")
     closed = A - BRB @ P
     abscissa = float(np.linalg.eigvals(closed).real.max())
-    return abscissa <= RESIDUAL_RTOL * max(1.0, np.linalg.norm(closed, "fro"))
+    bound = RESIDUAL_RTOL * max(1.0, np.linalg.norm(closed, "fro"))
+    if abscissa > bound:
+        raise NumericalError(f"closed-loop spectral abscissa {abscissa:.3g} "
+                             f"exceeds {bound:.3g}")
+    return residual
 
 
-def _schur_care(A: np.ndarray, BRB: np.ndarray, Qz: np.ndarray):
-    """Stabilizing CARE solution via the Hamiltonian Schur form.
-
-    Returns None when the strictly-stable invariant subspace does not
-    have the state dimension or the recovered P is unusable; the caller
-    decides whether that means deflation or an error.
-    """
+def _schur_care(A: np.ndarray, BRB: np.ndarray, Qz: np.ndarray) -> np.ndarray:
+    """Stabilizing CARE solution via the Hamiltonian Schur form; a failed
+    step (the Schur form, a stable subspace short of the state dimension,
+    a singular basis block, a non-finite or asymmetric P) is named in a
+    NumericalError."""
     import scipy.linalg
     n = A.shape[0]
     ham = np.block([[A, -BRB], [-Qz, -A.T]])
     try:
         T, Z, sdim = scipy.linalg.schur(ham, output="real", sort="lhp")
-    except scipy.linalg.LinAlgError:
-        return None
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"Schur form of the Hamiltonian failed: {exc}") from None
     if sdim != n:
-        return None
-    U1 = Z[:n, :n]
-    U2 = Z[n:, :n]
+        raise NumericalError(f"the Hamiltonian has {sdim} strictly stable eigenvalues, "
+                             f"not the state dimension {n}: the problem is "
+                             "unstabilizable under the given weights")
     try:
-        P = scipy.linalg.solve(U1.T, U2.T).T
+        P = scipy.linalg.solve(Z[:n, :n].T, Z[n:, :n].T).T
     except scipy.linalg.LinAlgError:
-        return None
+        raise NumericalError("the stable subspace's first block is singular") from None
     if not np.all(np.isfinite(P)):
-        return None
-    scale = np.linalg.norm(P, "fro")
-    if scale > 0 and np.linalg.norm(P - P.T, "fro") > _SYM_RTOL * scale:
-        return None
+        raise NumericalError("the Riccati solution P is not finite")
+    scale, asym = np.linalg.norm(P, "fro"), np.linalg.norm(P - P.T, "fro")
+    if scale > 0 and asym > _SYM_RTOL * scale:
+        raise NumericalError(f"P's asymmetry {asym / scale:.3g} exceeds {_SYM_RTOL:g}")
     return 0.5 * (P + P.T)
 
 
 def _rigid_lift(problem: ControlProblem):
     """Orthonormal basis of the non-rigid state subspace, or None.
 
-    Rigid displacement directions are the zero modes of K.  Deflating on
-    them is exact only when they carry no cost and the mass/damping maps
-    preserve the split; each condition is checked, and None means the
-    deflation is not available (the caller then reports failure).
+    The rigid displacement directions are the first `model.zero_count`
+    eigenvectors of K (the model's one zero rule, an inertia count of A;
+    K = M^{1/2} A M^{1/2} is congruent to A, so both have as many zeros).
+    Deflating them is exact only when they carry no cost and the
+    mass/damping maps preserve the split; None means no rigid mode or a
+    failed condition, and the caller solves in the full space.  With every
+    mode rigid the basis has no columns, and the law is P = 0.
     """
-    K = problem.model.K
-    evals, vecs = np.linalg.eigh(K)
-    top = max(evals[-1], 0.0) if evals.size else 0.0
-    zero = evals <= ZERO_MODE_RTOL * max(top, 1.0)
-    if not zero.any() or zero.all():
+    n_zero = problem.model.zero_count
+    if n_zero == 0:
         return None
-    V0 = vecs[:, zero]
-    Vc = vecs[:, ~zero]
-    qnorm = np.linalg.norm(problem.Q, "fro")
-    if np.linalg.norm(problem.Q @ V0) > 1e-10 * max(qnorm, 1.0):
+    V0, Vc = np.split(np.linalg.eigh(problem.model.K)[1], [n_zero], axis=1)
+    if np.linalg.norm(problem.Q @ V0) > 1e-10 * max(np.linalg.norm(problem.Q, "fro"), 1.0):
         return None  # rigid modes are penalized: no cost-free deflation
     inv_m = 1.0 / problem.model.masses
 
     def preserves_split(op_v0, op_vc):
         # op must map span(V0) into itself and span(Vc) into itself
-        leak0 = np.linalg.norm(Vc.T @ op_v0)
-        leakc = np.linalg.norm(V0.T @ op_vc)
-        scale = max(np.linalg.norm(op_v0), np.linalg.norm(op_vc), 1.0)
-        return max(leak0, leakc) <= 1e-10 * scale
+        leak = max(np.linalg.norm(Vc.T @ op_v0), np.linalg.norm(V0.T @ op_vc))
+        return leak <= 1e-10 * max(np.linalg.norm(op_v0), np.linalg.norm(op_vc), 1.0)
 
     if not preserves_split(inv_m[:, None] * V0, inv_m[:, None] * Vc):
         return None
     if not np.isscalar(problem.gamma):
-        gam = problem.damping_matrix()
-        op = inv_m[:, None] * gam
+        op = inv_m[:, None] * problem.damping_matrix()
         if not preserves_split(op @ V0, op @ Vc):
             return None
-    n, c = K.shape[0], Vc.shape[1]
+    n, c = Vc.shape
     lift = np.zeros((2 * n, 2 * c))
     lift[:n, :c] = Vc
     lift[n:, c:] = Vc
@@ -281,16 +280,18 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     """Solve the Riccati problem and return the feedback law.
 
     Infinite horizon: algebraic equation by the Hamiltonian-Schur method,
-    with rigid-mode deflation for free networks (see module docstring).
+    deflated onto the non-rigid modes when that is exact (see the module
+    docstring), else in the full space, with no retry.
     Finite horizon: the Hamiltonian step map (Kenney & Leipnik, IEEE TAC
     30(10), 1985) back from the terminal weight over `n_steps` intervals h:
     with E = expm(-Ham h), Ham = [[A, -BRB], [-Qz, -A^T]], [X; Y] =
     E [I; P(t)] gives P(t - h) = Y X^-1 exactly, up to rounding.  The law
     keeps the gain at each grid time; gain/riccati are the t = 0 values.
 
-    Raises NumericalError when no stable invariant subspace of the state
-    dimension exists (an unstabilizable or undetectable-beyond-rigid
-    problem) or the residual check fails.
+    Raises NumericalError naming what failed: the count of stable
+    Hamiltonian eigenvalues against the state dimension (an unstabilizable
+    problem), or a certificate (CARE residual, P's least eigenvalue, or the
+    closed loop's spectral abscissa) and its value.
     """
     A, B = problem.state_matrices()
     Qz = problem.state_cost()
@@ -323,29 +324,16 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     tol = RESIDUAL_RTOL * qscale + 1e-12 * (
         np.linalg.norm(A, "fro") ** 2 + np.linalg.norm(BRB, "fro"))
 
-    # Cost-free rigid modes (when present and exactly separable) are
-    # deflated first: the reduced CARE is the well-posed problem and the
-    # embedded solution is exact, with P and G vanishing on rigid modes.
-    # The full-space Schur solve is the general path and the fallback.
-    P = None
+    # Cost-free rigid modes that the masses and damping keep separate are
+    # deflated (see the module docstring); any other problem is solved in
+    # the full space.  Either way the solve is certified once.
     lift = _rigid_lift(problem)
-    if lift is not None:
-        Pr = _schur_care(lift.T @ A @ lift, lift.T @ BRB @ lift,
-                         lift.T @ Qz @ lift)
-        if Pr is not None:
-            cand = lift @ Pr @ lift.T
-            if _acceptable(cand, A, BRB, Qz, tol):
-                P = cand
-    if P is None:
-        cand = _schur_care(A, BRB, Qz)
-        if cand is not None and _acceptable(cand, A, BRB, Qz, tol):
-            P = cand
-    if P is None:
-        raise NumericalError(
-            "no stable invariant subspace of the state dimension: "
-            "the problem is unstabilizable under the given weights")
-
-    residual = _care_residual(P, A, BRB, Qz)
+    if lift is None:
+        P = _schur_care(A, BRB, Qz)
+    else:
+        P = lift @ _schur_care(lift.T @ A @ lift, lift.T @ BRB @ lift,
+                               lift.T @ Qz @ lift) @ lift.T
+    residual = _certify(P, A, BRB, Qz, tol)
     G = RB @ P
     return FeedbackLaw(gain=G, riccati=P, residual=residual,
                        closed_loop=A - B @ G)

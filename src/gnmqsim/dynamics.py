@@ -99,6 +99,8 @@ def _vector(value, name: str, size: int, dtype=float) -> np.ndarray:
     arr = np.asarray(value, dtype=dtype)
     if arr.shape != (size,):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({size},)")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has a non-finite entry")
     return arr
 
 
@@ -144,12 +146,15 @@ def decode_state(model: NetworkModel, psi: np.ndarray,
     only, so the component of y along ker(B^T) (the rigid zero modes) is
     irrecoverable; the minimum-norm solution y = A^+ B (B^T y) is returned,
     i.e. decoded displacements are the zero-mode-free projection of the
-    originals. Velocities are stored in full and round-trip exactly.
+    originals. Velocities are stored in full and round-trip exactly. The
+    energy must be finite and >= 0; 0 decodes a rest snapshot to zeros.
     """
     psi = np.asarray(psi, dtype=complex)
     n = model.n_dof
     if psi.shape != (model.n_dof + model.n_edges,):
         raise EncodingError("state length does not match the model")
+    if not 0.0 <= energy < math.inf:
+        raise EncodingError(f"energy must be finite and >= 0, got {energy!r}")
     block1, block2 = psi[:n], psi[n:]
     scale = math.sqrt(2.0 * energy)
     # defects are measured against the whole state: either block may be
@@ -233,6 +238,9 @@ def evolve_inhomogeneous(model: NetworkModel, u0, v0, force, T: float,
         if table.shape != phis.shape:
             raise ValueError(f"force table has shape {table.shape}, "
                              f"expected {phis.shape}")
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            raise ValueError(f"force is not finite at step {bad[0]} (t = {times[bad[0]]:g})")
         phis = (table / sqrt_m) @ U
     coef = np.empty((2, n_steps + 1, n))
     coef[0, 0], coef[1, 0] = U.T @ (sqrt_m * u0), U.T @ (sqrt_m * v0)

@@ -326,8 +326,8 @@ def encode_initial_conditions(model: NetworkModel, u0: np.ndarray,
     """Encode displacements/velocities as a unit vector [ydot; i B^T y].
 
     y = sqrt(M) u are mass-weighted coordinates and E = (ydot.ydot +
-    y.A.y)/2 the conserved energy; zero energy cannot be normalized and
-    raises EncodingError.
+    y.A.y)/2 the conserved energy; a non-finite entry, or an energy that is
+    zero (no normalization) or not finite, raises EncodingError.
     """
     u0 = np.asarray(u0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -335,12 +335,14 @@ def encode_initial_conditions(model: NetworkModel, u0: np.ndarray,
         if arr.shape != (model.n_dof,):
             raise EncodingError(f"{name} has shape {arr.shape}, "
                                 f"expected ({model.n_dof},)")
+        if not np.isfinite(arr).all():
+            raise EncodingError(f"{name} has a non-finite entry")
     sqrt_m = np.sqrt(model.masses)
     y = sqrt_m * u0
     ydot = sqrt_m * v0
     energy = 0.5 * (ydot @ ydot + y @ (model.A @ y))
-    if energy <= 0.0:
-        raise EncodingError("zero-energy state cannot be encoded")
+    if not 0.0 < energy < math.inf:
+        raise EncodingError(f"a state of energy {energy:g} cannot be encoded")
     psi = np.concatenate([ydot.astype(complex), 1j * (model.B.T @ y)])
     psi /= np.sqrt(2.0 * energy)
     return EncodedState(psi=psi, energy=float(energy), n_dof=model.n_dof)

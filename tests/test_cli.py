@@ -215,6 +215,20 @@ def test_control_results_are_self_consistent(tmp_path):
     assert th == ["time"] + [f"u_{i}" for i in range(8)]
 
 
+@pytest.mark.parametrize("argv", [["--n", "10", "--spring", "1e-9"], ["--n", "1"]],
+                         ids=["soft-springs", "single-site"])
+def test_stationary_control_deflates_by_the_models_zero_count(tmp_path, argv):
+    # both exited 3: a zero floor of 1e-8 took all ten soft modes for rigid,
+    # and a lone site left nothing to deflate onto
+    code, out = run(tmp_path, "control", *argv)
+    assert code == 0
+    res = manifest_of(out)["results"]
+    assert res["riccati_residual"] <= 1e-12
+    if argv == ["--n", "1"]:
+        assert res == {"cost": 0.0, "energy_ratio": 0.0, "predicted_cost": 0.0,
+                       "riccati_residual": 0.0}
+
+
 def test_resources_fit_is_quadratic_in_address_bits(tmp_path):
     code, out = run(tmp_path, "resources")
     assert code == 0

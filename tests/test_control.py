@@ -7,13 +7,15 @@ import scipy
 import scipy.integrate
 import scipy.linalg
 
+from gnmqsim import control
 from gnmqsim.control import (RESIDUAL_RTOL, ControlProblem, _simpson,
                              simulate_controlled, solve_lqr)
 from gnmqsim.errors import NumericalError
-from gnmqsim.network import build_gnm, model_from_matrices
+from gnmqsim.network import build_anm, build_gnm, model_from_matrices
 from gnmqsim.structure import load_bundled_structure, synthetic_chain
 
 import riccati_oracle
+from inertia_oracle import dense_zero_count
 
 
 @pytest.fixture(scope="module")
@@ -397,3 +399,99 @@ def test_held_gain_steps_take_one_exponential_past_the_horizon(monkeypatch):
     # 100 steps before t = 2 interpolate the schedule, the other 300 hold
     # the terminal gain
     assert len(calls) == 101
+
+
+# -- the stationary route: rigid modes from the model's zero count, one solve --
+
+def test_soft_springs_deflate_only_the_models_rigid_mode():
+    # every eigenvalue of this K lies below 1e-8: an absolute zero floor
+    # takes all ten modes for rigid, the model's inertia count one
+    chain = build_gnm(synthetic_chain(10), cutoff=7.0, spring=1e-9)
+    assert chain.zero_count == 1 and np.linalg.eigvalsh(chain.K)[-1] < 1e-8
+    prob = ControlProblem(chain, gamma=1.0, R=1e-2)
+    law = solve_lqr(prob)
+    A, B = prob.state_matrices()
+    BRB = B @ np.linalg.inv(prob.R) @ B.T
+    # the acceptance bound: RESIDUAL_RTOL ||Qz|| and the absolute floor
+    # that lets a zero-cost problem keep its exact P = 0
+    tol = RESIDUAL_RTOL * np.linalg.norm(prob.state_cost()) + 1e-12 * (
+        np.linalg.norm(A) ** 2 + np.linalg.norm(BRB))
+    assert law.residual <= tol
+    P = law.riccati
+    assert np.linalg.eigvalsh(P)[0] >= -1e-12 * np.linalg.norm(P)
+    eigs = np.sort(np.linalg.eigvals(law.closed_loop).real)
+    assert eigs[-1] <= 1e-12
+    # the translation keeps one zero and one damped rate; every other mode decays
+    assert (np.abs(eigs) < 1e-12).sum() == 1 and eigs[-2] < 0
+    ones = np.ones(10) / math.sqrt(10)
+    for rigid in (np.concatenate([ones, np.zeros(10)]),
+                  np.concatenate([np.zeros(10), ones])):
+        assert np.linalg.norm(P @ rigid) <= 1e-12 * np.linalg.norm(P)
+
+
+def test_contact_free_model_has_the_zero_law():
+    model = model_from_matrices(np.zeros((3, 3)), np.ones(3))
+    law = solve_lqr(ControlProblem(model, gamma=1.0))
+    finite = solve_lqr(ControlProblem(model, gamma=1.0, horizon=10.0))
+    assert np.array_equal(law.riccati, np.zeros((6, 6)))
+    assert np.array_equal(law.gain, np.zeros((3, 6)))
+    assert np.array_equal(law.riccati, finite.riccati)
+    assert law.residual == 0.0
+
+
+@pytest.mark.parametrize("build", [lambda: build_gnm(synthetic_chain(10)),
+                                   lambda: build_anm(load_bundled_structure())],
+                         ids=["chain-10", "bundled-anm"])
+def test_stationary_solve_runs_one_schur_solve(monkeypatch, build):
+    calls = []
+    schur_care = control._schur_care
+    monkeypatch.setattr(control, "_schur_care",
+                        lambda *a: calls.append(a[0].shape) or schur_care(*a))
+    model = build()
+    solve_lqr(ControlProblem(model, gamma=1.0))
+    n = model.n_dof - model.zero_count
+    assert calls == [(2 * n, 2 * n)]
+
+
+def test_rigid_lift_splits_at_the_models_zero_count():
+    chain = build_gnm(synthetic_chain(3))
+    model = model_from_matrices(chain.K, np.array([1.0, 2.0, 3.0]))
+    assert "zero_count" not in vars(model)
+    # the masses mix the translation into the elastic modes: no deflation
+    assert control._rigid_lift(ControlProblem(model, gamma=1.0)) is None
+    # the count was read from the model (cached there), not taken by a rule of its own
+    assert vars(model)["zero_count"] == 1
+    assert dense_zero_count(model.A.toarray(), model.lambda_max) == 1
+    uniform = model_from_matrices(chain.K, np.full(3, 2.0))
+    lift = control._rigid_lift(ControlProblem(uniform, gamma=1.0))
+    assert vars(uniform)["zero_count"] == 1 and lift.shape == (6, 4)
+    assert np.allclose(lift.T @ lift, np.eye(4), atol=1e-14)
+    assert np.abs(lift[:3].sum(axis=0)).max() < 1e-14  # orthogonal to the translation
+
+
+def test_unstabilizable_problem_names_the_stable_count():
+    # no damping and no cost: the Hamiltonian's eigenvalues lie on the
+    # imaginary axis, so the strictly stable subspace is short of 4
+    model = model_from_matrices(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.ones(2))
+    with pytest.raises(NumericalError, match=r"\d+ strictly stable eigenvalues, "
+                       r"not the state dimension 4"):
+        solve_lqr(ControlProblem(model, gamma=0.0, Q=np.zeros((2, 2))))
+
+
+def test_certificate_names_the_failed_check_and_its_value(scalar_problem, scalar_law):
+    A, B = scalar_problem.state_matrices()
+    BRB, Qz = B @ B.T, scalar_problem.state_cost()
+    P = scalar_law.riccati
+    assert control._certify(P, A, BRB, Qz, 1e-8) == scalar_law.residual
+    with pytest.raises(NumericalError, match=r"CARE residual \S+ exceeds 1e-08"):
+        control._certify(1.01 * P, A, BRB, Qz, 1e-8)
+    # the anti-stabilizing solution, from the unstable invariant subspace
+    ham = np.block([[A, -BRB], [-Qz, -A.T]])
+    Z = scipy.linalg.schur(ham, output="real", sort="rhp")[1]
+    anti = np.linalg.solve(Z[:2, :2].T, Z[2:, :2].T).T
+    with pytest.raises(NumericalError, match=r"P's least eigenvalue -\S+ is below"):
+        control._certify(0.5 * (anti + anti.T), A, BRB, Qz, 1e-8)
+    # x' = x + f with no cost: P = 0 solves the CARE, but leaves x unstable
+    with pytest.raises(NumericalError, match=r"closed-loop spectral abscissa 1 exceeds"):
+        control._certify(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+                         np.zeros((1, 1)), 1e-8)

@@ -446,6 +446,49 @@ def test_wrong_length_inputs_are_named(chain5_gnm, name):
             dyn.evolve_inhomogeneous(chain5_gnm, u0, v0, None, T=1.0, n_steps=4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("route", ["inhomogeneous", "harmonic", "langevin", "encoded"])
+def test_non_finite_start_vectors_are_named(chain2, emb2, route, bad):
+    # each of these returned a NaN history or NaN moments
+    u0 = np.array([0.4, bad])
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    name = "psi0" if route == "harmonic" else "x0" if route == "encoded" else "u0"
+    with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry$"):
+        if route == "inhomogeneous":
+            dyn.evolve_inhomogeneous(chain2, u0, np.zeros(2), None, T=1.0, n_steps=4)
+        elif route == "harmonic":
+            dyn.evolve_harmonic(emb2, np.append(u0, 0.0), 1.0)
+        elif route == "langevin":
+            dyn.monte_carlo_langevin(chain2, p, u0, np.zeros(2), t=0.05, n_paths=4, seed=1)
+        else:
+            dyn.monte_carlo_encoded(emb2, p, np.append(u0, 0.0), t=0.05, n_paths=4,
+                                    seed=1)
+    with pytest.raises(ValueError, match=r"^v0 has a non-finite entry$"):
+        dyn.evolve_inhomogeneous(chain2, np.zeros(2), u0[::-1], None, T=1.0, n_steps=4)
+
+
+def test_non_finite_forces_are_named_with_their_step(chain5_gnm):
+    table = np.ones((4, 5))
+    table[2, 3] = np.inf
+    with pytest.raises(ValueError, match=r"^force is not finite at step 2 \(t = 0.5\)$"):
+        dyn.evolve_inhomogeneous(chain5_gnm, np.zeros(5), np.zeros(5), table,
+                                 T=1.0, n_steps=4)
+    force = lambda t: np.full(5, np.nan if t > 0.6 else 1.0)  # noqa: E731
+    with pytest.raises(ValueError, match=r"^force is not finite at step 3 \(t = 0.75\)$"):
+        dyn.evolve_inhomogeneous(chain5_gnm, np.zeros(5), np.zeros(5), force,
+                                 T=1.0, n_steps=4)
+
+
+@pytest.mark.parametrize("energy", [-1.0, np.nan, np.inf])
+def test_decode_names_an_energy_that_is_not_finite_and_nonnegative(chain2, energy):
+    # -1 died in "math domain error"; NaN decoded to NaN
+    st = encode_initial_conditions(chain2, [0.3, -0.3], [0.1, 0.0])
+    with pytest.raises(EncodingError, match=r"^energy must be finite and >= 0, got "):
+        dyn.decode_state(chain2, st.psi, energy)
+    u, v = dyn.decode_state(chain2, st.psi, 0.0)  # a rest snapshot
+    assert not u.any() and not v.any()
+
+
 @pytest.mark.parametrize("t", [np.ones((2, 3)), np.nan, [0.0, np.inf]],
                          ids=["2-D", "nan", "inf"])
 def test_times_must_be_finite_and_at_most_1d(chain5_gnm, t):

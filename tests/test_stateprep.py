@@ -378,6 +378,24 @@ def test_encode_initial_conditions(chain5_gnm):
         sp.encode_initial_conditions(chain5_gnm, np.zeros(5), np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["u0", "v0"])
+def test_encode_names_a_non_finite_argument(chain5_gnm, name, bad):
+    # these encoded to a NaN state with only a RuntimeWarning
+    from gnmqsim.errors import EncodingError
+    vec, fine = np.array([0.3, -0.1, bad, 0.2, -0.4]), np.ones(5)
+    u0, v0 = (vec, fine) if name == "u0" else (fine, vec)
+    with pytest.raises(EncodingError, match=rf"^{name} has a non-finite entry$"):
+        sp.encode_initial_conditions(chain5_gnm, u0, v0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_encode_names_an_energy_that_overflows(chain5_gnm):
+    from gnmqsim.errors import EncodingError
+    with pytest.raises(EncodingError, match=r"^a state of energy inf cannot be encoded$"):
+        sp.encode_initial_conditions(chain5_gnm, np.zeros(5), np.full(5, 1e200))
+
+
 @pytest.mark.parametrize("name", ["u0", "v0"])
 def test_encode_names_the_wrong_length_argument(chain5_gnm, name):
     from gnmqsim.errors import EncodingError
@@ -387,3 +405,20 @@ def test_encode_names_the_wrong_length_argument(chain5_gnm, name):
                        match=rf"^{name} has shape \(4,\), expected \(5,\)$"):
         sp.encode_initial_conditions(chain5_gnm, u0, v0)
     assert issubclass(EncodingError, ValueError)
+
+
+def test_gaussian_tree_build_peaks_below_one_extra_wire_table_copy():
+    # _from_columns frees its row-sorted wire copy after the duplicate check
+    # and gathers the layer-ordered rows straight into one Fortran table:
+    # 65 MiB traced at n = 16 (16 MiB a wire-table copy), where holding
+    # the sorted copy and taking a second regrouping copy peaked at 81 MiB
+    import tracemalloc
+    sp.prepare_gaussian_state(2, 7)  # lazy imports load before tracing
+    tracemalloc.start()
+    try:
+        circuit, _ = sp.prepare_gaussian_state(16, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert circuit.wires.flags.f_contiguous and circuit.wires.shape[1] == 16
+    assert peak < 73 * 2**20
