@@ -288,8 +288,7 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
     from . import observables as ob
     struct = _load_structure(cfg)
     model = _build_model(cfg, struct)
-    emb = dy.embed(model)
-    eigenvalues = emb.spectrum  # +/- symmetric: the last entry is the radius
+    eigenvalues = dy.embed(model).spectrum  # +/- symmetric: last entry is the radius
     alpha = cfg.alpha
     if alpha is None:
         _require_contacts(cfg, struct, model, "alpha = 0 and no Chebyshev "
@@ -298,8 +297,8 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
     exact = ob.MomentSet.from_spectrum(eigenvalues, alpha, cfg.moments)
     columns, curve_src = {"k": range(cfg.moments + 1), "exact": exact.moments}, exact
     if cfg.probes > 0:
-        curve_src = ob.chebyshev_moments_stochastic(emb.operator, alpha, cfg.moments,
-                                                    cfg.probes, cfg.seed)
+        curve_src, operator = ob.embedding_moments_stochastic(
+            model, alpha, cfg.moments, cfg.probes, cfg.seed)
         columns.update(stochastic=curve_src.moments, stderr=curve_src.stderr)
     _write_csv(out_dir / "moments.csv", list(columns), zip(*columns.values()))
     curve = ob.reconstruct_dos(curve_src)
@@ -311,9 +310,15 @@ def cmd_dos(cfg: RunConfig, out_dir: Path):
                ["left", "right", "histogram", "kpm"],
                zip(edges[:-1], edges[1:], cmp_res["hist_density"],
                    cmp_res["kpm_density"]))
-    return (["moments.csv", "dos.csv", "comparison.csv"],
-            {"alpha": alpha, "l1_distance": cmp_res["l1"],
-             "n_eigenvalues": int(eigenvalues.size)})
+    results = {"alpha": alpha, "l1_distance": cmp_res["l1"],
+               "n_eigenvalues": int(eigenvalues.size)}
+    if cfg.probes > 0:
+        gap = abs(curve.values - ob.reconstruct_dos(exact).values)
+        se = curve_src.stderr[2::2]  # mu_0 and the odd moments are exact
+        results.update(probe_operator=operator, stderr_max=max(se, default=0.0),
+                       stderr_mean=float(se.mean()) if se.size else 0.0,
+                       stochastic_exact_l1=dataclasses.replace(curve, values=gap).integral())
+    return ["moments.csv", "dos.csv", "comparison.csv"], results
 
 
 def cmd_control(cfg: RunConfig, out_dir: Path):

@@ -1,20 +1,18 @@
 """Read-out stage: energies, low modes, spectral density, displacement stats.
 
 The density of states is reconstructed with the kernel polynomial method:
-Chebyshev moments mu_k = Tr(T_k(X))/N of the rescaled matrix X = H/alpha,
-by one recurrence run either exactly on the eigenvalues of X (spectral
-sums) or stochastically on Rademacher probes (Hutchinson estimator), then
-resummed with Jackson damping. The recurrence builds T_k z only up to
-k = ceil(K/2) and takes the moments up to order K from the doubling
-identities T_{2k} = 2 T_k^2 - T_0 and T_{2k+1} = 2 T_{k+1} T_k - T_1, so
-order K costs ceil(K/2) products of the probe block. alpha, 1.01 times the
-spectral radius, keeps the rescaled spectrum and |mu_k| inside [-1, 1]; it
-comes from `spectral_bound`'s Lanczos solve, or in `gnmqsim dos` from the
-spectrum. The bound and the probe recurrence only multiply by the matrix,
-dense or scipy.sparse, at the cost of its nonzeros per matvec: a model's A
-is a CSR array with the contact graph's sparsity, and `gnmqsim dos` runs
-the probes on the embedding's sparse H (built from the model's sparse B)
-and takes the exact moments from its spectrum, read from A's eigenpairs.
+Chebyshev moments mu_k = Tr(T_k(X))/N of the rescaled matrix X = H/alpha, by
+one recurrence run either exactly on the eigenvalues of X (spectral sums) or
+stochastically on Rademacher probes (Hutchinson estimator), then resummed
+with Jackson damping; order K costs ceil(K/2) products of the probe block
+(`_moment_estimates`). alpha, 1.01 times the spectral radius, keeps the
+rescaled spectrum and |mu_k| inside [-1, 1]; it comes from `spectral_bound`'s
+Lanczos solve, or in `gnmqsim dos` from the spectrum. The bound and the probe
+recurrence only multiply by the matrix, dense or scipy.sparse, at the cost of
+its nonzeros per matvec: a model's A is a CSR array with the contact graph's
+sparsity. `gnmqsim dos` takes H's exact moments from its spectrum (A's
+eigenpairs) and its stochastic ones from `embedding_moments_stochastic`,
+which probes 2G/alpha^2 - I at half the order, G the smaller of A and B^T B.
 
 Low modes and displacement statistics read the model's cached `zero_space`
 (lambda_max, the zero-mode count z and basis Z), never eigh(A): `low_modes`
@@ -225,12 +223,10 @@ def chebyshev_moments_stochastic(matrix, alpha: float, order: int,
     """Hutchinson moment estimates over Rademacher probes, with stderr.
 
     Probe p draws its entries from the counter window [p*N, (p+1)*N), so
-    estimates are reproducible and independent of probe batching. matrix
-    is a dense array or a scipy.sparse matrix (the recurrence only
-    multiplies the probe block by matrix/alpha); a sparse H costs its
-    nonzeros per probe block product, a dense one N^2, and order K takes
-    ceil(K/2) such products. The mean and stderr are over per-probe
-    estimates.
+    estimates are reproducible and independent of probe batching. matrix is
+    dense or scipy.sparse and only multiplies the probe block: order K takes
+    ceil(K/2) products, each costing its nonzeros (N^2 if dense). The mean
+    and stderr are over per-probe estimates.
     """
     n = matrix.shape[0]
     _check_scale(alpha, order)
@@ -249,6 +245,25 @@ def chebyshev_moments_stochastic(matrix, alpha: float, order: int,
         stderr = np.zeros(order + 1)
     return MomentSet(alpha=float(alpha), moments=moments, method="stochastic",
                      stderr=stderr, probes=probes)
+
+
+def embedding_moments_stochastic(model: NetworkModel, alpha: float, order: int,
+                                 probes: int, seed: int) -> tuple[MomentSet, str]:
+    """Hutchinson moments of H/alpha (dim n + e) and the operator probed, X = 2G/alpha^2 - I
+    for G the smaller of A and B^T B (A if e = 0), at order floor(order/2) as (2G/alpha -
+    alpha I)/alpha: by T_2k(x) = T_k(2x^2 - 1) and H^2 = diag(A, B^T B), mu_2k = [2s mu_k(X)
+    + (dim - 2s)(-1)^k]/dim, per probe a mean of values in [-1, 1]; H's odd moments are 0."""
+    _check_scale(alpha, order)
+    n, dim, half_order = model.n_dof, model.n_dof + model.n_edges, order // 2
+    name, gram = ("B^T B", model.B.T @ model.B) if 0 < model.n_edges < n else ("A", model.A)
+    s, sign = gram.shape[0], (-1.0) ** np.arange(half_order + 1)
+    scaled = gram * (2.0 / alpha) - alpha * scipy.sparse.identity(s, format="csr")
+    half = chebyshev_moments_stochastic(scaled, alpha, half_order, probes, seed)
+    moments, stderr = np.zeros((2, order + 1))
+    moments[::2] = (2 * s * half.moments + (dim - 2 * s) * sign) / dim
+    stderr[::2] = half.stderr * (2 * s / dim)
+    return MomentSet(alpha=float(alpha), moments=moments, method="stochastic",
+                     stderr=stderr, probes=probes), f"2{name}/alpha^2 - I"
 
 
 def jackson_coefficients(order: int) -> np.ndarray:

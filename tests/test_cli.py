@@ -201,6 +201,41 @@ def test_dos_artifacts_and_probe_columns(tmp_path):
     assert len(r2) == 41
 
 
+@pytest.mark.parametrize("argv", [[], ["--model", "anm"], ["--n", "8", "--moments", "40"],
+                                  ["--moments", "41"]], ids=["gnm", "anm", "chain8", "odd-k"])
+def test_dos_probe_columns_are_exact_at_odd_k_and_at_k_0(tmp_path, argv):
+    code, out = run(tmp_path, "dos", *argv, "--probes", "16")
+    assert code == 0
+    _, rows = csv_rows(out / "moments.csv")
+    table = np.array(rows, dtype=float)
+    assert table[0, 2] == 1.0 and table[0, 3] == 0.0
+    assert np.all(table[1::2, 2:] == 0.0)
+    assert np.all(table[2::2, 3] > 0.0)
+    results = manifest_of(out)["results"]
+    # the chain of 8 has 7 contacts, so B^T B is the smaller Gram matrix
+    gram = "B^T B" if "--n" in argv else "A"
+    assert results["probe_operator"] == f"2{gram}/alpha^2 - I"
+    assert results["stderr_max"] == table[:, 3].max()
+    assert results["stderr_mean"] == pytest.approx(table[2::2, 3].mean(), rel=1e-12)
+    assert 0.0 < results["stochastic_exact_l1"] < 2.0
+
+
+def test_dos_probes_a_once_at_half_the_order(tmp_path, monkeypatch):
+    from gnmqsim import observables as obs
+    calls, probe = [], obs.chebyshev_moments_stochastic
+
+    def spy(matrix, alpha, order, probes, seed):
+        calls.append((matrix.shape, order, probes))
+        return probe(matrix, alpha, order, probes, seed)
+
+    monkeypatch.setattr(obs, "chebyshev_moments_stochastic", spy)
+    code, out = run(tmp_path, "dos", "--moments", "41", "--probes", "10")
+    assert code == 0
+    assert calls == [((46, 46), 20, 10)]
+    _, rows = csv_rows(out / "moments.csv")
+    assert [int(row[0]) for row in rows] == list(range(42))
+
+
 def test_control_results_are_self_consistent(tmp_path):
     code, out = run(tmp_path, "control", "--n", "8", "--tmax", "20")
     assert code == 0
@@ -321,6 +356,19 @@ def test_contact_free_dos_runs_with_an_explicit_alpha(tmp_path):
     assert manifest_of(out)["results"]["alpha"] == 1.0
 
 
+def test_contact_free_dos_probes_give_the_moments_of_a_zero_spectrum(tmp_path):
+    # H = 0 (1 x 1): mu_k = T_k(0), (-1)^(k/2) at even k and 0 at odd k;
+    # 2n - dim = 1 here, so the map from A's moments is no average
+    code, out = run(tmp_path, "dos", "--n", "1", "--alpha", "1", "--probes", "4")
+    assert code == 0
+    _, rows = csv_rows(out / "moments.csv")
+    table = np.array(rows, dtype=float)
+    k = np.arange(101)
+    want = np.where(k % 2 == 0, (-1.0) ** (k // 2), 0.0)
+    assert np.array_equal(table[:, 1], want) and np.array_equal(table[:, 2], want)
+    assert not table[:, 3].any()
+
+
 def test_energies_csv_total_is_kinetic_plus_potential_exactly(tmp_path):
     code, out = run(tmp_path, "evolve", "--n", "6", "--tmax", "5", "--steps", "50")
     assert code == 0
@@ -385,6 +433,46 @@ def oracle_write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def spectrum_dos_artifacts(model, alpha, order: int, out: Path) -> dict:
+    """`gnmqsim dos` without --probes written out step by step, as it ran while
+    the probes still multiplied by H: exact moments, KPM curve and histogram
+    of H's spectrum, through the per-value writer."""
+    from gnmqsim import dynamics, observables
+    spectrum = dynamics.embed(model).spectrum
+    alpha = 1.01 * float(spectrum[-1]) if alpha is None else alpha
+    exact = observables.MomentSet.from_spectrum(spectrum, alpha, order)
+    oracle_write_csv(out / "moments.csv", ["k", "exact"],
+                     zip(range(order + 1), exact.moments))
+    curve = observables.reconstruct_dos(exact)
+    oracle_write_csv(out / "dos.csv", ["x", "density"], zip(curve.grid, curve.values))
+    cmp_res = observables.dos_histogram_l1(spectrum, exact, bins=40)
+    edges = cmp_res["edges"]
+    oracle_write_csv(out / "comparison.csv", ["left", "right", "histogram", "kpm"],
+                     zip(edges[:-1], edges[1:], cmp_res["hist_density"],
+                         cmp_res["kpm_density"]))
+    return {"alpha": alpha, "l1_distance": cmp_res["l1"], "n_eigenvalues": spectrum.size}
+
+
+@pytest.mark.parametrize("argv", [[], ["--model", "anm"], ["--n", "8", "--moments", "40"],
+                                  ["--n", "1", "--alpha", "1"]],
+                         ids=["gnm", "anm", "chain8", "contact-free"])
+def test_dos_without_probes_writes_what_it_wrote_before_the_probes_moved(tmp_path, argv):
+    from gnmqsim import network, structure
+    assert main(["dos", *argv, "--out", str(tmp_path / "new")]) == 0
+    (tmp_path / "old").mkdir()
+    struct = (structure.synthetic_chain(int(argv[1])) if "--n" in argv
+              else structure.load_bundled_structure())
+    model = (network.build_anm(struct, cutoff=structure.DEFAULT_ANM_CUTOFF)
+             if "anm" in argv else network.build_gnm(struct, cutoff=structure.DEFAULT_GNM_CUTOFF))
+    order = int(argv[argv.index("--moments") + 1]) if "--moments" in argv else 100
+    alpha = float(argv[argv.index("--alpha") + 1]) if "--alpha" in argv else None
+    results = spectrum_dos_artifacts(model, alpha, order, tmp_path / "old")
+    assert manifest_of(tmp_path / "new")["results"] == results
+    for name in ("moments.csv", "dos.csv", "comparison.csv"):
+        assert ((tmp_path / "new" / name).read_bytes()
+                == (tmp_path / "old" / name).read_bytes()), name
 
 
 def test_row_template_writer_matches_per_value_format(tmp_path):

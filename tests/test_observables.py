@@ -900,13 +900,101 @@ def test_the_first_probe_block_product_takes_a_c_contiguous_block(monkeypatch):
     assert layouts == [True, True]
 
 
+# -- H's moments from A's: T_2k(x) = T_k(2x^2 - 1) and H^2 = diag(A, B^T B) ----
+
+
+def embedding_moments_from_gram(mu_g, stderr_g, s: int, dim: int, order: int):
+    """H's moments and stderr up to `order` from those of X = 2G/alpha^2 - I up
+    to order // 2, G (s x s) either of A and B^T B: the other one has G's
+    nonzero eigenvalues and dim - 2s more zeros, where T_k(X) = T_k(-1) =
+    (-1)^k, so mu_2k(H) = [2s mu_k(X) + (dim - 2s)(-1)^k]/dim and stderr_2k(H)
+    = stderr_k(X) 2s/dim; H's spectrum is +/- symmetric, so every odd moment
+    is 0 (Weisse et al., Rev. Mod. Phys. 78, 275, 2006, sec. II)."""
+    moments, stderr = np.zeros(order + 1), np.zeros(order + 1)
+    for k in range(order // 2 + 1):
+        moments[2 * k] = (2 * s * mu_g[k] + (dim - 2 * s) * (-1) ** k) / dim
+        stderr[2 * k] = stderr_g[k] * (2 * s / dim)
+    return moments, stderr
+
+
+def dense_gram_probe_oracle(gram: np.ndarray, dim: int, alpha: float, order: int,
+                            probes: int, seed: int):
+    """The probe estimator of `gnmqsim dos --probes` from a dense Gram matrix:
+    the plain probe recurrence on 2G/alpha^2 - I at order // 2, probe p
+    reading counters [p s, (p+1) s), mapped to H's moments by the identity."""
+    s = gram.shape[0]
+    mu, se = probe_recurrence_moments(2.0 * gram / alpha ** 2 - np.eye(s), 1.0,
+                                      order // 2, probes, seed)
+    return embedding_moments_from_gram(mu, se, s, dim, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 41, 100, 101])
+@pytest.mark.parametrize("key", DOS_MODELS)
+def test_h_moments_follow_from_a_moments_at_half_the_order(key, order):
+    model = DOS_MODELS[key]
+    H = dyn.embed(model).operator.toarray()
+    alpha, dim = obs.spectral_bound(H), H.shape[0]
+    oracle = obs.MomentSet.from_spectrum(np.linalg.eigvalsh(H), alpha, order)
+    B = model.B.toarray()
+    for gram in (model.A.toarray(), B.T @ B):
+        lam_x = 2.0 * np.linalg.eigvalsh(gram) / alpha ** 2 - 1.0
+        mu_g = obs.MomentSet.from_spectrum(lam_x, 1.0, order // 2).moments
+        got, _ = embedding_moments_from_gram(mu_g, mu_g, gram.shape[0], dim, order)
+        assert np.abs(got - oracle.moments).max() <= 1e-12
+    if key == "matrices-with-zero-mode":
+        assert dim - 2 * model.n_dof < 0
+
+
+@pytest.mark.parametrize("key", DOS_MODELS)
+def test_embedding_probe_moments_match_the_dense_gram_oracle(key):
+    model = DOS_MODELS[key]
+    n, e = model.n_dof, model.n_edges
+    alpha = 1.01 * dyn.embed(model).spectrum[-1]
+    B = model.B.toarray()
+    gram, name = (B.T @ B, "2B^T B/alpha^2 - I") if e < n else (model.A.toarray(),
+                                                               "2A/alpha^2 - I")
+    for order, probes in ((0, 3), (1, 1), (41, 50), (100, 50)):
+        moments, stderr = dense_gram_probe_oracle(gram, n + e, alpha, order, probes, 0x2A)
+        got, operator = obs.embedding_moments_stochastic(model, alpha, order, probes, 0x2A)
+        assert operator == name
+        assert got.alpha == alpha and got.order == order and got.probes == probes
+        assert np.abs(got.moments - moments).max() <= 1e-13
+        assert np.abs(got.stderr - stderr).max() <= 1e-13
+        assert got.moments[0] == 1.0 and got.stderr[0] == 0.0
+        assert not got.moments[1::2].any() and not got.stderr[1::2].any()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_probe_moments_of_a_model_with_fewer_contacts_than_sites_stay_in_range(n):
+    # probes of A at n = 2, 3, 5 (e = n - 1) put |mu_2k| up to 5/3 for some
+    # seeds, which MomentSet rejected as an alpha too small; B^T B's map is an
+    # average of per-probe values in [-1, 1]
+    model = build_gnm(synthetic_chain(n))
+    alpha = 1.01 * dyn.embed(model).spectrum[-1]
+    for seed in range(40):
+        got, operator = obs.embedding_moments_stochastic(model, alpha, 100, 1, seed)
+        assert operator == "2B^T B/alpha^2 - I"
+        assert np.abs(got.moments).max() <= 1.0
+
+
+def test_embedding_probe_moments_name_the_callers_alpha_when_it_is_too_small():
+    model = DOS_MODELS["bundled-gnm"]
+    alpha = 0.5 * float(dyn.embed(model).spectrum[-1])
+    with pytest.raises(NumericalError, match=r"alpha too small.*\(alpha = "
+                       + re.escape(repr(alpha)) + r"\)$"):
+        obs.embedding_moments_stochastic(model, alpha, 100, 4, 1)
+
+
 @pytest.mark.parametrize("model_flag", ["gnm", "anm"])
 def test_dos_cli_never_builds_dense_h_and_matches_the_dense_oracle(
         tmp_path, monkeypatch, model_flag):
+    # the probes run on A: the oracle is the dense A-probe estimator, not
+    # `dense_dos_oracle`'s probes of the dense H
     model = DOS_MODELS[f"bundled-{model_flag}"]
-    alpha, eigenvalues, exact, stoch = dense_dos_oracle(model, 100, 50, 0x2A)
-
     dim = model.n_dof + model.n_edges
+    alpha, eigenvalues, exact, _ = dense_dos_oracle(model, 100, 50, 0x2A)
+    moments, stderr = dense_gram_probe_oracle(model.A.toarray(), dim, alpha, 100, 50, 0x2A)
+
     toarray = scipy.sparse.csr_array.toarray
 
     def refuse(self, *args, **kwargs):
@@ -915,7 +1003,11 @@ def test_dos_cli_never_builds_dense_h_and_matches_the_dense_oracle(
             raise AssertionError("gnmqsim dos built the dense H")
         return toarray(self, *args, **kwargs)
 
+    def refuse_operator(self):
+        raise AssertionError("gnmqsim dos built the sparse H")
+
     monkeypatch.setattr(scipy.sparse.csr_array, "toarray", refuse)
+    monkeypatch.setattr(dyn.EmbeddedHamiltonian, "operator", property(refuse_operator))
     out = tmp_path / "out"
     assert cli.main(["dos", "--model", model_flag, "--probes", "50",
                      "--out", str(out)]) == 0
@@ -924,8 +1016,8 @@ def test_dos_cli_never_builds_dense_h_and_matches_the_dense_oracle(
     assert abs(results["alpha"] - alpha) <= 1e-14 * alpha
     assert results["n_eigenvalues"] == eigenvalues.size
     assert np.abs(table[:, 1] - exact.moments).max() <= 1e-12
-    assert np.abs(table[:, 2] - stoch.moments).max() <= 1e-13
-    assert np.abs(table[:, 3] - stoch.stderr).max() <= 1e-13
+    assert np.abs(table[:, 2] - moments).max() <= 1e-13
+    assert np.abs(table[:, 3] - stderr).max() <= 1e-13
 
 
 def test_dos_puts_every_null_eigenvalue_in_one_middle_bin(tmp_path):
