@@ -25,19 +25,26 @@ certificate raises NumericalError naming the quantity and its value.
 
 Finite horizons step the Riccati differential equation back from the
 terminal weight with one exponential of the Hamiltonian matrix and keep
-only the gain at each grid time.  scipy.linalg is imported in the routines
-that use it (the Schur solve, the step map and `simulate_controlled`).
+only the gain at each grid time.  When the mass-weighted weights are
+diagonal in A's eigenbasis (unit masses, scalar damping, Q = K, R = r I and
+S = 0 are), the 2n-state problem splits into n 2-state problems, one per
+mode (independent modal-space control, Meirovitch & Baruh, J. Guid. Control
+5(1), 1982): the law is solved, stored and simulated per mode as a
+`ModeLaw`, with no 2n x 2n array.  Any other finite problem is solved in the
+2n-state form.  scipy.linalg is imported in the routines that use it (the
+Schur solve, the step maps and the held-gain exponentials).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalError
-from .network import NetworkModel
+from .network import NetworkModel, mass_weight
 from .stateprep import _integer
 
 # CARE residual acceptance, relative to ||Q|| in the first-order form.
@@ -47,7 +54,8 @@ _SYM_RTOL = 1e-6
 
 
 def _as_weight(value, n: int, name: str, positive: bool) -> np.ndarray:
-    """Normalize a scalar or matrix weight to a symmetric (n, n) array."""
+    """Normalize a scalar or matrix weight to a symmetric (n, n) array; a
+    scalar c is checked as c itself, the one eigenvalue of c I."""
     if value is None:
         return np.zeros((n, n))
     if np.isscalar(value):
@@ -61,12 +69,12 @@ def _as_weight(value, n: int, name: str, positive: bool) -> np.ndarray:
     if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, abs(mat).max())):
         raise ValueError(f"{name} must be symmetric")
     mat = 0.5 * (mat + mat.T)
-    evals = np.linalg.eigvalsh(mat)
-    scale = max(abs(evals[0]), abs(evals[-1]), 1.0)
-    if positive and evals[0] <= 1e-12 * scale:
-        raise ValueError(f"{name} must be positive definite (min eig {evals[0]:g})")
-    if not positive and evals[0] < -1e-10 * scale:
-        raise ValueError(f"{name} must be positive semidefinite (min eig {evals[0]:g})")
+    lo, hi = (float(value),) * 2 if np.isscalar(value) else np.linalg.eigvalsh(mat)[[0, -1]]
+    scale = max(abs(lo), abs(hi), 1.0)
+    if positive and lo <= 1e-12 * scale:
+        raise ValueError(f"{name} must be positive definite (min eig {lo:g})")
+    if not positive and lo < -1e-10 * scale:
+        raise ValueError(f"{name} must be positive semidefinite (min eig {lo:g})")
     return mat
 
 
@@ -151,6 +159,7 @@ class FeedbackLaw:
     closed_loop : A - B G
     times, gains : present for finite-horizon laws, the grid of the
         backward integration and the gain at each grid time
+    A `ModeLaw` holds a finite law per mode of A and builds these on read.
     """
 
     gain: np.ndarray = field(repr=False)
@@ -160,25 +169,120 @@ class FeedbackLaw:
     times: np.ndarray | None = field(default=None, repr=False)
     gains: np.ndarray | None = field(default=None, repr=False)
 
-    def grid_position(self, t: float):
-        """Where `gain_at(t)` reads the schedule (equal positions give equal
-        gains): None for a stationary law, 0 or -1 where t is clamped to an
-        end, else (idx, frac) between grid points idx and idx + 1."""
-        ts = self.times
-        if ts is None:
-            return None
-        if t <= ts[0] or t >= ts[-1]:
-            return 0 if t <= ts[0] else -1
-        idx = int(np.searchsorted(ts, t)) - 1
-        return idx, (t - ts[idx]) / (ts[idx + 1] - ts[idx])
-
     def gain_at(self, t: float) -> np.ndarray:
         """Gain at time t (linear interpolation on the stored grid)."""
-        pos = self.grid_position(t)
-        if pos is None or isinstance(pos, int):
-            return self.gain if pos is None else self.gains[pos]
-        idx, frac = pos
-        return (1.0 - frac) * self.gains[idx] + frac * self.gains[idx + 1]
+        return self.gain if self.times is None else _interpolate(self.times, self.gains, t)
+
+
+def _interpolate(ts: np.ndarray, schedule: np.ndarray, t):
+    """schedule's linear interpolant on the grid ts at time(s) t, held at
+    the grid's ends; exact at grid points and past the ends."""
+    idx = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+    frac = np.clip((t - ts[idx]) / (ts[idx + 1] - ts[idx]), 0.0, 1.0)[..., None, None]
+    return (1.0 - frac) * schedule[idx] + frac * schedule[idx + 1]
+
+
+class ModeLaw(FeedbackLaw):
+    """A finite law held in A's modes, A = V diag(lam) V^T: mode k has
+    coordinate eta_k = (cobasis^T u)_k, cobasis = M^1/2 V (u = basis eta,
+    basis = M^-1/2 V), `weights` (gamma_k, q_k, r_k, s_k), Riccati block
+    P0[k] on (eta_k, eta_k') at t = 0, and force g_k = -(c_k1 eta_k +
+    c_k2 eta_k') with c = `coeffs` (steps + 1, n, 2) on the grid, f =
+    cobasis g.  The dense attributes are built when read."""
+
+    def __init__(self, **parts):
+        vars(self).update(parts)
+
+    def _dense(self, diag, left=None) -> np.ndarray:
+        """left diag(d) cobasis^T stacked over diag's leading axes."""
+        return ((self.cobasis if left is None else left) * diag[..., None, :]) @ self.cobasis.T
+
+    def gain_at(self, t) -> np.ndarray:
+        c = _interpolate(self.times, self.coeffs, t)
+        return np.concatenate([self._dense(c[..., 0]), self._dense(c[..., 1])], axis=-1)
+
+    gain = cached_property(lambda self: self.gain_at(self.times[0]))
+    gains = cached_property(lambda self: self.gain_at(self.times))
+    riccati = cached_property(lambda self: np.block(
+        [[self._dense(self.P0[:, i, j]) for j in (0, 1)] for i in (0, 1)]))
+
+    @cached_property
+    def closed_loop(self) -> np.ndarray:
+        zero, c = np.zeros_like(self.lam), self.coeffs[0]
+        blocks = [[zero, zero + 1.0], [-self.lam - c[:, 0], -self.weights[0] - c[:, 1]]]
+        return np.block([[self._dense(d, self.basis) for d in row] for row in blocks])
+
+
+# Off-diagonal share of a transformed weight in A's eigenbasis that the mode
+# route drops: at most this fraction of the weight's Frobenius norm.
+MODE_COUPLING_RTOL = 1e-10
+
+
+def _mode_weights(problem: ControlProblem, lam: np.ndarray):
+    """(gamma_k, q_k, r_k, s_k) over A's modes when M^-1/2 Gamma M^-1/2,
+    M^-1/2 Q M^-1/2, M^1/2 R M^1/2 and M^-1/2 S M^-1/2 are diagonal in A's
+    eigenbasis V, else None.  A weight c I is c on every mode and a Gamma, Q
+    or S equal to A is `lam`; any other weight W counts as diagonal when
+    V^T W V's off-diagonal part is at most MODE_COUPLING_RTOL ||W||_F, and
+    that part is dropped."""
+    model, out = problem.model, []
+    for W, power in ((problem.damping_matrix(), 1), (problem.Q, 1),
+                     (problem.R, -1), (problem.S, 1)):
+        W = mass_weight(W, model.masses ** power)
+        d = W.diagonal()
+        if (d == d[0]).all() and np.count_nonzero(W) == np.count_nonzero(d):
+            out.append(np.full(len(d), d[0]))
+        elif power == 1 and np.array_equal(W, model.A.toarray()):
+            out.append(lam)
+        else:
+            W = model.eigenpairs[1].T @ W @ model.eigenpairs[1]
+            out.append(W.diagonal().copy())
+            if np.linalg.norm(W - np.diag(out[-1])) > MODE_COUPLING_RTOL * np.linalg.norm(W):
+                return None
+    return np.array(out)
+
+
+def _mode_law(problem: ControlProblem, n_steps: int) -> ModeLaw | None:
+    """The finite law per mode, or None when the weights couple modes: one
+    batched expm of the n 4x4 Hamiltonians, then P <- Y X^-1 on the stack of
+    2x2 blocks, component by component.  A's zero modes (`zero_modes`) take
+    lam = 0 exactly, so with no cost their P and gains are exactly 0."""
+    import scipy.linalg
+    model = problem.model
+    lam = np.where(model.zero_modes, 0.0, model.eigenpairs[0])
+    weights = _mode_weights(problem, lam)
+    if weights is None:
+        return None
+    gam, q, r, s = weights
+    ham = np.zeros((len(lam), 4, 4))     # [[a, -b b^T / r], [-diag(q, 0), -a^T]]
+    ham[:, 0, 1], ham[:, 1, 0], ham[:, 1, 1], ham[:, 1, 3] = 1.0, -lam, -gam, -1.0 / r
+    ham[:, 2, 0], ham[:, 2, 3], ham[:, 3, 2], ham[:, 3, 3] = -q, lam, -1.0, gam
+    back = scipy.linalg.expm(ham * (-problem.horizon / n_steps))
+    b = np.ascontiguousarray(back.transpose(1, 2, 0))   # entry (i, j) over the modes
+    P = np.zeros((2, 2, len(lam)))
+    P[0, 0] = s
+    coeffs = np.empty((n_steps + 1, len(lam), 2))
+    coeffs[n_steps] = P[1].T
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    for k in range(n_steps - 1, -1, -1):
+        XY = b[:, :2] + b[:, 2, None] * P[0] + b[:, 3, None] * P[1]
+        X, Y = XY[:2], XY[2:]
+        adj = X[::-1, ::-1].swapaxes(0, 1) * sign
+        P = (Y[:, 0, None] * adj[0] + Y[:, 1, None] * adj[1]) / (
+            X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+        P = 0.5 * (P + P.swapaxes(0, 1))
+        coeffs[k] = P[1].T
+    coeffs /= r[:, None]
+    P, a = P.transpose(2, 0, 1), ham[:, :2, :2]
+    # the algebraic Riccati defect per mode, its norm taken in (u, v)
+    defect = a.swapaxes(1, 2) @ P + P @ a + P @ ham[:, :2, 2:] @ P - ham[:, 2:, :2]
+    root = np.sqrt(model.masses)[:, None]
+    cobasis = model.eigenpairs[1] * root
+    gram = (cobasis.T @ cobasis) ** 2
+    return ModeLaw(basis=model.eigenpairs[1] / root, cobasis=cobasis, lam=lam,
+                   weights=weights, coeffs=coeffs, P0=P,
+                   residual=math.sqrt(max(np.einsum("kij,kl,lij->", defect, gram, defect), 0)),
+                   times=np.linspace(0.0, problem.horizon, n_steps + 1))
 
 
 def _care_residual(P, A, BRB, Qz) -> float:
@@ -287,12 +391,20 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     with E = expm(-Ham h), Ham = [[A, -BRB], [-Qz, -A^T]], [X; Y] =
     E [I; P(t)] gives P(t - h) = Y X^-1 exactly, up to rounding.  The law
     keeps the gain at each grid time; gain/riccati are the t = 0 values.
+    When the transformed weights are diagonal in A's eigenbasis, to
+    MODE_COUPLING_RTOL (see `_mode_weights`), the map runs per mode on 2x2
+    blocks and returns a `ModeLaw`; else it runs in the 2n-state form.
 
     Raises NumericalError naming what failed: the count of stable
     Hamiltonian eigenvalues against the state dimension (an unstabilizable
     problem), or a certificate (CARE residual, P's least eigenvalue, or the
     closed loop's spectral abscissa) and its value.
     """
+    if problem.is_finite_horizon:
+        n_steps = _integer("n_steps", n_steps, 1)
+        law = _mode_law(problem, n_steps)
+        if law is not None:
+            return law
     A, B = problem.state_matrices()
     Qz = problem.state_cost()
     Rinv = np.linalg.inv(problem.R)
@@ -300,7 +412,6 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     BRB = B @ Rinv @ B.T
 
     if problem.is_finite_horizon:
-        n_steps = _integer("n_steps", n_steps, 1)
         import scipy.linalg
         m = A.shape[0]
         P = scipy.linalg.block_diag(problem.S, np.zeros_like(problem.S))
@@ -366,14 +477,42 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return total
 
 
+def _mode_path(law: ModeLaw, u0, v0, times, h):
+    """Held-gain steps per mode: eta'' + d eta' + k eta = 0, k = lam + c_1
+    and d = gamma + c_2 at the step's midpoint, advances by its closed-form
+    2x2 exponential e^(-hd/2) [ch I + sh h [[d/2, 1], [-k, -d/2]]], ch, sh =
+    cosh s, sinh(s)/s of s = h sqrt(d^2/4 - k) (cos, sin(w)/w of w = h
+    sqrt(k - d^2/4)), built for every step at once.  Returns the series
+    `simulate_controlled` needs and the terminal cost term u^T S u."""
+    gam, q, r, s = law.weights
+    c = _interpolate(law.times, law.coeffs, times[:-1] + 0.5 * h)
+    k, d = law.lam + c[..., 0], gam + c[..., 1]
+    root = h * np.sqrt(0.25 * d * d - k + 0j)      # s, or i w
+    ch, sh = np.cosh(root).real, np.sinc(1j * root / np.pi).real
+    half = 0.5 * h * d * sh
+    step = np.exp(-0.5 * h * d) * np.array([[ch + half, h * sh], [-h * k * sh, ch - half]])
+    step = np.ascontiguousarray(step.transpose(2, 0, 1, 3))    # (steps, 2, 2, n)
+    z = np.empty((len(times), 2, len(law.lam)))
+    z[0] = u0 @ law.cobasis, v0 @ law.cobasis
+    for j in range(len(times) - 1):
+        z[j + 1] = step[j, :, 0] * z[j, 0] + step[j, :, 1] * z[j, 1]
+    (eta, rate), c, P = z.transpose(1, 0, 2), _interpolate(law.times, law.coeffs, times), law.P0
+    g = -(c[..., 0] * eta + c[..., 1] * rate)
+    value = (P[:, 0, 0] * eta ** 2 + 2 * P[:, 0, 1] * eta * rate + P[:, 1, 1] * rate ** 2).sum(1)
+    return (eta @ law.basis.T, rate @ law.basis.T, g @ law.cobasis.T, (q * eta ** 2).sum(1),
+            (r * g ** 2).sum(1), value, s @ eta[-1] ** 2)
+
+
 def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
                         u0: np.ndarray, v0: np.ndarray,
                         T: float, n_steps: int = 2000) -> dict:
     """Integrate the closed loop and report energy and accumulated cost.
 
     Each step is the exact expm((A - B G) h), G held at the step midpoint;
-    the exponential is reused while `law.grid_position` of the midpoint
-    stays put: once for a stationary law, once past a finite law's horizon.
+    the exponential is reused while G stays the same: once for a stationary
+    law, once past a finite law's horizon.
+    A `ModeLaw` steps each mode by its closed-form 2x2 exponential instead,
+    and forms every series in modes (`_mode_path`).
 
     Returns times, displacements, velocities, forces, the energy series
     u^T Q u, the value series z(t)^T P z(t) with P = law.riccati, and the
@@ -388,38 +527,36 @@ def simulate_controlled(problem: ControlProblem, law: FeedbackLaw,
     v0 = np.asarray(v0, dtype=float).reshape(n)
     if not (math.isfinite(T) and T > 0 and _integer("n_steps", n_steps, None) >= 2):
         raise ValueError(f"need a finite T > 0 and at least two steps, got T = {T!r}")
-    import scipy.linalg
-    A, B = problem.state_matrices()
     h = T / n_steps
     times = np.linspace(0.0, T, n_steps + 1)
-
-    states = np.empty((n_steps + 1, 2 * n))
-    states[0, :n] = u0
-    states[0, n:] = v0
-    held, step = object(), None
-    for k in range(n_steps):
-        t_mid = times[k] + 0.5 * h
-        pos = law.grid_position(t_mid)
-        if pos != held:
-            held = pos
-            step = scipy.linalg.expm((A - B @ law.gain_at(t_mid)) * h)
-        states[k + 1] = step @ states[k]
-    if law.times is None:
-        forces = -(states @ law.gain.T)
+    if isinstance(law, ModeLaw):
+        disp, vel, forces, energy, effort, value, terminal = _mode_path(law, u0, v0, times, h)
     else:
-        forces = np.empty((n_steps + 1, n))
-        for k in range(n_steps + 1):
-            forces[k] = -(law.gain_at(times[k]) @ states[k])
-
-    disp = states[:, :n]
-    vel = states[:, n:]
-    energy = np.einsum("ti,ij,tj->t", disp, problem.Q, disp)
-    effort = np.einsum("ti,ij,tj->t", forces, problem.R, forces)
+        import scipy.linalg
+        A, B = problem.state_matrices()
+        states = np.empty((n_steps + 1, 2 * n))
+        states[0, :n] = u0
+        states[0, n:] = v0
+        held = step = None
+        for k in range(n_steps):
+            G = law.gain_at(times[k] + 0.5 * h)
+            if G is not held and not np.array_equal(G, held):
+                held, step = G, scipy.linalg.expm((A - B @ G) * h)
+            states[k + 1] = step @ states[k]
+        if law.times is None:
+            forces = -(states @ law.gain.T)
+        else:
+            forces = np.empty((n_steps + 1, n))
+            for k in range(n_steps + 1):
+                forces[k] = -(law.gain_at(times[k]) @ states[k])
+        disp, vel = states[:, :n], states[:, n:]
+        energy = np.einsum("ti,ij,tj->t", disp, problem.Q, disp)
+        effort = np.einsum("ti,ij,tj->t", forces, problem.R, forces)
+        value = np.einsum("ti,ij,tj->t", states, law.riccati, states)
+        terminal = disp[-1] @ problem.S @ disp[-1]
     cost = 0.5 * float(_simpson(energy + effort, times))
     if problem.is_finite_horizon and T >= problem.horizon * (1 - 1e-12):
-        u_end = disp[-1]
-        cost += 0.5 * float(u_end @ problem.S @ u_end)
-    value = np.einsum("ti,ij,tj->t", states, law.riccati, states)
+        cost += 0.5 * float(terminal)
     return {"times": times, "displacements": disp, "velocities": vel,
             "forces": forces, "energy": energy, "value": value,
             "cost": cost}

@@ -5,7 +5,9 @@ in `control.solve_lqr`.
 by classical RK4 on the right-hand side, so its error is the method's
 O(h^4) truncation; `hamiltonian_sweep` is perfbench's `lqr_finite_value`
 sweep, the Hamiltonian flow in steps of at most a quarter time unit:
-exact up to rounding, on its own coarse grid.
+exact up to rounding, on its own coarse grid.  `dense_step_map` and
+`dense_simulation` are the dense finite-horizon law and simulation in
+the 2n-state form, the references for the route in A's modes.
 """
 from __future__ import annotations
 
@@ -63,3 +65,51 @@ def problem_terms(problem):
     Sz = np.zeros((2 * n, 2 * n))
     Sz[:n, :n] = problem.S
     return A, B @ Rinv @ B.T, problem.state_cost(), Sz, Rinv @ B.T
+
+
+def dense_step_map(problem, n_steps: int):
+    """(gains, P(0)) of the dense finite-horizon step map in the 2n-state
+    form, as `solve_lqr` ran it for every finite problem before the route in
+    A's modes: P(t - h) = Y X^-1 with [X; Y] = expm(-Ham h) [I; P(t)]."""
+    A, BRB, Qz, Sz, RB = problem_terms(problem)
+    m = A.shape[0]
+    P = Sz
+    gains = np.empty((n_steps + 1,) + RB.shape)
+    gains[n_steps] = RB @ P
+    ham = np.block([[A, -BRB], [-Qz, -A.T]])
+    back = scipy.linalg.expm(-ham * (problem.horizon / n_steps))
+    for k in range(n_steps - 1, -1, -1):
+        XY = back[:, :m] + back[:, m:] @ P
+        P = np.linalg.solve(XY[:m].T, XY[m:].T).T
+        P = 0.5 * (P + P.T)
+        gains[k] = RB @ P
+    return gains, P
+
+
+def dense_simulation(problem, law, u0, v0, T: float, n_steps: int) -> dict:
+    """`simulate_controlled` as it ran for every finite law before the route
+    in A's modes, in the 2n-state form, with one expm((A - B G) h) per step
+    (bit for bit the held-gain reuse) and the cost by `control._simpson`."""
+    from gnmqsim.control import _simpson
+    n = problem.n_dof
+    A, B = problem.state_matrices()
+    h = T / n_steps
+    times = np.linspace(0.0, T, n_steps + 1)
+    states = np.empty((n_steps + 1, 2 * n))
+    states[0, :n] = u0
+    states[0, n:] = v0
+    for k in range(n_steps):
+        step = scipy.linalg.expm((A - B @ law.gain_at(times[k] + 0.5 * h)) * h)
+        states[k + 1] = step @ states[k]
+    forces = np.empty((n_steps + 1, n))
+    for k in range(n_steps + 1):
+        forces[k] = -(law.gain_at(times[k]) @ states[k])
+    disp = states[:, :n]
+    energy = np.einsum("ti,ij,tj->t", disp, problem.Q, disp)
+    effort = np.einsum("ti,ij,tj->t", forces, problem.R, forces)
+    cost = 0.5 * float(_simpson(energy + effort, times))
+    if T >= problem.horizon * (1 - 1e-12):
+        cost += 0.5 * float(disp[-1] @ problem.S @ disp[-1])
+    return {"displacements": disp, "velocities": states[:, n:], "forces": forces,
+            "energy": energy, "value": np.einsum("ti,ij,tj->t", states, law.riccati, states),
+            "cost": cost}

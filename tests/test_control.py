@@ -11,7 +11,7 @@ from gnmqsim import control
 from gnmqsim.control import (RESIDUAL_RTOL, ControlProblem, _simpson,
                              simulate_controlled, solve_lqr)
 from gnmqsim.errors import NumericalError
-from gnmqsim.network import build_anm, build_gnm, model_from_matrices
+from gnmqsim.network import NetworkModel, build_anm, build_gnm, model_from_matrices
 from gnmqsim.structure import load_bundled_structure, synthetic_chain
 
 import riccati_oracle
@@ -373,8 +373,13 @@ def _per_step_states(problem, law, z0, T, n_steps):
 
 @pytest.mark.parametrize("horizon", [4.0, math.inf])
 def test_held_gain_reuse_is_bit_identical_to_a_per_step_exponential(horizon):
+    # non-uniform masses couple A's modes in the weights, so the finite law
+    # takes the dense step map and the dense held-gain loop this pins; Q = I
+    # penalizes the translation, which the stationary full-space solve needs
     chain = build_gnm(synthetic_chain(10))
-    prob = ControlProblem(chain, gamma=1.0, S=np.eye(10), horizon=horizon)
+    model = model_from_matrices(chain.K, np.linspace(1.0, 2.0, 10))
+    prob = ControlProblem(model, gamma=1.0, Q=np.eye(10), S=np.eye(10),
+                          horizon=horizon)
     law = solve_lqr(prob, n_steps=400)
     idx = np.arange(10, dtype=float)
     z0 = np.concatenate([0.5 * (idx - idx.mean()), 0.1 * np.cos(idx)])
@@ -387,8 +392,10 @@ def test_held_gain_reuse_is_bit_identical_to_a_per_step_exponential(horizon):
 
 
 def test_held_gain_steps_take_one_exponential_past_the_horizon(monkeypatch):
+    # non-uniform masses: the dense held-gain loop, as in the test above
     chain = build_gnm(synthetic_chain(6))
-    prob = ControlProblem(chain, gamma=1.0, horizon=2.0)
+    model = model_from_matrices(chain.K, np.linspace(1.0, 2.0, 6))
+    prob = ControlProblem(model, gamma=1.0, horizon=2.0)
     law = solve_lqr(prob, n_steps=100)
     calls = []
     exact = scipy.linalg.expm
@@ -495,3 +502,111 @@ def test_certificate_names_the_failed_check_and_its_value(scalar_problem, scalar
     with pytest.raises(NumericalError, match=r"closed-loop spectral abscissa 1 exceeds"):
         control._certify(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
                          np.zeros((1, 1)), 1e-8)
+
+
+# -- the finite horizon in A's modes: commuting weights, one 2x2 law per mode --
+
+def _cli_start(n):
+    idx = np.arange(n, dtype=float)
+    u0 = 0.5 * (idx - idx.mean())
+    return u0 / max(np.linalg.norm(u0), 1.0), np.zeros(n)
+
+
+@pytest.mark.parametrize("key", RICCATI_MODELS)
+def test_mode_law_matches_the_dense_step_map(key):
+    # `gnmqsim control --horizon 10`'s problem: unit masses, scalar gamma,
+    # Q = K, R = 1e-2 I, S = 0, so every weight is diagonal in A's modes
+    prob = ControlProblem(RICCATI_MODELS[key](), gamma=1.0, horizon=10.0)
+    law = solve_lqr(prob, n_steps=2000)
+    assert isinstance(law, control.ModeLaw)
+    gains, P0 = riccati_oracle.dense_step_map(prob, 2000)
+    assert _relative(law.riccati, P0) <= 1e-12
+    assert _relative(law.gains, gains) <= 1e-12
+    u0, v0 = _cli_start(prob.n_dof)
+    sim = simulate_controlled(prob, law, u0, v0, T=20.0, n_steps=2000)
+    states, forces = _per_step_states(prob, law, np.concatenate([u0, v0]), 20.0, 2000)
+    assert _relative(np.hstack([sim["displacements"], sim["velocities"]]), states) <= 1e-12
+    assert _relative(sim["forces"], forces) <= 1e-12
+    ref = riccati_oracle.dense_simulation(prob, law, u0, v0, 20.0, 2000)
+    for name in ("energy", "value"):
+        assert _relative(sim[name], ref[name]) <= 1e-12
+    assert abs(sim["cost"] - ref["cost"]) <= 1e-12 * ref["cost"]
+
+
+def test_mode_law_leaves_the_rigid_modes_exactly_alone():
+    model = build_anm(load_bundled_structure())
+    prob = ControlProblem(model, gamma=1.0, horizon=10.0)
+    law = solve_lqr(prob)
+    rigid = model.zero_modes
+    assert rigid.sum() == 6
+    assert np.all(law.lam[rigid] == 0.0)
+    assert np.all(law.coeffs[:, rigid] == 0.0)
+    assert np.all(law.P0[rigid] == 0.0)
+    sim = simulate_controlled(prob, law, *_cli_start(model.n_dof), T=20.0)
+    assert np.all(sim["energy"] >= 0.0)
+
+
+def test_commuting_problem_builds_no_dense_state_form(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    monkeypatch.setattr(ControlProblem, "state_matrices",
+                        spy("state_matrices", ControlProblem.state_matrices))
+    monkeypatch.setattr(control, "_care_residual", spy("_care_residual", control._care_residual))
+    monkeypatch.setattr(scipy.linalg, "expm", spy("expm", scipy.linalg.expm))
+    monkeypatch.setattr(NetworkModel, "zero_count", property(
+        spy("zero_count", vars(NetworkModel)["zero_count"].func)))
+    for model in (build_gnm(synthetic_chain(20)), build_anm(load_bundled_structure())):
+        prob = ControlProblem(model, gamma=1.0, horizon=10.0)
+        law = solve_lqr(prob)
+        simulate_controlled(prob, law, *_cli_start(model.n_dof), T=20.0)
+    # one batched exponential per solve, none per simulated step
+    assert calls == ["expm", "expm"]
+
+
+def test_non_commuting_problem_keeps_the_dense_loop_bit_for_bit():
+    chain = build_gnm(synthetic_chain(10))
+    model = model_from_matrices(chain.K, np.linspace(1.0, 2.0, 10))
+    prob = ControlProblem(model, gamma=1.0, S=np.eye(10), horizon=4.0)
+    law = solve_lqr(prob, n_steps=400)
+    assert not isinstance(law, control.ModeLaw)
+    gains, P0 = riccati_oracle.dense_step_map(prob, 400)
+    assert np.array_equal(law.gains, gains) and np.array_equal(law.riccati, P0)
+    u0, v0 = _cli_start(10)
+    sim = simulate_controlled(prob, law, u0, v0, T=10.0, n_steps=500)
+    ref = riccati_oracle.dense_simulation(prob, law, u0, v0, 10.0, 500)
+    for name, value in ref.items():
+        assert np.array_equal(sim[name], value), name
+
+
+@pytest.mark.parametrize("eps, modal", [(1e-13, True), (1e-6, False)])
+def test_mode_route_drops_only_couplings_below_the_stated_tolerance(eps, modal):
+    # a damping matrix gamma I + eps C, C coupling A's modes
+    chain = build_gnm(synthetic_chain(8))
+    couple = np.zeros((8, 8))
+    couple[0, 1] = couple[1, 0] = 1.0
+    prob = ControlProblem(chain, gamma=np.eye(8) + eps * couple, horizon=5.0)
+    law = solve_lqr(prob, n_steps=200)
+    assert isinstance(law, control.ModeLaw) is modal
+    gains, P0 = riccati_oracle.dense_step_map(prob, 200)
+    assert _relative(law.riccati, P0) <= 1e-12
+
+
+def test_scalar_weights_are_checked_without_an_eigensolve(monkeypatch):
+    model = build_gnm(synthetic_chain(4))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    prob = ControlProblem(model, R=1e-2, S=0.5)
+    assert calls == [(4, 4)]            # Q = K alone, a matrix
+    assert np.array_equal(prob.R, 1e-2 * np.eye(4))
+    assert np.array_equal(prob.S, 0.5 * np.eye(4))
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError) as scalar:
+            ControlProblem(model, R=value)
+        with pytest.raises(ValueError) as matrix:
+            ControlProblem(model, R=value * np.eye(4))
+        assert str(scalar.value) == str(matrix.value)
+        assert str(scalar.value) == f"R must be positive definite (min eig {value:g})"
