@@ -343,14 +343,12 @@ def cmd_control(cfg: RunConfig, out_dir: Path):
     _write_csv(out_dir / "trajectory.csv",
                ["time"] + [f"u_{i}" for i in range(n)],
                np.column_stack([sim["times"], sim["displacements"]]))
-    z0 = np.concatenate([u0, v0])
-    predicted = float(0.5 * z0 @ law.riccati @ z0)
     e0 = float(sim["energy"][0])
     # riccati_residual is the stationary (CARE) defect of the law's P; with
     # --horizon that is P(0)'s distance from the stationary solution, not a
     # check on the backward step map
     return (["energy.csv", "trajectory.csv"],
-            {"cost": float(sim["cost"]), "predicted_cost": predicted,
+            {"cost": float(sim["cost"]), "predicted_cost": float(0.5 * sim["value"][0]),
              "riccati_residual": float(law.residual),
              "energy_ratio": float(sim["energy"][-1] / e0) if e0 else 0.0})
 

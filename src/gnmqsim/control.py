@@ -12,27 +12,20 @@ Costs use the symmetric 1/2 convention throughout,
 so the optimal cost equals 1/2 z0^T P z0 where P solves the Riccati
 equation (the 1/2 factors cancel inside the equation itself).
 
-The infinite-horizon gain comes from the continuous algebraic Riccati
-equation, solved by the Hamiltonian Schur method (Laub, IEEE TAC 24(6),
-1979) on one route per problem.  Rigid zero modes that carry no cost (the
-default displacement weight on a free network) put zero eigenvalues into
-the Hamiltonian, so no stable subspace of the state dimension exists.  The
-model's `zero_count` names them; when the mass and damping operators keep
-them separate, the solve is deflated onto the non-rigid subspace and P is
-zero on the rigid modes (P = 0 when every mode is rigid).  Every other
-problem is solved in the full space.  Nothing is retried: a failed step or
-certificate raises NumericalError naming the quantity and its value.
-
-Finite horizons step the Riccati differential equation back from the
-terminal weight with one exponential of the Hamiltonian matrix and keep
-only the gain at each grid time.  When the mass-weighted weights are
-diagonal in A's eigenbasis (unit masses, scalar damping, Q = K, R = r I and
-S = 0 are), the 2n-state problem splits into n 2-state problems, one per
-mode (independent modal-space control, Meirovitch & Baruh, J. Guid. Control
-5(1), 1982): the law is solved, stored and simulated per mode as a
-`ModeLaw`, with no 2n x 2n array.  Any other finite problem is solved in the
-2n-state form.  scipy.linalg is imported in the routines that use it (the
-Schur solve, the step maps and the held-gain exponentials).
+When the mass-weighted weights are diagonal in A's eigenbasis (unit
+masses, scalar damping, Q = K, R = r I and S = 0 are), the 2n-state problem
+splits into n 2-state problems, one per mode (independent modal-space
+control, Meirovitch & Baruh, J. Guid. Control 5(1), 1982), solved, stored
+and simulated as a `ModeLaw` with no 2n x 2n array: a stationary mode's
+Riccati root in closed form, a finite horizon by one exponential of each
+mode's Hamiltonian, stepped back from the terminal weight.  A's zero modes
+are clamped to lam = 0, so a rigid mode without cost gets exactly P = 0.
+Any other problem is solved in the 2n-state form: the stationary law by
+the Hamiltonian Schur method (Laub, IEEE TAC 24(6), 1979) in the full
+space, the finite law by the same step map.  Nothing is retried: a failed
+step or certificate raises NumericalError naming the quantity and its
+value.  scipy.linalg is imported in the routines that use it (the Schur
+solve, the step maps and the held-gain exponentials).
 """
 
 from __future__ import annotations
@@ -159,7 +152,7 @@ class FeedbackLaw:
     closed_loop : A - B G
     times, gains : present for finite-horizon laws, the grid of the
         backward integration and the gain at each grid time
-    A `ModeLaw` holds a finite law per mode of A and builds these on read.
+    A `ModeLaw` holds a law per mode of A and builds these on read.
     """
 
     gain: np.ndarray = field(repr=False)
@@ -183,12 +176,13 @@ def _interpolate(ts: np.ndarray, schedule: np.ndarray, t):
 
 
 class ModeLaw(FeedbackLaw):
-    """A finite law held in A's modes, A = V diag(lam) V^T: mode k has
-    coordinate eta_k = (cobasis^T u)_k, cobasis = M^1/2 V (u = basis eta,
-    basis = M^-1/2 V), `weights` (gamma_k, q_k, r_k, s_k), Riccati block
-    P0[k] on (eta_k, eta_k') at t = 0, and force g_k = -(c_k1 eta_k +
-    c_k2 eta_k') with c = `coeffs` (steps + 1, n, 2) on the grid, f =
-    cobasis g.  The dense attributes are built when read."""
+    """A law held in A's modes, A = V diag(lam) V^T: mode k has coordinate
+    eta_k = (cobasis^T u)_k, cobasis = M^1/2 V (u = basis eta, basis =
+    M^-1/2 V), `weights` (gamma_k, q_k, r_k, s_k), Riccati block P0[k] on
+    (eta_k, eta_k') at t = 0, and force g_k = -(c_k1 eta_k + c_k2 eta_k')
+    with c = `coeffs`: (steps + 1, n, 2) on a finite law's grid `times`, one
+    held row (1, n, 2) for a stationary law (times None); f = cobasis g.
+    The dense attributes are built when read."""
 
     def __init__(self, **parts):
         vars(self).update(parts)
@@ -197,12 +191,18 @@ class ModeLaw(FeedbackLaw):
         """left diag(d) cobasis^T stacked over diag's leading axes."""
         return ((self.cobasis if left is None else left) * diag[..., None, :]) @ self.cobasis.T
 
-    def gain_at(self, t) -> np.ndarray:
-        c = _interpolate(self.times, self.coeffs, t)
+    def _gain(self, c) -> np.ndarray:
         return np.concatenate([self._dense(c[..., 0]), self._dense(c[..., 1])], axis=-1)
 
-    gain = cached_property(lambda self: self.gain_at(self.times[0]))
-    gains = cached_property(lambda self: self.gain_at(self.times))
+    def coeffs_at(self, t):     # a stationary law's held row broadcasts over t
+        return self.coeffs if self.times is None else _interpolate(self.times, self.coeffs, t)
+
+    def gain_at(self, t) -> np.ndarray:
+        return self.gain if self.times is None else self._gain(self.coeffs_at(t))
+
+    gain = cached_property(lambda self: self._gain(self.coeffs[0]))
+    gains = cached_property(lambda self: None if self.times is None else self._gain(
+        self.coeffs_at(self.times)))
     riccati = cached_property(lambda self: np.block(
         [[self._dense(self.P0[:, i, j]) for j in (0, 1)] for i in (0, 1)]))
 
@@ -242,12 +242,41 @@ def _mode_weights(problem: ControlProblem, lam: np.ndarray):
     return np.array(out)
 
 
+def _mode_care(lam, gam, q, r) -> np.ndarray:
+    """Each mode's stabilizing CARE root P = [[p1, p2], [p2, p3]] in closed
+    form, for q eta^2 + r g^2 on eta'' + gam eta' + lam eta = g:
+    p2 = q / (lam + sqrt(lam^2 + q/r)), p3 = 2 p2 / (gam + sqrt(gam^2 +
+    2 p2/r)) (r (sqrt(...) - gam) when gam <= 0), p1 = lam p3 + gam p2 +
+    p2 p3 / r; exactly P = 0 for a rigid mode without cost (lam = q = 0)."""
+    q = np.maximum(q, 0.0)      # a PSD weight's diagonal, below 0 by rounding only
+    if ((lam > 0) & (q == 0) & (gam == 0)).any():     # no stabilizing root
+        stable = np.where(q > 0, 2, (gam != 0) * (1 + (lam > 0))).sum()
+        raise NumericalError(f"the Hamiltonian has {stable} strictly stable eigenvalues, "
+                             f"not the state dimension {2 * len(lam)}: an undamped mode "
+                             "carries no cost, so the problem is unstabilizable")
+    p2 = np.divide(q, lam + np.sqrt(lam * lam + q / r), out=np.zeros_like(q), where=q > 0)
+    root = np.sqrt(gam * gam + 2.0 * p2 / r)
+    p3 = np.divide(2.0 * p2, gam + root, out=r * (root - gam), where=gam > 0)
+    return np.stack([lam * p3 + gam * p2 + p2 * p3 / r, p2, p2, p3], axis=-1).reshape(-1, 2, 2)
+
+
+def _mode_defect(ham: np.ndarray, P: np.ndarray):
+    """Each mode's CARE defect a^T P + P a - P b b^T P / r + diag(q, 0), the
+    terms read from the mode Hamiltonians, and its scale, the sum of the
+    four terms' Frobenius norms."""
+    a = ham[:, :2, :2]
+    terms = (a.swapaxes(1, 2) @ P, P @ a, P @ ham[:, :2, 2:] @ P, ham[:, 2:, :2])
+    return terms[0] + terms[1] + terms[2] - terms[3], sum(
+        np.linalg.norm(t, axis=(1, 2)) for t in terms)
+
+
 def _mode_law(problem: ControlProblem, n_steps: int) -> ModeLaw | None:
-    """The finite law per mode, or None when the weights couple modes: one
-    batched expm of the n 4x4 Hamiltonians, then P <- Y X^-1 on the stack of
-    2x2 blocks, component by component.  A's zero modes (`zero_modes`) take
-    lam = 0 exactly, so with no cost their P and gains are exactly 0."""
-    import scipy.linalg
+    """The law per mode, or None when the weights couple modes.  A's zero
+    modes (`zero_modes`) take lam = 0 exactly, so with no cost their P and
+    gains are exactly 0.  Stationary: the closed-form root (`_mode_care`),
+    certified once: each mode's defect within RESIDUAL_RTOL of its scale.
+    Finite: one batched expm of the n 4x4 Hamiltonians, then P <- Y X^-1 on
+    the stack of 2x2 blocks, component by component."""
     model = problem.model
     lam = np.where(model.zero_modes, 0.0, model.eigenpairs[0])
     weights = _mode_weights(problem, lam)
@@ -257,32 +286,40 @@ def _mode_law(problem: ControlProblem, n_steps: int) -> ModeLaw | None:
     ham = np.zeros((len(lam), 4, 4))     # [[a, -b b^T / r], [-diag(q, 0), -a^T]]
     ham[:, 0, 1], ham[:, 1, 0], ham[:, 1, 1], ham[:, 1, 3] = 1.0, -lam, -gam, -1.0 / r
     ham[:, 2, 0], ham[:, 2, 3], ham[:, 3, 2], ham[:, 3, 3] = -q, lam, -1.0, gam
-    back = scipy.linalg.expm(ham * (-problem.horizon / n_steps))
-    b = np.ascontiguousarray(back.transpose(1, 2, 0))   # entry (i, j) over the modes
-    P = np.zeros((2, 2, len(lam)))
-    P[0, 0] = s
-    coeffs = np.empty((n_steps + 1, len(lam), 2))
-    coeffs[n_steps] = P[1].T
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
-    for k in range(n_steps - 1, -1, -1):
-        XY = b[:, :2] + b[:, 2, None] * P[0] + b[:, 3, None] * P[1]
-        X, Y = XY[:2], XY[2:]
-        adj = X[::-1, ::-1].swapaxes(0, 1) * sign
-        P = (Y[:, 0, None] * adj[0] + Y[:, 1, None] * adj[1]) / (
-            X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
-        P = 0.5 * (P + P.swapaxes(0, 1))
-        coeffs[k] = P[1].T
-    coeffs /= r[:, None]
-    P, a = P.transpose(2, 0, 1), ham[:, :2, :2]
-    # the algebraic Riccati defect per mode, its norm taken in (u, v)
-    defect = a.swapaxes(1, 2) @ P + P @ a + P @ ham[:, :2, 2:] @ P - ham[:, 2:, :2]
+    times = None
+    if problem.is_finite_horizon:
+        import scipy.linalg
+        back = scipy.linalg.expm(ham * (-problem.horizon / n_steps))
+        b = np.ascontiguousarray(back.transpose(1, 2, 0))   # entry (i, j) over the modes
+        P = np.zeros((2, 2, len(lam)))
+        P[0, 0] = s
+        coeffs = np.empty((n_steps + 1, len(lam), 2))
+        coeffs[n_steps] = P[1].T
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+        for k in range(n_steps - 1, -1, -1):
+            XY = b[:, :2] + b[:, 2, None] * P[0] + b[:, 3, None] * P[1]
+            X, Y = XY[:2], XY[2:]
+            adj = X[::-1, ::-1].swapaxes(0, 1) * sign
+            P = (Y[:, 0, None] * adj[0] + Y[:, 1, None] * adj[1]) / (
+                X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+            P = 0.5 * (P + P.swapaxes(0, 1))
+            coeffs[k] = P[1].T
+        P, times = P.transpose(2, 0, 1), np.linspace(0.0, problem.horizon, n_steps + 1)
+    else:
+        P = _mode_care(lam, gam, q, r)
+        coeffs = P[None, :, 1]
+    defect, scale = _mode_defect(ham, P)
+    err = np.linalg.norm(defect, axis=(1, 2))
+    bad = np.flatnonzero(~(err <= RESIDUAL_RTOL * scale))
+    if times is None and bad.size:
+        raise NumericalError(f"mode {bad[0]}'s CARE defect {err[bad[0]]:.3g} exceeds "
+                             f"{RESIDUAL_RTOL:g} of its term scale {scale[bad[0]]:.3g}")
     root = np.sqrt(model.masses)[:, None]
     cobasis = model.eigenpairs[1] * root
-    gram = (cobasis.T @ cobasis) ** 2
+    gram = (cobasis.T @ cobasis) ** 2        # the defect's norm taken in (u, v)
     return ModeLaw(basis=model.eigenpairs[1] / root, cobasis=cobasis, lam=lam,
-                   weights=weights, coeffs=coeffs, P0=P,
-                   residual=math.sqrt(max(np.einsum("kij,kl,lij->", defect, gram, defect), 0)),
-                   times=np.linspace(0.0, problem.horizon, n_steps + 1))
+                   weights=weights, coeffs=coeffs / r[:, None], P0=P, times=times,
+                   residual=math.sqrt(max(np.einsum("kij,kl,lij->", defect, gram, defect), 0)))
 
 
 def _care_residual(P, A, BRB, Qz) -> float:
@@ -343,68 +380,33 @@ def _schur_care(A: np.ndarray, BRB: np.ndarray, Qz: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _rigid_lift(problem: ControlProblem):
-    """Orthonormal basis of the non-rigid state subspace, or None.
-
-    The rigid displacement directions are the first `model.zero_count`
-    eigenvectors of K (the model's one zero rule, an inertia count of A;
-    K = M^{1/2} A M^{1/2} is congruent to A, so both have as many zeros).
-    Deflating them is exact only when they carry no cost and the
-    mass/damping maps preserve the split; None means no rigid mode or a
-    failed condition, and the caller solves in the full space.  With every
-    mode rigid the basis has no columns, and the law is P = 0.
-    """
-    n_zero = problem.model.zero_count
-    if n_zero == 0:
-        return None
-    V0, Vc = np.split(np.linalg.eigh(problem.model.K)[1], [n_zero], axis=1)
-    if np.linalg.norm(problem.Q @ V0) > 1e-10 * max(np.linalg.norm(problem.Q, "fro"), 1.0):
-        return None  # rigid modes are penalized: no cost-free deflation
-    inv_m = 1.0 / problem.model.masses
-
-    def preserves_split(op_v0, op_vc):
-        # op must map span(V0) into itself and span(Vc) into itself
-        leak = max(np.linalg.norm(Vc.T @ op_v0), np.linalg.norm(V0.T @ op_vc))
-        return leak <= 1e-10 * max(np.linalg.norm(op_v0), np.linalg.norm(op_vc), 1.0)
-
-    if not preserves_split(inv_m[:, None] * V0, inv_m[:, None] * Vc):
-        return None
-    if not np.isscalar(problem.gamma):
-        op = inv_m[:, None] * problem.damping_matrix()
-        if not preserves_split(op @ V0, op @ Vc):
-            return None
-    n, c = Vc.shape
-    lift = np.zeros((2 * n, 2 * c))
-    lift[:n, :c] = Vc
-    lift[n:, c:] = Vc
-    return lift
-
-
 def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     """Solve the Riccati problem and return the feedback law.
 
-    Infinite horizon: algebraic equation by the Hamiltonian-Schur method,
-    deflated onto the non-rigid modes when that is exact (see the module
-    docstring), else in the full space, with no retry.
+    When the transformed weights are diagonal in A's eigenbasis, to
+    MODE_COUPLING_RTOL (see `_mode_weights`), the problem is solved per mode
+    of A and the law is a `ModeLaw` (`_mode_law`); else in the 2n-state
+    form, with no retry.
+    Infinite horizon: the algebraic equation, per mode in closed form, else
+    by the Hamiltonian Schur method in the full space.
     Finite horizon: the Hamiltonian step map (Kenney & Leipnik, IEEE TAC
     30(10), 1985) back from the terminal weight over `n_steps` intervals h:
     with E = expm(-Ham h), Ham = [[A, -BRB], [-Qz, -A^T]], [X; Y] =
-    E [I; P(t)] gives P(t - h) = Y X^-1 exactly, up to rounding.  The law
-    keeps the gain at each grid time; gain/riccati are the t = 0 values.
-    When the transformed weights are diagonal in A's eigenbasis, to
-    MODE_COUPLING_RTOL (see `_mode_weights`), the map runs per mode on 2x2
-    blocks and returns a `ModeLaw`; else it runs in the 2n-state form.
+    E [I; P(t)] gives P(t - h) = Y X^-1 exactly, up to rounding, per mode on
+    2x2 blocks or in the 2n-state form.  The law keeps the gain at each
+    grid time; gain/riccati are the t = 0 values.
 
     Raises NumericalError naming what failed: the count of stable
     Hamiltonian eigenvalues against the state dimension (an unstabilizable
-    problem), or a certificate (CARE residual, P's least eigenvalue, or the
-    closed loop's spectral abscissa) and its value.
+    problem), or a certificate (a mode's CARE defect against its scale; in
+    the full space the CARE residual, P's least eigenvalue, or the closed
+    loop's spectral abscissa) and its value.
     """
     if problem.is_finite_horizon:
         n_steps = _integer("n_steps", n_steps, 1)
-        law = _mode_law(problem, n_steps)
-        if law is not None:
-            return law
+    law = _mode_law(problem, n_steps)
+    if law is not None:
+        return law
     A, B = problem.state_matrices()
     Qz = problem.state_cost()
     Rinv = np.linalg.inv(problem.R)
@@ -435,15 +437,7 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     tol = RESIDUAL_RTOL * qscale + 1e-12 * (
         np.linalg.norm(A, "fro") ** 2 + np.linalg.norm(BRB, "fro"))
 
-    # Cost-free rigid modes that the masses and damping keep separate are
-    # deflated (see the module docstring); any other problem is solved in
-    # the full space.  Either way the solve is certified once.
-    lift = _rigid_lift(problem)
-    if lift is None:
-        P = _schur_care(A, BRB, Qz)
-    else:
-        P = lift @ _schur_care(lift.T @ A @ lift, lift.T @ BRB @ lift,
-                               lift.T @ Qz @ lift) @ lift.T
+    P = _schur_care(A, BRB, Qz)
     residual = _certify(P, A, BRB, Qz, tol)
     G = RB @ P
     return FeedbackLaw(gain=G, riccati=P, residual=residual,
@@ -482,21 +476,23 @@ def _mode_path(law: ModeLaw, u0, v0, times, h):
     and d = gamma + c_2 at the step's midpoint, advances by its closed-form
     2x2 exponential e^(-hd/2) [ch I + sh h [[d/2, 1], [-k, -d/2]]], ch, sh =
     cosh s, sinh(s)/s of s = h sqrt(d^2/4 - k) (cos, sin(w)/w of w = h
-    sqrt(k - d^2/4)), built for every step at once.  Returns the series
+    sqrt(k - d^2/4)), built for every step at once, or once for a
+    stationary law's held gain.  Returns the series
     `simulate_controlled` needs and the terminal cost term u^T S u."""
     gam, q, r, s = law.weights
-    c = _interpolate(law.times, law.coeffs, times[:-1] + 0.5 * h)
+    c = law.coeffs_at(times[:-1] + 0.5 * h)
     k, d = law.lam + c[..., 0], gam + c[..., 1]
     root = h * np.sqrt(0.25 * d * d - k + 0j)      # s, or i w
     ch, sh = np.cosh(root).real, np.sinc(1j * root / np.pi).real
     half = 0.5 * h * d * sh
     step = np.exp(-0.5 * h * d) * np.array([[ch + half, h * sh], [-h * k * sh, ch - half]])
-    step = np.ascontiguousarray(step.transpose(2, 0, 1, 3))    # (steps, 2, 2, n)
+    step = np.ascontiguousarray(step.transpose(2, 0, 1, 3))    # (steps or 1, 2, 2, n)
+    step = np.broadcast_to(step, (len(times) - 1,) + step.shape[1:])
     z = np.empty((len(times), 2, len(law.lam)))
     z[0] = u0 @ law.cobasis, v0 @ law.cobasis
     for j in range(len(times) - 1):
         z[j + 1] = step[j, :, 0] * z[j, 0] + step[j, :, 1] * z[j, 1]
-    (eta, rate), c, P = z.transpose(1, 0, 2), _interpolate(law.times, law.coeffs, times), law.P0
+    (eta, rate), c, P = z.transpose(1, 0, 2), law.coeffs_at(times), law.P0
     g = -(c[..., 0] * eta + c[..., 1] * rate)
     value = (P[:, 0, 0] * eta ** 2 + 2 * P[:, 0, 1] * eta * rate + P[:, 1, 1] * rate ** 2).sum(1)
     return (eta @ law.basis.T, rate @ law.basis.T, g @ law.cobasis.T, (q * eta ** 2).sum(1),

@@ -7,7 +7,9 @@ O(h^4) truncation; `hamiltonian_sweep` is perfbench's `lqr_finite_value`
 sweep, the Hamiltonian flow in steps of at most a quarter time unit:
 exact up to rounding, on its own coarse grid.  `dense_step_map` and
 `dense_simulation` are the dense finite-horizon law and simulation in
-the 2n-state form, the references for the route in A's modes.
+the 2n-state form, the references for the route in A's modes, and
+`deflated_care` is the stationary reference: scipy's CARE solver on the
+non-rigid modes.
 """
 from __future__ import annotations
 
@@ -84,6 +86,27 @@ def dense_step_map(problem, n_steps: int):
         P = 0.5 * (P + P.T)
         gains[k] = RB @ P
     return gains, P
+
+
+def deflated_care(problem):
+    """(gain, P) of a stationary problem as `solve_lqr` solved it before the
+    route in A's modes: eigh(K) split at A's dense inertia count of zero
+    modes (`inertia_oracle`), `scipy.linalg.solve_continuous_are` on the
+    2n x 2c lift onto the other modes, and P lifted back, zero on the rigid
+    ones.  Exact for cost-free rigid modes that the masses and damping keep
+    apart, as with unit masses, scalar damping and Q = K."""
+    from inertia_oracle import dense_zero_count
+    model = problem.model
+    A, B = problem.state_matrices()
+    n_zero = dense_zero_count(model.A.toarray(), model.lambda_max)
+    Vc = np.linalg.eigh(model.K)[1][:, n_zero:]
+    n, c = Vc.shape
+    lift = np.zeros((2 * n, 2 * c))
+    lift[:n, :c] = lift[n:, c:] = Vc
+    P = lift @ scipy.linalg.solve_continuous_are(
+        lift.T @ A @ lift, lift.T @ B, lift.T @ problem.state_cost() @ lift,
+        problem.R) @ lift.T
+    return np.linalg.solve(problem.R, B.T) @ P, P
 
 
 def dense_simulation(problem, law, u0, v0, T: float, n_steps: int) -> dict:

@@ -132,12 +132,13 @@ def test_stateprep_n12_state_csv_digest_is_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("energy.csv", "d40964f0ee57798a944f9688fdacaae7379f85287f28b274e62f29f7921f3711"),
-    ("trajectory.csv", "539160596dc93c8da98f04b55ce20b059c1b6aa67ff1869e260d1675ddb782a1"),
+    ("energy.csv", "b7b8e4e1662ee07eca645238192dfa38f024c9e8cc78fdd9e62618ad6d8ffad3"),
+    ("trajectory.csv", "44ad88d9cdb5a73a792e1ac2c37b2de388a0b4fcce6be398a057deced4ec5f73"),
 ])
 def test_stationary_control_artifact_digests_are_pinned(tmp_path, name, digest):
-    # the stationary law takes one exponential per run; its artifacts must
-    # not move when the finite-horizon route changes
+    # the stationary law is each mode's closed-form root, simulated by one
+    # held 2x2 step per mode; its artifacts must not move when the
+    # finite-horizon route changes
     code, out = run(tmp_path, "control")
     assert code == 0
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
@@ -407,7 +408,8 @@ def test_light_commands_do_not_load_network(tmp_path, command):
     (["dos", "--n", "20"], ["scipy.linalg", "scipy.special", "scipy.sparse.linalg"]),
     (["model", "--n", "20"], ["scipy.linalg", "scipy.special", "scipy.sparse.linalg"]),
     (["stateprep", "--n", "4"], ["scipy.sparse", "scipy.linalg"]),
-], ids=["dos", "model", "stateprep"])
+    (["control"], ["scipy.linalg", "scipy.special", "scipy.sparse.linalg"]),
+], ids=["dos", "model", "stateprep", "control"])
 def test_commands_leave_the_scipy_subpackages_they_do_not_use_unloaded(tmp_path, argv,
                                                                        unloaded):
     code = ("import sys; from gnmqsim.cli import main; "

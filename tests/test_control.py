@@ -15,7 +15,6 @@ from gnmqsim.network import NetworkModel, build_anm, build_gnm, model_from_matri
 from gnmqsim.structure import load_bundled_structure, synthetic_chain
 
 import riccati_oracle
-from inertia_oracle import dense_zero_count
 
 
 @pytest.fixture(scope="module")
@@ -103,19 +102,23 @@ def test_penalized_rigid_mode_is_driven_to_rest():
 
 
 def test_non_uniform_masses_solve_or_fail_honestly():
-    # non-uniform masses break the exact rigid-mode deflation; the solver
-    # may still find a certified solution another way, but must never
-    # return an uncertified one
+    # non-uniform masses, or a Q that is the chain's Laplacian without
+    # contact 4-5, couple A's modes and leave the translation cost-free, so
+    # the full-space solve takes them; it may find a certified solution,
+    # but must never return an uncertified one
     chain = build_gnm(synthetic_chain(3))
     model = model_from_matrices(chain.K, np.array([1.0, 2.0, 3.0]))
-    prob = ControlProblem(model, gamma=1.0)
-    try:
-        law = solve_lqr(prob)
-    except NumericalError:
-        return
-    assert law.residual <= RESIDUAL_RTOL * np.linalg.norm(prob.state_cost(),
-                                                          "fro")
-    assert np.linalg.eigvals(law.closed_loop).real.max() <= 1e-8
+    ten = build_gnm(synthetic_chain(10))
+    cut = ten.K.copy()
+    cut[4:6, 4:6] -= np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for prob in (ControlProblem(model, gamma=1.0), ControlProblem(ten, gamma=1.0, Q=cut)):
+        try:
+            law = solve_lqr(prob)
+        except NumericalError:
+            continue
+        assert law.residual <= RESIDUAL_RTOL * np.linalg.norm(prob.state_cost(),
+                                                              "fro")
+        assert np.linalg.eigvals(law.closed_loop).real.max() <= 1e-8
 
 
 def test_zero_start_costs_nothing(scalar_problem, scalar_law):
@@ -408,7 +411,7 @@ def test_held_gain_steps_take_one_exponential_past_the_horizon(monkeypatch):
     assert len(calls) == 101
 
 
-# -- the stationary route: rigid modes from the model's zero count, one solve --
+# -- the stationary route: a closed-form root per mode, else one full-space solve --
 
 def test_soft_springs_deflate_only_the_models_rigid_mode():
     # every eigenvalue of this K lies below 1e-8: an absolute zero floor
@@ -450,30 +453,53 @@ def test_contact_free_model_has_the_zero_law():
                                    lambda: build_anm(load_bundled_structure())],
                          ids=["chain-10", "bundled-anm"])
 def test_stationary_solve_runs_one_schur_solve(monkeypatch, build):
+    # non-uniform masses couple A's modes in the weights, so the law is one
+    # full-space Schur solve; Q = I penalizes the rigid modes, which it needs
     calls = []
     schur_care = control._schur_care
     monkeypatch.setattr(control, "_schur_care",
                         lambda *a: calls.append(a[0].shape) or schur_care(*a))
-    model = build()
-    solve_lqr(ControlProblem(model, gamma=1.0))
-    n = model.n_dof - model.zero_count
+    free = build()
+    n = free.n_dof
+    model = model_from_matrices(free.K, np.linspace(1.0, 2.0, n))
+    solve_lqr(ControlProblem(model, gamma=1.0, Q=np.eye(n)))
     assert calls == [(2 * n, 2 * n)]
 
 
-def test_rigid_lift_splits_at_the_models_zero_count():
-    chain = build_gnm(synthetic_chain(3))
-    model = model_from_matrices(chain.K, np.array([1.0, 2.0, 3.0]))
-    assert "zero_count" not in vars(model)
-    # the masses mix the translation into the elastic modes: no deflation
-    assert control._rigid_lift(ControlProblem(model, gamma=1.0)) is None
-    # the count was read from the model (cached there), not taken by a rule of its own
-    assert vars(model)["zero_count"] == 1
-    assert dense_zero_count(model.A.toarray(), model.lambda_max) == 1
-    uniform = model_from_matrices(chain.K, np.full(3, 2.0))
-    lift = control._rigid_lift(ControlProblem(uniform, gamma=1.0))
-    assert vars(uniform)["zero_count"] == 1 and lift.shape == (6, 4)
-    assert np.allclose(lift.T @ lift, np.eye(4), atol=1e-14)
-    assert np.abs(lift[:3].sum(axis=0)).max() < 1e-14  # orthogonal to the translation
+def test_soft_spring_law_solves_its_riccati_equation_to_rounding():
+    # the full-space Schur solve left a CARE defect of 1.7e-7 of the
+    # equation's term scale here; each mode's closed-form root leaves rounding
+    chain = build_gnm(synthetic_chain(10), cutoff=7.0, spring=1e-9)
+    prob = ControlProblem(chain, gamma=1.0, R=1e-2)
+    P = solve_lqr(prob).riccati
+    A, B = prob.state_matrices()
+    BRB, Qz = B @ np.linalg.inv(prob.R) @ B.T, prob.state_cost()
+    scale = sum(np.linalg.norm(X) for X in (A.T @ P, P @ A, P @ BRB @ P, Qz))
+    assert control._care_residual(P, A, BRB, Qz) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 2.0])
+def test_mode_roots_match_scipy_at_any_sign_of_damping(gamma):
+    # a damping matrix may be indefinite; the stabilizing root still exists
+    K = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    prob = ControlProblem(model_from_matrices(K, np.ones(3)), gamma=gamma * np.eye(3),
+                          Q=np.eye(3), R=0.3)
+    law = solve_lqr(prob)
+    assert isinstance(law, control.ModeLaw)
+    A, B = prob.state_matrices()
+    P = scipy.linalg.solve_continuous_are(A, B, prob.state_cost(), prob.R)
+    assert _relative(law.riccati, P) <= 1e-12
+    assert np.linalg.eigvals(law.closed_loop).real.max() < 0
+
+
+def test_mode_certificate_names_the_mode_and_its_defect(monkeypatch):
+    # one elastic mode's root off by 1e-6, far past RESIDUAL_RTOL of its scale
+    exact = control._mode_care
+    off = np.where(np.arange(6) == 3, 1 + 1e-6, 1.0)[:, None, None]
+    monkeypatch.setattr(control, "_mode_care", lambda *a: off * exact(*a))
+    with pytest.raises(NumericalError, match=r"mode 3's CARE defect \S+ exceeds 1e-08 "
+                       r"of its term scale \S+"):
+        solve_lqr(ControlProblem(build_gnm(synthetic_chain(6)), gamma=1.0))
 
 
 def test_unstabilizable_problem_names_the_stable_count():
@@ -512,16 +538,23 @@ def _cli_start(n):
     return u0 / max(np.linalg.norm(u0), 1.0), np.zeros(n)
 
 
-@pytest.mark.parametrize("key", RICCATI_MODELS)
-def test_mode_law_matches_the_dense_step_map(key):
-    # `gnmqsim control --horizon 10`'s problem: unit masses, scalar gamma,
-    # Q = K, R = 1e-2 I, S = 0, so every weight is diagonal in A's modes
-    prob = ControlProblem(RICCATI_MODELS[key](), gamma=1.0, horizon=10.0)
+@pytest.mark.parametrize("key, horizon", [(key, 10.0) for key in RICCATI_MODELS]
+                         + [(key, math.inf) for key in RICCATI_MODELS],
+                         ids=[*RICCATI_MODELS, *(f"{key}-stationary" for key in RICCATI_MODELS)])
+def test_mode_law_matches_the_dense_step_map(key, horizon):
+    # `gnmqsim control`'s problem, with --horizon 10 and without: unit
+    # masses, scalar gamma, Q = K, R = 1e-2 I, S = 0, so every weight is
+    # diagonal in A's modes; the stationary law against the deflated CARE
+    prob = ControlProblem(RICCATI_MODELS[key](), gamma=1.0, horizon=horizon)
     law = solve_lqr(prob, n_steps=2000)
     assert isinstance(law, control.ModeLaw)
-    gains, P0 = riccati_oracle.dense_step_map(prob, 2000)
+    if prob.is_finite_horizon:
+        gains, P0 = riccati_oracle.dense_step_map(prob, 2000)
+        assert _relative(law.gains, gains) <= 1e-12
+    else:
+        gain, P0 = riccati_oracle.deflated_care(prob)
+        assert _relative(law.gain, gain) <= 1e-12
     assert _relative(law.riccati, P0) <= 1e-12
-    assert _relative(law.gains, gains) <= 1e-12
     u0, v0 = _cli_start(prob.n_dof)
     sim = simulate_controlled(prob, law, u0, v0, T=20.0, n_steps=2000)
     states, forces = _per_step_states(prob, law, np.concatenate([u0, v0]), 20.0, 2000)
@@ -535,15 +568,16 @@ def test_mode_law_matches_the_dense_step_map(key):
 
 def test_mode_law_leaves_the_rigid_modes_exactly_alone():
     model = build_anm(load_bundled_structure())
-    prob = ControlProblem(model, gamma=1.0, horizon=10.0)
-    law = solve_lqr(prob)
     rigid = model.zero_modes
     assert rigid.sum() == 6
-    assert np.all(law.lam[rigid] == 0.0)
-    assert np.all(law.coeffs[:, rigid] == 0.0)
-    assert np.all(law.P0[rigid] == 0.0)
-    sim = simulate_controlled(prob, law, *_cli_start(model.n_dof), T=20.0)
-    assert np.all(sim["energy"] >= 0.0)
+    for horizon in (10.0, math.inf):
+        prob = ControlProblem(model, gamma=1.0, horizon=horizon)
+        law = solve_lqr(prob)
+        assert np.all(law.lam[rigid] == 0.0)
+        assert np.all(law.coeffs[:, rigid] == 0.0)
+        assert np.all(law.P0[rigid] == 0.0)
+        sim = simulate_controlled(prob, law, *_cli_start(model.n_dof), T=20.0)
+        assert np.all(sim["energy"] >= 0.0)
 
 
 def test_commuting_problem_builds_no_dense_state_form(monkeypatch):
@@ -558,11 +592,14 @@ def test_commuting_problem_builds_no_dense_state_form(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", spy("expm", scipy.linalg.expm))
     monkeypatch.setattr(NetworkModel, "zero_count", property(
         spy("zero_count", vars(NetworkModel)["zero_count"].func)))
+    monkeypatch.setattr(control, "_schur_care", spy("_schur_care", control._schur_care))
     for model in (build_gnm(synthetic_chain(20)), build_anm(load_bundled_structure())):
-        prob = ControlProblem(model, gamma=1.0, horizon=10.0)
-        law = solve_lqr(prob)
-        simulate_controlled(prob, law, *_cli_start(model.n_dof), T=20.0)
-    # one batched exponential per solve, none per simulated step
+        for horizon in (10.0, math.inf):
+            prob = ControlProblem(model, gamma=1.0, horizon=horizon)
+            law = solve_lqr(prob)
+            simulate_controlled(prob, law, *_cli_start(model.n_dof), T=20.0)
+    # one batched exponential per finite solve, none per simulated step, and
+    # none, nor any other call, for a stationary solve and its simulation
     assert calls == ["expm", "expm"]
 
 
