@@ -70,62 +70,64 @@ def _hex_seed(text: str) -> int:
     try:
         return int(text, 16)
     except ValueError:
-        raise UsageError(f"seed must be hexadecimal, got {text!r}") from None
+        raise UsageError(f"--seed must be hexadecimal, got {text!r}") from None
+
+
+_RULES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
+          "at least 2": lambda v: v >= 2}
+
+
+def _option(default=None, type=float, help=None, rule=None, finite=True):
+    """A RunConfig field declaring its --option: argparse type, help text and
+    value rule, a _RULES name or a tuple of choices (then also the help
+    text); a float must be finite unless `finite` is False."""
+    if isinstance(rule, tuple):
+        check, rule = rule.__contains__, " or ".join(rule)
+        help = rule
+    else:
+        check = _RULES.get(rule)
+    return dataclasses.field(default=default, metadata=dict(
+        type=type, help=help, rule=rule, check=check, finite=finite and type is float))
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Resolved settings for one subcommand run."""
+    """Resolved settings for one subcommand run; every field after `command`
+    is the one declaration of its --option (see `_option`)."""
 
     command: str
-    input: str | None = None
-    n: int | None = None
-    model: str = "gnm"
-    cutoff: float = 7.0
-    spring: float = 1.0
-    seed: int = 0x2A
-    moments: int = 100
-    probes: int = 0
-    dynamics: str = "harmonic"
-    gamma: float = 1.0
-    kt: float = 1.0
-    rweight: float = 1e-2
-    horizon: float | None = None
-    tmax: float = 20.0
-    steps: int = 2000
-    alpha: float | None = None
-    out: str = "gnmqsim-out"
+    input: str | None = _option(None, str, "structure file (PDB or JSON)")
+    n: int | None = _option(None, int, "synthetic chain length / qubit count", "positive")
+    model: str = _option("gnm", str, rule=("gnm", "anm"))
+    cutoff: float = _option(7.0, help="contact cutoff in A (default 7 for gnm, 13 for anm)",
+                            rule="positive")
+    spring: float = _option(1.0, rule="positive")
+    seed: int = _option(0x2A, str, "hexadecimal seed")
+    moments: int = _option(100, int, rule="nonnegative")
+    probes: int = _option(0, int, rule="nonnegative")
+    dynamics: str = _option("harmonic", str, rule=("harmonic", "langevin"))
+    gamma: float = _option(1.0, rule="nonnegative")
+    kt: float = _option(1.0, rule="nonnegative")
+    rweight: float = _option(1e-2, rule="positive")
+    horizon: float | None = _option(rule="positive", finite=False)   # inf: stationary
+    tmax: float = _option(20.0, rule="positive")
+    steps: int = _option(2000, int, rule="at least 2")
+    alpha: float | None = _option(help="override the spectral half-width", rule="positive")
+    out: str = _option("gnmqsim-out", str)
 
     def validate(self):
-        # --horizon is exempt: infinity there asks for the stationary law
-        for name in ("cutoff", "spring", "gamma", "kt", "rweight", "tmax", "alpha"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"--{name} must be finite, got {value!r}")
         if self.input is not None and self.n is not None:
             raise UsageError("give either --input or --n, not both")
         if self.input is not None and not Path(self.input).is_file():
-            raise UsageError(f"input file not found: {self.input}")
-        if self.n is not None and self.n < 1:
-            raise UsageError("--n must be positive")
-        if self.model not in ("gnm", "anm"):
-            raise UsageError(f"unknown model kind {self.model!r}")
-        if self.dynamics not in ("harmonic", "langevin"):
-            raise UsageError(f"unknown dynamics kind {self.dynamics!r}")
-        if not (self.cutoff > 0 and self.spring > 0):
-            raise UsageError("cutoff and spring must be positive")
-        if self.moments < 0 or self.probes < 0:
-            raise UsageError("moment and probe counts must be nonnegative")
-        if self.gamma < 0 or self.kt < 0:
-            raise UsageError("gamma and kt must be nonnegative")
-        if self.rweight <= 0:
-            raise UsageError("rweight must be positive")
-        if self.horizon is not None and not self.horizon > 0:
-            raise UsageError("horizon must be positive")
-        if not (self.tmax > 0 and self.steps >= 2):
-            raise UsageError("tmax must be positive and steps at least 2")
-        if self.alpha is not None and not self.alpha > 0:
-            raise UsageError("alpha must be positive")
+            raise UsageError(f"--input file not found: {self.input}")
+        for f in dataclasses.fields(self)[1:]:
+            value, meta = getattr(self, f.name), f.metadata
+            if value is None:
+                continue
+            if meta["finite"] and not math.isfinite(value):
+                raise UsageError(f"--{f.name} must be finite, got {value!r}")
+            if meta["check"] and not meta["check"](value):
+                raise UsageError(f"--{f.name} must be {meta['rule']}, got {value!r}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -398,44 +400,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Protein normal-mode pipeline: read-in, evolution, read-out.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", help="structure file (PDB or JSON)")
-        p.add_argument("--n", type=int, help="synthetic chain length / qubit count")
-        p.add_argument("--model", default="gnm", help="gnm or anm")
-        p.add_argument("--cutoff", type=float,
-                       help="contact cutoff in A (default 7 for gnm, 13 for anm)")
-        p.add_argument("--spring", type=float, default=1.0)
-        p.add_argument("--seed", default="2a", help="hexadecimal seed")
-        p.add_argument("--moments", type=int, default=100)
-        p.add_argument("--probes", type=int, default=0)
-        p.add_argument("--dynamics", default="harmonic",
-                       help="harmonic or langevin")
-        p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--kt", type=float, default=1.0)
-        p.add_argument("--rweight", type=float, default=1e-2)
-        p.add_argument("--horizon", type=float)
-        p.add_argument("--tmax", type=float, default=20.0)
-        p.add_argument("--steps", type=int, default=2000)
-        p.add_argument("--alpha", type=float,
-                       help="override the spectral half-width")
-        p.add_argument("--out", default="gnmqsim-out")
+        # an option not given stays out of the namespace: RunConfig's default holds
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for f in dataclasses.fields(RunConfig)[1:]:
+            p.add_argument(f"--{f.name}", type=f.metadata["type"], help=f.metadata["help"])
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    given = vars(_build_parser().parse_args(argv))
     try:
         _apply_thread_cap()
-        from . import structure as st
-        cutoff = st.DEFAULT_ANM_CUTOFF if args.model == "anm" else st.DEFAULT_GNM_CUTOFF
-        cfg = RunConfig(
-            command=args.command, input=args.input, n=args.n, model=args.model,
-            cutoff=cutoff if args.cutoff is None else args.cutoff, spring=args.spring,
-            seed=_hex_seed(args.seed), moments=args.moments,
-            probes=args.probes, dynamics=args.dynamics, gamma=args.gamma,
-            kt=args.kt, rweight=args.rweight, horizon=args.horizon,
-            tmax=args.tmax, steps=args.steps, alpha=args.alpha,
-            out=args.out)
+        if "seed" in given:
+            given["seed"] = _hex_seed(given["seed"])
+        if "cutoff" not in given and given.get("model") == "anm":
+            from .structure import DEFAULT_ANM_CUTOFF
+            given["cutoff"] = DEFAULT_ANM_CUTOFF
+        cfg = RunConfig(**given)
         cfg.validate()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

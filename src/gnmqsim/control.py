@@ -22,10 +22,13 @@ mode's Hamiltonian, stepped back from the terminal weight.  A's zero modes
 are clamped to lam = 0, so a rigid mode without cost gets exactly P = 0.
 Any other problem is solved in the 2n-state form: the stationary law by
 the Hamiltonian Schur method (Laub, IEEE TAC 24(6), 1979) in the full
-space, the finite law by the same step map.  Nothing is retried: a failed
-step or certificate raises NumericalError naming the quantity and its
-value.  scipy.linalg is imported in the routines that use it (the Schur
-solve, the step maps and the held-gain exponentials).
+space, the finite law by the same step map.  Both step maps split a grid
+interval into 2, 4, ... substeps until the exponential's 1-norm is at most
+STEP_NORM_BOUND, and store only the grid points.  Nothing is retried: a
+failed step or certificate, or a non-finite finite-horizon law, raises
+NumericalError naming the quantity and its value, or the mode (state row)
+and the grid step.  scipy.linalg is imported in the routines that use it
+(the Schur solve, the step maps and the held-gain exponentials).
 """
 
 from __future__ import annotations
@@ -46,9 +49,11 @@ RESIDUAL_RTOL = 1e-8
 _SYM_RTOL = 1e-6
 
 
-def _as_weight(value, n: int, name: str, positive: bool) -> np.ndarray:
+def _as_weight(value, n: int, name: str, positive: bool, bounds=None) -> np.ndarray:
     """Normalize a scalar or matrix weight to a symmetric (n, n) array; a
-    scalar c is checked as c itself, the one eigenvalue of c I."""
+    scalar c is checked as c itself, the one eigenvalue of c I, a matrix by
+    `bounds` when given (the least and largest eigenvalue of a congruent
+    matrix), else by its own eigenvalues."""
     if value is None:
         return np.zeros((n, n))
     if np.isscalar(value):
@@ -62,7 +67,9 @@ def _as_weight(value, n: int, name: str, positive: bool) -> np.ndarray:
     if not np.allclose(mat, mat.T, atol=1e-12 * max(1.0, abs(mat).max())):
         raise ValueError(f"{name} must be symmetric")
     mat = 0.5 * (mat + mat.T)
-    lo, hi = (float(value),) * 2 if np.isscalar(value) else np.linalg.eigvalsh(mat)[[0, -1]]
+    if bounds is None:
+        bounds = (float(value),) * 2 if np.isscalar(value) else np.linalg.eigvalsh(mat)[[0, -1]]
+    lo, hi = bounds
     scale = max(abs(lo), abs(hi), 1.0)
     if positive and lo <= 1e-12 * scale:
         raise ValueError(f"{name} must be positive definite (min eig {lo:g})")
@@ -93,8 +100,10 @@ class ControlProblem:
 
     def __post_init__(self):
         n = self.model.n_dof
-        q = self.Q if self.Q is not None else self.model.K
-        object.__setattr__(self, "Q", _as_weight(q, n, "Q", positive=False))
+        # K is congruent to A, so A's cached eigenvalues decide whether it is PSD
+        q, bounds = (self.Q, None) if self.Q is not None else (
+            self.model.K, self.model.eigenpairs[0][[0, -1]])
+        object.__setattr__(self, "Q", _as_weight(q, n, "Q", False, bounds))
         object.__setattr__(self, "R", _as_weight(self.R, n, "R", positive=True))
         object.__setattr__(self, "S", _as_weight(self.S, n, "S", positive=False))
         if np.isscalar(self.gamma):
@@ -213,6 +222,29 @@ class ModeLaw(FeedbackLaw):
         return np.block([[self._dense(d, self.basis) for d in row] for row in blocks])
 
 
+# A finite-horizon step map splits each grid interval h into the fewest sub =
+# 1, 2, 4, ... substeps, at most MAX_SUBSTEPS, with ||expm(-Ham h / sub)||_1 <=
+# STEP_NORM_BOUND: the map's rounding grows with that norm (1e17 at gamma h = 40).
+STEP_NORM_BOUND = 10.0
+MAX_SUBSTEPS = 1 << 10
+
+
+def _step_exponential(ham: np.ndarray, h: float):
+    """(expm(-ham h / sub), sub) by the substep rule above; ham may be a stack."""
+    import scipy.linalg
+    sub = 1
+    while True:
+        back = scipy.linalg.expm(ham * (-h / sub))
+        norm = np.abs(back).sum(axis=-2).max()
+        if not norm > STEP_NORM_BOUND:
+            return back, sub
+        if sub == MAX_SUBSTEPS:
+            raise NumericalError(f"the Riccati step map's exponential has 1-norm {norm:.3g} "
+                                 f"after {sub} substeps of h = {h:g}, above "
+                                 f"{STEP_NORM_BOUND:g}")
+        sub *= 2
+
+
 # Off-diagonal share of a transformed weight in A's eigenbasis that the mode
 # route drops: at most this fraction of the weight's Frobenius norm.
 MODE_COUPLING_RTOL = 1e-10
@@ -275,8 +307,10 @@ def _mode_law(problem: ControlProblem, n_steps: int) -> ModeLaw | None:
     modes (`zero_modes`) take lam = 0 exactly, so with no cost their P and
     gains are exactly 0.  Stationary: the closed-form root (`_mode_care`),
     certified once: each mode's defect within RESIDUAL_RTOL of its scale.
-    Finite: one batched expm of the n 4x4 Hamiltonians, then P <- Y X^-1 on
-    the stack of 2x2 blocks, component by component."""
+    Finite: one batched expm of the n 4x4 Hamiltonians over a grid interval
+    or its substeps (`_step_exponential`), then P <- Y X^-1 on the stack of
+    2x2 blocks, component by component; a non-finite P names its mode and
+    grid step."""
     model = problem.model
     lam = np.where(model.zero_modes, 0.0, model.eigenpairs[0])
     weights = _mode_weights(problem, lam)
@@ -288,8 +322,7 @@ def _mode_law(problem: ControlProblem, n_steps: int) -> ModeLaw | None:
     ham[:, 2, 0], ham[:, 2, 3], ham[:, 3, 2], ham[:, 3, 3] = -q, lam, -1.0, gam
     times = None
     if problem.is_finite_horizon:
-        import scipy.linalg
-        back = scipy.linalg.expm(ham * (-problem.horizon / n_steps))
+        back, sub = _step_exponential(ham, problem.horizon / n_steps)
         b = np.ascontiguousarray(back.transpose(1, 2, 0))   # entry (i, j) over the modes
         P = np.zeros((2, 2, len(lam)))
         P[0, 0] = s
@@ -297,13 +330,20 @@ def _mode_law(problem: ControlProblem, n_steps: int) -> ModeLaw | None:
         coeffs[n_steps] = P[1].T
         sign = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
         for k in range(n_steps - 1, -1, -1):
-            XY = b[:, :2] + b[:, 2, None] * P[0] + b[:, 3, None] * P[1]
-            X, Y = XY[:2], XY[2:]
-            adj = X[::-1, ::-1].swapaxes(0, 1) * sign
-            P = (Y[:, 0, None] * adj[0] + Y[:, 1, None] * adj[1]) / (
-                X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
-            P = 0.5 * (P + P.swapaxes(0, 1))
+            for _ in range(sub):
+                XY = b[:, :2] + b[:, 2, None] * P[0] + b[:, 3, None] * P[1]
+                X, Y = XY[:2], XY[2:]
+                adj = X[::-1, ::-1].swapaxes(0, 1) * sign
+                P = (Y[:, 0, None] * adj[0] + Y[:, 1, None] * adj[1]) / (
+                    X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+                P = 0.5 * (P + P.swapaxes(0, 1))
             coeffs[k] = P[1].T
+        bad = ~np.isfinite(coeffs).all(axis=2)
+        bad[0] |= ~np.isfinite(P).all(axis=(0, 1))
+        if bad.any():
+            k, mode = np.argwhere(bad)[-1]
+            raise NumericalError(f"mode {mode}'s Riccati matrix is not finite at grid "
+                                 f"step {k} of {n_steps}")
         P, times = P.transpose(2, 0, 1), np.linspace(0.0, problem.horizon, n_steps + 1)
     else:
         P = _mode_care(lam, gam, q, r)
@@ -393,14 +433,17 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
     30(10), 1985) back from the terminal weight over `n_steps` intervals h:
     with E = expm(-Ham h), Ham = [[A, -BRB], [-Qz, -A^T]], [X; Y] =
     E [I; P(t)] gives P(t - h) = Y X^-1 exactly, up to rounding, per mode on
-    2x2 blocks or in the 2n-state form.  The law keeps the gain at each
-    grid time; gain/riccati are the t = 0 values.
+    2x2 blocks or in the 2n-state form; h is split into the fewest of 2,
+    4, ... substeps that keep ||E||_1 <= STEP_NORM_BOUND
+    (`_step_exponential`).  The law keeps the gain at each grid time;
+    gain/riccati are the t = 0 values.
 
     Raises NumericalError naming what failed: the count of stable
     Hamiltonian eigenvalues against the state dimension (an unstabilizable
-    problem), or a certificate (a mode's CARE defect against its scale; in
+    problem), a certificate (a mode's CARE defect against its scale; in
     the full space the CARE residual, P's least eigenvalue, or the closed
-    loop's spectral abscissa) and its value.
+    loop's spectral abscissa) and its value, a step map beyond MAX_SUBSTEPS,
+    or the mode (state row) and grid step of a non-finite finite law.
     """
     if problem.is_finite_horizon:
         n_steps = _integer("n_steps", n_steps, 1)
@@ -419,12 +462,17 @@ def solve_lqr(problem: ControlProblem, n_steps: int = 2000) -> FeedbackLaw:
         P = scipy.linalg.block_diag(problem.S, np.zeros_like(problem.S))
         gains = np.empty((n_steps + 1,) + RB.shape)
         gains[n_steps] = RB @ P
-        ham = np.block([[A, -BRB], [-Qz, -A.T]])
-        back = scipy.linalg.expm(-ham * (problem.horizon / n_steps))
+        back, sub = _step_exponential(np.block([[A, -BRB], [-Qz, -A.T]]),
+                                      problem.horizon / n_steps)
         for k in range(n_steps - 1, -1, -1):
-            XY = back[:, :m] + back[:, m:] @ P
-            P = np.linalg.solve(XY[:m].T, XY[m:].T).T
-            P = 0.5 * (P + P.T)
+            for _ in range(sub):
+                XY = back[:, :m] + back[:, m:] @ P
+                P = np.linalg.solve(XY[:m].T, XY[m:].T).T
+                P = 0.5 * (P + P.T)
+            rows = np.flatnonzero(~np.isfinite(P).all(axis=1))
+            if rows.size:
+                raise NumericalError(f"row {rows[0]} of the Riccati matrix P is not finite "
+                                     f"at grid step {k} of {n_steps}")
             gains[k] = RB @ P
         return FeedbackLaw(gain=gains[0], riccati=P,
                            residual=_care_residual(P, A, BRB, Qz),

@@ -44,9 +44,8 @@ class EmbeddedHamiltonian:
     square is block-diagonal (B B^T, B^T B), so the nonzero spectrum comes
     in +/- sqrt(eig A) pairs. H has two forms, both cached on first
     access: `operator`, H as a sparse matrix built from B's nonzeros, and
-    `spectrum`, its eigenvalues read from A's cached eigenpairs. Only the
-    encoded Monte Carlo sampler densifies `operator`, once per call;
-    harmonic propagation needs neither form.
+    `spectrum`, its eigenvalues read from A's cached eigenpairs. Harmonic
+    propagation needs neither form.
     """
 
     model: NetworkModel
@@ -449,21 +448,25 @@ def monte_carlo_encoded(embedded: EmbeddedHamiltonian, params: LangevinParams,
     against the master-equation result. Both are taken in two passes (the
     mean, then the squared deviations from it) over blocks of paths whose
     outer products hold about _MC_BLOCK_ENTRIES entries, so memory does not
-    grow with n_paths. h <= 0.01 / (sqrt(lambda_max) + gamma); n_paths >= 2.
+    grow with n_paths. The paths step as the columns of one array through J
+    as a CSR matrix. h <= 0.01 / (sqrt(lambda_max) + gamma); n_paths >= 2.
     """
     x0 = _vector(x0, "x0", embedded.dim, complex)
     root = math.sqrt(max(embedded.model.lambda_max, 0.0))  # H's largest eigenvalue
     h_max = 0.01 / max(root + params.gamma, 1e-12)
     n_steps, h = _step_count(t, h_max, h, n_paths, 2)
     dim = embedded.dim
-    J = -1j * embedded.operator.toarray() - np.diag(params.diagonals(embedded)[0])
+    diag = np.arange(dim)
+    J = -1j * embedded.operator - scipy.sparse.csr_array(
+        (params.diagonals(embedded)[0], (diag, diag)), shape=(dim, dim))
     count = dim if params.noise == "isotropic" else embedded.n_dof
 
-    x = np.tile(x0, (n_paths, 1))
+    x = np.tile(x0[:, None], (1, n_paths))     # one path per column
     sqrt_h = math.sqrt(h)
     for xi in _noise_windows(seed, n_paths, n_steps, count):
-        x = x + h * (x @ J.T)
-        x[:, :count] += sqrt_h * (params.sigma * xi)
+        x += h * (J @ x)
+        x[:count] += sqrt_h * (params.sigma * xi.T)
+    x = np.ascontiguousarray(x.T)
     step = max(1, _MC_BLOCK_ENTRIES // (dim * dim))
     blocks = [x[a:a + step] for a in range(0, n_paths, step)]
     second = sum(((b[:, :, None] * b[:, None, :].conj()).sum(axis=0)

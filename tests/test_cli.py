@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnmqsim import cli
+from gnmqsim import cli, structure
 from gnmqsim.cli import _THREAD_VARS, RunConfig, main
 from test_network import import_matrix_market
 
@@ -142,6 +143,50 @@ def test_stationary_control_artifact_digests_are_pinned(tmp_path, name, digest):
     code, out = run(tmp_path, "control")
     assert code == 0
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+# every help string `--help` shows; the other options have none
+OPTION_HELP = {
+    "input": "structure file (PDB or JSON)",
+    "n": "synthetic chain length / qubit count",
+    "model": "gnm or anm",
+    "cutoff": "contact cutoff in A (default 7 for gnm, 13 for anm)",
+    "seed": "hexadecimal seed",
+    "dynamics": "harmonic or langevin",
+    "alpha": "override the spectral half-width",
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_bare_subcommand_runs_with_runconfigs_defaults(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, out: (seen.append(cfg), ([], {}))[1])
+    assert main([command]) == 0
+    assert main([command, "--model", "anm"]) == 0
+    assert seen == [RunConfig(command), RunConfig(command, model="anm", cutoff=13.0)]
+    assert RunConfig.cutoff == structure.DEFAULT_GNM_CUTOFF
+    assert (tmp_path / RunConfig.out).is_dir()
+
+
+def test_each_setting_has_one_option_with_its_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    names = [f.name for f in dataclasses.fields(RunConfig)][1:]
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == list(cli._COMMANDS)
+    for command, parser in sub.choices.items():
+        actions = parser._actions
+        assert [a.option_strings for a in actions] == [["-h", "--help"]] + [
+            [f"--{name}"] for name in names]
+        assert [a.help for a in actions[1:]] == [OPTION_HELP.get(name) for name in names]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name in names:
+            assert text.count(f"--{name} ") == 2, (command, name)     # usage and list
+        for name, help in OPTION_HELP.items():
+            assert f"--{name} {name.upper()}" in text and help in text, (command, name)
 
 
 def test_seed_is_parsed_as_hex(tmp_path):
@@ -296,6 +341,30 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         code = main([*argv, "--out", str(tmp_path / "never")])
         assert code == 2, argv
         assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--input", "missing.pdb"], "--input file not found: missing.pdb"),
+    (["--n", "0"], "--n must be positive, got 0"),
+    (["--model", "mixed"], "--model must be gnm or anm, got 'mixed'"),
+    (["--cutoff", "-1"], "--cutoff must be positive, got -1.0"),
+    (["--spring", "0"], "--spring must be positive, got 0.0"),
+    (["--seed", "zz"], "--seed must be hexadecimal, got 'zz'"),
+    (["--moments", "-1"], "--moments must be nonnegative, got -1"),
+    (["--probes", "-1"], "--probes must be nonnegative, got -1"),
+    (["--dynamics", "brownian"], "--dynamics must be harmonic or langevin, got 'brownian'"),
+    (["--gamma", "-1"], "--gamma must be nonnegative, got -1.0"),
+    (["--kt", "-1"], "--kt must be nonnegative, got -1.0"),
+    (["--rweight", "0"], "--rweight must be positive, got 0.0"),
+    (["--horizon", "nan"], "--horizon must be positive, got nan"),
+    (["--tmax", "0"], "--tmax must be positive, got 0.0"),
+    (["--steps", "1"], "--steps must be at least 2, got 1"),
+    (["--alpha", "0"], "--alpha must be positive, got 0.0"),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_usage_messages_name_their_option(tmp_path, capsys, argv, message):
+    assert main(["control", *argv, "--out", str(tmp_path / "never")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "never").exists()
 
 

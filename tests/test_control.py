@@ -637,7 +637,8 @@ def test_scalar_weights_are_checked_without_an_eigensolve(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
     prob = ControlProblem(model, R=1e-2, S=0.5)
-    assert calls == [(4, 4)]            # Q = K alone, a matrix
+    assert calls == []      # Q = K is checked by A's cached eigenvalues
+    assert np.array_equal(prob.Q, 0.5 * (model.K + model.K.T))
     assert np.array_equal(prob.R, 1e-2 * np.eye(4))
     assert np.array_equal(prob.S, 0.5 * np.eye(4))
     for value in (0.0, -1.0):
@@ -647,3 +648,60 @@ def test_scalar_weights_are_checked_without_an_eigensolve(monkeypatch):
             ControlProblem(model, R=value * np.eye(4))
         assert str(scalar.value) == str(matrix.value)
         assert str(scalar.value) == f"R must be positive definite (min eig {value:g})"
+
+
+STIFF_ROUTES = {
+    "modes": lambda: build_gnm(synthetic_chain(10)),
+    "2n-state": lambda: model_from_matrices(build_gnm(synthetic_chain(10)).K,
+                                            np.linspace(1.0, 2.0, 10)),
+}
+
+
+@pytest.mark.parametrize("gamma", [8000.0, 1e4])
+@pytest.mark.parametrize("route", STIFF_ROUTES)
+def test_stiff_finite_horizon_law_substeps_to_the_fine_grid(route, gamma):
+    # gamma h = 400 and 500: one exponential per grid interval has 1-norm
+    # past 1e170, and its step map gave a P of NaN
+    prob = ControlProblem(STIFF_ROUTES[route](), gamma=gamma, S=1.0, horizon=1.0)
+    law = solve_lqr(prob, n_steps=20)
+    assert isinstance(law, control.ModeLaw) is (route == "modes")
+    assert np.isfinite(law.gains).all()
+    fine = solve_lqr(prob, n_steps=int(gamma))      # gamma h = 1, one substep
+    assert np.abs(law.riccati - fine.riccati).max() <= 1e-8 * np.abs(fine.riccati).max()
+    assert np.abs(law.gains - fine.gains[::int(gamma) // 20]).max() <= (
+        1e-8 * np.abs(fine.gains).max())
+
+
+@pytest.mark.parametrize("route", STIFF_ROUTES)
+def test_cli_sized_problems_take_one_substep(monkeypatch, route):
+    subs, step = [], control._step_exponential
+    monkeypatch.setattr(control, "_step_exponential",
+                        lambda ham, h: subs.append(step(ham, h)[1]) or step(ham, h))
+    for gamma in (0.0, 1.0, 100.0):
+        solve_lqr(ControlProblem(STIFF_ROUTES[route](), gamma=gamma, horizon=10.0))
+    assert subs == [1, 1, 1]
+
+
+@pytest.mark.parametrize("route, where", [("modes", r"mode \d+'s Riccati matrix"),
+                                          ("2n-state", r"row \d+ of the Riccati matrix P")])
+def test_non_finite_step_map_names_its_mode_or_row_and_step(monkeypatch, route, where):
+    # without substeps the mode map overflows to NaN at gamma = 1e4; the
+    # 2n-state map stays finite (and wrong) there, so its exponential is made
+    # to overflow
+    monkeypatch.setattr(control, "STEP_NORM_BOUND", math.inf)
+    if route == "2n-state":
+        step = control._step_exponential
+        monkeypatch.setattr(control, "_step_exponential",
+                            lambda ham, h: (step(ham, h)[0] * 1e308 * 10, 1))
+    prob = ControlProblem(STIFF_ROUTES[route](), gamma=1e4, S=1.0, horizon=1.0)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match=where + r" is not finite at grid "
+                                                  r"step \d+ of 20"):
+        solve_lqr(prob, n_steps=20)
+
+
+def test_step_map_names_a_norm_that_no_substep_count_bounds(monkeypatch):
+    monkeypatch.setattr(control, "MAX_SUBSTEPS", 4)
+    prob = ControlProblem(STIFF_ROUTES["modes"](), gamma=1e4, horizon=1.0)
+    with pytest.raises(NumericalError, match="after 4 substeps of h = 0.05, above 10"):
+        solve_lqr(prob, n_steps=20)

@@ -802,6 +802,19 @@ def test_blocked_encoded_moments_match_the_one_array_oracle(chain2):
                 assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_encoded_monte_carlo_steps_through_a_sparse_j(monkeypatch):
+    model = build_gnm(load_bundled_structure())
+    emb = dyn.embed(model)
+    emb.operator, model.lambda_max  # cached before counting
+    calls, to_dense = [], type(emb.operator).toarray
+    monkeypatch.setattr(type(emb.operator), "toarray",
+                        lambda self, *a, **k: calls.append(self.shape) or to_dense(self, *a, **k))
+    p = dyn.LangevinParams(gamma=0.5, kT=0.3)
+    res = dyn.monte_carlo_encoded(emb, p, _encoded_start(model), 0.05, n_paths=4, seed=3)
+    assert calls == []
+    assert res["finals"].shape == (4, emb.dim) and res["finals"].flags.c_contiguous
+
+
 def test_encoded_monte_carlo_memory_does_not_grow_with_paths():
     model = build_gnm(load_bundled_structure())
     emb = dyn.embed(model)
